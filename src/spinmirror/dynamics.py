@@ -1,8 +1,11 @@
 """Exact time evolution, mirroring reports, phase fits, spectrum classification.
 
 Dense eigendecomposition handles sectors up to dimension 4096; larger sectors
-go through a residual-controlled Lanczos approximation of exp(-iHt). A
-matrix-free variant evolves SparseStates without ever enumerating the sector.
+go through a residual-controlled Lanczos approximation of exp(-iHt). The
+Lanczos core works on plain complex arrays. Its matrix-free variant evolves a
+SparseState over one sorted mask index that starts as the state's support
+and grows to its hop closure as H is applied; once the index is closed, a
+CSR matrix built once applies H. It never enumerates a sector basis.
 """
 
 from __future__ import annotations
@@ -19,8 +22,10 @@ from .sectors import (
     SectorHamiltonian,
     SectorState,
     SparseState,
+    _sort_runs,
     build_sector_hamiltonian,
     enumerate_sector_basis,
+    permute_masks,
 )
 
 DENSE_DIM_LIMIT = 4096
@@ -32,6 +37,21 @@ def _as_graph(obj) -> ExchangeGraph:
     return obj.to_graph() if isinstance(obj, CouplingPattern) else obj
 
 
+def _hops(graph: ExchangeGraph, masks: np.ndarray):
+    """Every nonzero hop out of masks: (source position, target mask, 2w)."""
+    rows, flipped, weights = [], [], []
+    for a, b, w in graph.edges:
+        if w == 0.0:
+            continue
+        mov = np.nonzero(((masks >> a) & 1) != ((masks >> b) & 1))[0]
+        rows.append(mov)
+        flipped.append(masks[mov] ^ np.int64((1 << a) | (1 << b)))
+        weights.append(np.full(len(mov), 2.0 * w))
+    if not rows:
+        return np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)
+    return np.concatenate(rows), np.concatenate(flipped), np.concatenate(weights)
+
+
 def apply_hamiltonian(graph, psi: SparseState) -> SparseState:
     """Exact sparse application of H: each edge hops one excitation, weight 2w.
 
@@ -41,105 +61,122 @@ def apply_hamiltonian(graph, psi: SparseState) -> SparseState:
     graph = _as_graph(graph)
     if graph.site_count != psi.site_count:
         raise ValueError("graph and state have different site counts")
-    masks = psi.masks
-    out_masks = []
-    out_amps = []
-    for a, b, w in graph.edges:
-        if w == 0.0:
-            continue
-        mov = np.nonzero(((masks >> a) & 1) != ((masks >> b) & 1))[0]
-        if len(mov) == 0:
-            continue
-        out_masks.append(masks[mov] ^ np.int64((1 << a) | (1 << b)))
-        out_amps.append(psi.amps[mov] * (2.0 * w))
-    if not out_masks:
-        return SparseState(psi.site_count, np.empty(0, np.int64), np.empty(0, np.complex128))
-    return SparseState(psi.site_count, np.concatenate(out_masks), np.concatenate(out_amps))
+    rows, flipped, weights = _hops(graph, psi.masks)
+    return SparseState(psi.site_count, flipped, psi.amps[rows] * weights)
+
+
+class _HopOperator:
+    """H on vectors over a sorted mask index that grows to its hop closure.
+
+    matvec takes a vector over the current index and returns H x over
+    index | hops(index), which then becomes the current index. Growing costs
+    one stable sort of the index and the hopped masks; the product itself is
+    a scatter over the per-hop arrays. Once an index is closed under hops,
+    its CSR matrix is built once and serves every later matvec. lift carries
+    a vector held over any earlier index onto the current one.
+    """
+
+    def __init__(self, graph: ExchangeGraph, masks: np.ndarray):
+        self.graph = graph
+        self.masks = masks
+        self._lifts = []  # (index length, its positions in the next index, next length)
+        self._csr = None
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        if self._csr is not None:
+            return self._csr @ x
+        n = len(self.masks)
+        rows, flipped, weights = _hops(self.graph, self.masks)
+        order, grown, run = _sort_runs(np.concatenate([self.masks, flipped]))
+        pos = np.empty_like(run)
+        pos[order] = run
+        if len(grown) == n:
+            self._csr = sp.csr_matrix((weights, (pos[n:], rows)), shape=(n, n))
+            return self._csr @ x
+        self._lifts.append((n, pos[:n], len(grown)))
+        self.masks = grown
+        src = x[rows] * weights
+        return np.bincount(pos[n:], src.real, len(grown)) + 1j * np.bincount(
+            pos[n:], src.imag, len(grown)
+        )
+
+    def lift(self, x: np.ndarray) -> np.ndarray:
+        """x (last axis over an earlier or the current index) over the current index."""
+        for n, pos, size in self._lifts:
+            if x.shape[-1] == n:
+                out = np.zeros(x.shape[:-1] + (size,), np.complex128)
+                out[..., pos] = x
+                x = out
+        return x
 
 
 # -- Krylov propagation -------------------------------------------------------
 
 
-def _lanczos_step(matvec, inner, combine, v, norm_v, tau, m, breakdown_tol):
-    """One Krylov step: approximate exp(-i*tau*H) v and an error estimate.
+def _lanczos_step(matvec, lift, v, tau, m, breakdown_tol):
+    """One Krylov step: approximate exp(-i*tau*H) v for a unit vector v.
 
-    matvec/inner/combine abstract the vector arithmetic so the same code
-    drives dense arrays and SparseStates. Returns (w, err_estimate).
+    matvec may return a vector over a grown index; lift then carries the
+    stored basis onto it. Returns (w, err_estimate).
     """
-    vecs = [v]
+    # np.zeros leaves untouched rows unmapped, so unused capacity costs no memory
+    V = np.zeros((m, len(v)), np.complex128)
+    V[0] = v
     alphas, betas = [], []
     broke_down = False
     for j in range(m):
-        w = matvec(vecs[j])
-        alpha = inner(vecs[j], w).real
-        terms = [(1.0, w), (-alpha, vecs[j])]
+        w = matvec(V[j])
+        if len(w) != V.shape[1]:
+            live = lift(V[: j + 1])
+            V = np.zeros((m, len(w)), np.complex128)
+            V[: j + 1] = live
+        alpha = np.vdot(V[j], w).real
+        w -= alpha * V[j]
         if j > 0:
-            terms.append((-betas[j - 1], vecs[j - 1]))
-        w = combine(terms)
-        # full reorthogonalization keeps the small tridiagonal trustworthy
-        corr = [(1.0, w)]
-        for u in vecs:
-            corr.append((-inner(u, w), u))
-        w = combine(corr)
+            w -= betas[j - 1] * V[j - 1]
+        # full reorthogonalization keeps the small tridiagonal trustworthy;
+        # V.conj() @ w is taken as conj(V @ conj(w)) to conjugate one row only
+        basis = V[: j + 1]
+        w -= basis.T @ np.conj(basis @ np.conj(w))
         alphas.append(alpha)
-        beta = np.sqrt(inner(w, w).real)
+        beta = np.linalg.norm(w)
         if beta <= breakdown_tol:
             broke_down = True
             break
         betas.append(beta)
-        vecs.append(combine([(1.0 / beta, w)]))
+        if j + 1 < m:
+            V[j + 1] = w / beta
     j = len(alphas)
     T = np.diag(alphas)
     for i, b in enumerate(betas[: j - 1]):
         T[i, i + 1] = T[i + 1, i] = b
     evals, U = np.linalg.eigh(T)
     small = U @ (np.exp(-1j * tau * evals) * U[0, :].conj())
-    approx = combine([(norm_v * small[i], vecs[i]) for i in range(j)])
-    if broke_down or j < m:
-        err = 0.0
-    else:
-        err = abs(norm_v) * betas[-1] * abs(small[-1]) * abs(tau)
+    approx = small @ V[:j]
+    err = 0.0 if broke_down else betas[-1] * abs(small[-1]) * abs(tau)
     return approx, err
 
 
-def _krylov_expm(matvec, inner, combine, v, t, m=KRYLOV_DIM, tol=KRYLOV_TOL):
+def _krylov_expm(matvec, v, t, lift=lambda x: x, m=KRYLOV_DIM, tol=KRYLOV_TOL):
     """Adaptive-substep Lanczos propagation of exp(-iHt) v."""
-    norm_v = np.sqrt(inner(v, v).real)
+    norm_v = np.linalg.norm(v)
     if norm_v == 0.0 or t == 0.0:
         return v
-    scale = 1.0 / norm_v
-    current = combine([(scale, v)])
-    current_norm = 1.0
+    current = v / norm_v
     remaining = t
     tau = t
     while abs(remaining) > 0:
         if abs(tau) > abs(remaining):
             tau = remaining
         budget = tol * abs(tau) / abs(t)
-        w, err = _lanczos_step(
-            matvec, inner, combine, current, current_norm, tau, m, 1e-13
-        )
+        # a rejected substep may have grown the index past current's
+        w, err = _lanczos_step(matvec, lift, lift(current), tau, m, 1e-13)
         if err > budget and abs(tau) > 1e-12 * abs(t):
             tau = tau / 2
             continue
         remaining -= tau
-        nrm = np.sqrt(inner(w, w).real)
-        current = combine([(1.0 / nrm, w)])
-        current_norm = 1.0
-    return combine([(norm_v, current)])
-
-
-def _dense_ops():
-    def inner(x, y):
-        return complex(np.vdot(x, y))
-
-    def combine(terms):
-        out = None
-        for c, vec in terms:
-            out = c * vec.astype(np.complex128) if out is None else out + c * vec
-        return out
-
-    return inner, combine
+        current = w / np.linalg.norm(w)
+    return norm_v * current
 
 
 def evolve(H: SectorHamiltonian, psi: SectorState, t: float) -> SectorState:
@@ -156,33 +193,29 @@ def evolve(H: SectorHamiltonian, psi: SectorState, t: float) -> SectorState:
         evals, vecs = H.eig()
         amps = vecs @ (np.exp(-1j * evals * t) * (vecs.T @ psi.amplitudes))
         return SectorState(psi.basis, amps)
-    inner, combine = _dense_ops()
-    amps = _krylov_expm(lambda x: H.mat @ x, inner, combine, psi.amplitudes, t)
+    amps = _krylov_expm(lambda x: H.mat @ x, psi.amplitudes, t)
     return SectorState(psi.basis, amps)
 
 
 def evolve_sparse(graph, psi: SparseState, t: float, tol: float = KRYLOV_TOL) -> SparseState:
     """Matrix-free Lanczos evolution of a SparseState.
 
-    Never enumerates a sector basis, so it handles lattices whose sectors are
-    far beyond the dense limit as long as the state's support stays bounded
-    (stationary or near-stationary states break down after one step).
+    The Krylov vectors are plain arrays over one sorted mask index. It starts
+    as psi's support and grows to index | hops(index) with every product by
+    H until it is closed under hops; from then on a CSR matrix built once
+    applies H. No sector basis is ever enumerated, so lattices whose sectors
+    are far beyond the dense limit work as long as the support stays bounded
+    (a stationary state breaks the Lanczos loop down after one product). The
+    result is canonicalized once, dropping exact zeros.
     """
     if not np.isfinite(t):
         raise ValueError("evolution time must be finite")
     graph = _as_graph(graph)
-
-    def inner(x, y):
-        return x.inner(y)
-
-    def combine(terms):
-        out = None
-        for c, vec in terms:
-            piece = vec.scaled(c)
-            out = piece if out is None else out.add(piece)
-        return out
-
-    return _krylov_expm(lambda x: apply_hamiltonian(graph, x), inner, combine, psi, t, tol=tol)
+    if graph.site_count != psi.site_count:
+        raise ValueError("graph and state have different site counts")
+    op = _HopOperator(graph, psi.masks)
+    amps = _krylov_expm(op.matvec, psi.amps, t, lift=op.lift, tol=tol)
+    return SparseState(psi.site_count, op.masks, op.lift(amps))
 
 
 def evolve_state(graph, psi: SparseState, t: float) -> SparseState:
@@ -192,6 +225,8 @@ def evolve_state(graph, psi: SparseState, t: float) -> SparseState:
     back to the matrix-free path.
     """
     graph = _as_graph(graph)
+    if graph.site_count != psi.site_count:
+        raise ValueError("graph and state have different site counts")
     if len(psi.masks) == 0:
         return psi
     pieces = []
@@ -235,9 +270,7 @@ def permuted_ranks(basis: SectorBasis, sym: SymmetryMap) -> np.ndarray:
     """rank(perm(mask)) for every mask in the basis, in rank order."""
     if sym.site_count != basis.site_count:
         raise ValueError("symmetry map acts on a different site count")
-    new = np.zeros_like(basis.masks)
-    for bit in range(basis.site_count):
-        new |= ((basis.masks >> bit) & 1) << np.int64(sym.perm[bit])
+    new = permute_masks(basis.masks, sym.perm)
     rows = np.searchsorted(basis.masks, new)
     if np.any(rows >= basis.dim) or np.any(basis.masks[rows] != new):
         raise ValueError("permutation does not preserve the sector")

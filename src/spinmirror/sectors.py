@@ -33,6 +33,28 @@ def popcount(masks: np.ndarray) -> np.ndarray:
     return ((x * _H01) >> np.uint64(56)).astype(np.int64)
 
 
+def permute_masks(masks: np.ndarray, targets) -> np.ndarray:
+    """Move bit p of every mask to bit targets[p]; bits past len(targets) are dropped."""
+    out = np.zeros_like(masks)
+    for bit, target in enumerate(targets):
+        out |= ((masks >> bit) & 1) << np.int64(target)
+    return out
+
+
+def _sort_runs(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One stable sort of masks: (order, distinct masks ascending, run).
+
+    run[i] is the position in the distinct masks of masks[order[i]], read off
+    the flags that mark where each run of equal sorted masks starts, so no
+    second sort or binary search is needed.
+    """
+    order = np.argsort(masks, kind="stable")
+    ordered = masks[order]
+    starts = np.ones(len(ordered), dtype=bool)
+    starts[1:] = ordered[1:] != ordered[:-1]
+    return order, ordered[starts], np.cumsum(starts) - 1
+
+
 @dataclass(frozen=True)
 class SectorBasis:
     """All weight-k bitmasks on M sites, in ascending numeric order."""
@@ -157,6 +179,8 @@ class SparseState:
     """Amplitudes keyed by occupation bitmask; may straddle several sectors.
 
     Canonical form: masks ascending, duplicates merged, exact zeros dropped.
+    Input whose masks are already strictly ascending skips the sort, so
+    scaling or slicing a canonical state costs one pass over it.
     """
 
     site_count: int
@@ -172,13 +196,18 @@ class SparseState:
             raise ValueError("masks and amps must be 1-d arrays of equal length")
         if len(masks) and (masks.min() < 0 or masks.max() >> self.site_count):
             raise ValueError("mask outside the site range")
-        order = np.argsort(masks, kind="stable")
-        masks, amps = masks[order], amps[order]
-        uniq, inverse = np.unique(masks, return_inverse=True)
-        if len(uniq) != len(masks):
-            merged = np.zeros(len(uniq), dtype=np.complex128)
-            np.add.at(merged, inverse, amps)
-            masks, amps = uniq, merged
+        if np.all(masks[1:] > masks[:-1]):
+            masks, amps = masks.copy(), amps.copy()
+        else:
+            order, uniq, run = _sort_runs(masks)
+            amps = amps[order]
+            if len(uniq) != len(masks):
+                # add.at sums each run in input order, so merged values do not
+                # depend on how the runs were found
+                merged = np.zeros(len(uniq), dtype=np.complex128)
+                np.add.at(merged, run, amps)
+                amps = merged
+            masks = uniq
         keep = amps != 0
         if not keep.all():
             masks, amps = masks[keep], amps[keep]
@@ -241,10 +270,7 @@ class SparseState:
         p = perm.perm if hasattr(perm, "perm") else perm
         if len(p) != self.site_count:
             raise ValueError("permutation length must equal site_count")
-        new = np.zeros_like(self.masks)
-        for bit in range(self.site_count):
-            new |= ((self.masks >> bit) & 1) << np.int64(p[bit])
-        return SparseState(self.site_count, new, self.amps)
+        return SparseState(self.site_count, permute_masks(self.masks, p), self.amps)
 
     def tensor(self, other: "SparseState") -> "SparseState":
         """Product state; the two supports must occupy disjoint sites."""

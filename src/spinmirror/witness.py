@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import jsonio
 from .dynamics import apply_hamiltonian
 from .lattice import (
@@ -26,7 +24,7 @@ from .lattice import (
     manhattan_distance,
     symmetry_map,
 )
-from .sectors import SparseState
+from .sectors import SparseState, permute_masks
 
 RESIDUAL_IMPOSSIBLE = 1e-10
 OVERLAP_IMPOSSIBLE = 1 - 1e-6
@@ -75,9 +73,7 @@ def build_witness(spec: WitnessSpec) -> SparseState:
     g = build_square_lattice(n)
     m_sites = n * n
     diag_sites = [g.flat(d, d) for d in range(1, n + 1)]
-    embedded_masks = np.zeros_like(spec.diagonal_state.masks)
-    for bit in range(n):
-        embedded_masks |= ((spec.diagonal_state.masks >> bit) & 1) << np.int64(diag_sites[bit])
+    embedded_masks = permute_masks(spec.diagonal_state.masks, diag_sites)
     state = SparseState(m_sites, embedded_masks, spec.diagonal_state.amps)
     r = 1 / math.sqrt(2)
     for i in range(1, n + 1):

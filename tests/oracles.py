@@ -1,13 +1,17 @@
 """Independent constructions the tests cross-check against.
 
 The Pauli oracles work on the full 2^M-dimensional space with explicit tensor
-products; the uniform-chain amplitude is a closed form. Neither shares code
-with the package internals. Site p occupies bit p of the basis index (least
+products; the uniform-chain amplitude is a closed form; the sector propagator
+enumerates its basis with itertools and exponentiates with scipy. None shares
+code with the package internals. Site p occupies bit p of the basis index (least
 significant bit first), the same labeling the package uses.
 """
 
+import itertools
+
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import expm_multiply
 
 SX = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
 SY = sp.csr_matrix(np.array([[0.0, -1.0j], [1.0j, 0.0]]))
@@ -84,3 +88,28 @@ def uniform_chain_amplitude(n, ts):
     theta = np.pi * np.arange(1, n + 1) / (n + 1)
     weights = 2 / (n + 1) * np.sin(theta) * np.sin(n * theta)
     return weights @ np.exp(-4j * np.outer(np.cos(theta), np.asarray(ts)))
+
+
+def sector_propagation(site_count, edges, k, amplitudes, t):
+    """exp(-iHt) of a weight-k state given as {mask: amplitude}.
+
+    Reaches sectors far past the Pauli oracle: the basis is every k-subset of
+    sites from itertools.combinations, ascending as masks; H hops one
+    excitation across an edge (a, b, w) with matrix element 2w, read straight
+    off the edge list; expm_multiply applies the exponential. Returns
+    (masks, amplitudes over them).
+    """
+    masks = sorted(sum(1 << p for p in c) for c in itertools.combinations(range(site_count), k))
+    index = {m: i for i, m in enumerate(masks)}
+    rows, cols, vals = [], [], []
+    for i, m in enumerate(masks):
+        for a, b, w in edges:
+            if (m >> a & 1) != (m >> b & 1):
+                rows.append(index[m ^ (1 << a) ^ (1 << b)])
+                cols.append(i)
+                vals.append(2.0 * w)
+    H = sp.csr_matrix((vals, (rows, cols)), shape=(len(masks), len(masks)))
+    v = np.zeros(len(masks), dtype=np.complex128)
+    for m, amp in amplitudes.items():
+        v[index[m]] = amp
+    return np.array(masks, dtype=np.int64), expm_multiply(-1j * t * H, v)

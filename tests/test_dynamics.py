@@ -3,8 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from spinmirror.chains import chain_pattern, christandl_chain, parallel_chain_pattern, uniform_chain
+from spinmirror import dynamics
+from spinmirror.chains import (
+    chain_pattern,
+    christandl_chain,
+    parallel_chain_pattern,
+    product_lattice_couplings,
+    uniform_chain,
+)
 from spinmirror.dynamics import (
+    DENSE_DIM_LIMIT,
     apply_hamiltonian,
     classify_spectrum,
     evolve,
@@ -32,6 +40,8 @@ from spinmirror.sectors import (
     enumerate_sector_basis,
     from_sector_state,
 )
+
+from oracles import sector_propagation
 
 
 def random_graph(site_count, n_edges, seed):
@@ -193,3 +203,85 @@ def test_classify_vectors_are_genuine_symmetry_eigenvectors():
     groups = classify_spectrum(H, symmetry_map(pat.geometry, "vertical_axis"))
     assert max(g.max_symmetry_defect for g in groups) <= 1e-8
     assert sum(g.multiplicity for g in groups) == H.dim
+
+
+# -- both sides of the dense limit, and the growing index of evolve_sparse -----
+
+PRODUCT_4X4 = product_lattice_couplings(christandl_chain(4), christandl_chain(4)).to_graph()
+MASK_4X4_K5 = 0b1001000100101  # sites 0, 2, 5, 8, 12
+
+
+def oracle_vector(masks, state):
+    """state's amplitudes over the oracle's masks; support outside them fails."""
+    got = dict(state.items())
+    assert set(got) <= set(int(m) for m in masks)
+    return np.array([got.get(int(m), 0j) for m in masks])
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_evolutions_match_sector_oracle_on_both_sides_of_dense_limit(k):
+    # k=4 has dim 1820 (dense eigh), k=5 dim 4368 (Krylov on the sector matrix)
+    masks_in = (0b11110000, 0b1000010000100001) if k == 4 else (MASK_4X4_K5, 0b11111)
+    amps_in = {masks_in[0]: 0.6, masks_in[1]: 0.8j}
+    t = 1.1
+    masks, ref = sector_propagation(16, PRODUCT_4X4.edges, k, amps_in, t)
+    H = build_sector_hamiltonian(PRODUCT_4X4, k)
+    assert (H.dim <= DENSE_DIM_LIMIT) == (k == 4)
+    assert np.array_equal(H.basis.masks, masks)
+    psi = SparseState.from_dict(16, amps_in)
+    dense = evolve(H, psi.to_sector_state(H.basis), t).amplitudes
+    assert np.linalg.norm(dense - ref) < 1e-9
+    for out in (evolve_sparse(PRODUCT_4X4, psi, t), evolve_state(PRODUCT_4X4, psi, t)):
+        assert np.linalg.norm(oracle_vector(masks, out) - ref) < 1e-9
+
+
+def test_evolve_sparse_retries_a_substep_over_a_grown_index(monkeypatch):
+    # the first substep of a basis state grows the index to the whole sector
+    # and is rejected; the retry must carry the one-entry start vector over
+    lifted = []
+    lift = dynamics._HopOperator.lift
+
+    def spy(self, x):
+        out = lift(self, x)
+        if x.ndim == 1 and out.shape[-1] != x.shape[-1]:
+            lifted.append((x.shape[-1], out.shape[-1]))
+        return out
+
+    monkeypatch.setattr(dynamics._HopOperator, "lift", spy)
+    t = 1.1
+    out = evolve_sparse(PRODUCT_4X4, SparseState.unit(16, MASK_4X4_K5), t)
+    assert (1, 4368) in lifted
+    masks, ref = sector_propagation(16, PRODUCT_4X4.edges, 5, {MASK_4X4_K5: 1.0}, t)
+    assert np.linalg.norm(oracle_vector(masks, out) - ref) < 1e-9
+
+
+def test_evolve_sparse_repeats_byte_for_byte():
+    psi = SparseState.unit(16, MASK_4X4_K5)
+    first = evolve_sparse(PRODUCT_4X4, psi, 1.1)
+    second = evolve_sparse(PRODUCT_4X4, psi, 1.1)
+    assert first.masks.tobytes() == second.masks.tobytes()
+    assert first.amps.tobytes() == second.amps.tobytes()
+
+
+def test_evolve_sparse_builds_no_state_per_krylov_term(monkeypatch):
+    psi = SparseState.unit(16, MASK_4X4_K5)
+    built = []
+    init = SparseState.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SparseState, "__init__", counting)
+    evolve_sparse(PRODUCT_4X4, psi, 1.1)
+    assert len(built) <= 2
+
+
+def test_evolution_rejects_site_count_mismatch():
+    nine_sites = SparseState.unit(9, 0b1)
+    empty = SparseState(9, np.empty(0, np.int64), np.empty(0, np.complex128))
+    for psi, t in ((nine_sites, 0.0), (empty, 0.0), (empty, 1.0)):
+        with pytest.raises(ValueError, match="site counts"):
+            evolve_sparse(PRODUCT_4X4, psi, t)
+        with pytest.raises(ValueError, match="site counts"):
+            evolve_state(PRODUCT_4X4, psi, t)

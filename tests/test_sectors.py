@@ -14,6 +14,7 @@ from spinmirror.sectors import (
     build_sector_hamiltonian,
     enumerate_sector_basis,
     from_sector_state,
+    permute_masks,
     popcount,
 )
 
@@ -100,6 +101,41 @@ def test_sparse_state_canonical_form():
     assert list(s.masks) == [1]
     assert s.amplitude(1) == 2.0
     assert s.amplitude(5) == 0.0
+
+
+def test_sparse_state_merges_exactly_as_a_unique_and_add_at_reference():
+    rng = np.random.default_rng(12)
+    masks = rng.integers(0, 64, size=500)
+    amps = rng.normal(size=500) + 1j * rng.normal(size=500)
+    order = np.argsort(masks, kind="stable")
+    ref_masks, inverse = np.unique(masks[order], return_inverse=True)
+    ref_amps = np.zeros(len(ref_masks), dtype=np.complex128)
+    np.add.at(ref_amps, inverse, amps[order])
+    s = SparseState(6, masks, amps)
+    assert s.masks.tobytes() == ref_masks.astype(np.int64).tobytes()
+    assert s.amps.tobytes() == ref_amps.tobytes()
+
+
+def test_sparse_state_scaling_drops_underflow():
+    s = SparseState.from_dict(2, {0b01: 1e-200, 0b10: 1.0})
+    scaled = s.scaled(1e-200)
+    assert list(scaled.masks) == [0b10]
+    assert scaled.amplitude(0b10) == 1e-200
+
+
+def test_sparse_state_copies_canonical_input():
+    masks = np.array([1, 2], dtype=np.int64)
+    amps = np.array([1.0, 2.0], dtype=np.complex128)
+    s = SparseState(2, masks, amps)
+    masks[0], amps[0] = 3, 5.0
+    assert list(s.masks) == [1, 2] and s.amplitude(1) == 1.0
+
+
+def test_permute_masks():
+    masks = np.array([0b001, 0b110, 0b101], dtype=np.int64)
+    assert list(permute_masks(masks, (2, 0, 1))) == [0b100, 0b011, 0b110]
+    # a shorter target list embeds the low bits, as the witness diagonal does
+    assert list(permute_masks(np.array([0b11], dtype=np.int64), (4, 0))) == [0b10001]
 
 
 def test_sparse_state_site_count_limits():

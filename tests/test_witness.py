@@ -112,6 +112,18 @@ def test_witness_is_stationary_under_evolution():
         assert out.add(w.scaled(-1.0)).norm() <= 1e-9
 
 
+def test_witness_5x5_keeps_its_support_under_evolution():
+    # the index grows from the 32,768-mask support to its hop closure in the
+    # one product by H; the exact zeros there are dropped again
+    g = build_square_lattice(5)
+    pat = random_symmetric_pattern(g, (symmetry_map(g, "main_diagonal"),), seed=8)
+    w = build_witness(WitnessSpec(5, random_diagonal_state(5, seed=9)))
+    assert len(w.masks) == 2**5 * 2**10
+    out = evolve_sparse(pat.to_graph(), w, 1.3)
+    assert np.array_equal(out.masks, w.masks)
+    assert np.linalg.norm(out.amps - w.amps) <= 1e-9
+
+
 def test_odd_distance_accepts_distance_three():
     g = build_square_lattice(4)
     # a couple of distance-3 hops plus their main-diagonal mirror images
