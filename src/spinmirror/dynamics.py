@@ -215,7 +215,7 @@ def evolve_sparse(graph, psi: SparseState, t: float, tol: float = KRYLOV_TOL) ->
         raise ValueError("graph and state have different site counts")
     op = _HopOperator(graph, psi.masks)
     amps = _krylov_expm(op.matvec, psi.amps, t, lift=op.lift, tol=tol)
-    return SparseState(psi.site_count, op.masks, op.lift(amps))
+    return SparseState(psi.site_count, op.masks, amps)
 
 
 def evolve_state(graph, psi: SparseState, t: float) -> SparseState:
