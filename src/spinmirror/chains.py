@@ -14,11 +14,11 @@ import numpy as np
 
 from .lattice import (
     CouplingPattern,
-    Geometry,
     build_chain,
     build_rect_lattice,
     build_square_lattice,
 )
+from .sectors import Propagator
 
 
 @dataclass(frozen=True)
@@ -95,15 +95,15 @@ def single_excitation_hopping(chain: ChainCouplings) -> np.ndarray:
     return h
 
 
-def measured_transfer_modulus(chain: ChainCouplings, t: float) -> float:
+def measured_transfer_modulus(chain: ChainCouplings, t):
     """|<n| exp(-iHt) |1>| from direct diagonalization of the hopping block.
 
-    This is the oracle the transfer times above are checked against.
+    This is the oracle the transfer times above are checked against. A
+    scalar t gives a float; an array of times gives moduli of its shape.
     """
-    h = single_excitation_hopping(chain)
-    evals, vecs = np.linalg.eigh(h)
-    amp = (vecs[-1, :] * vecs[0, :]) @ np.exp(-1j * evals * t)
-    return float(abs(amp))
+    evals, vecs = np.linalg.eigh(single_excitation_hopping(chain))
+    mods = np.abs(Propagator(evals, vecs[-1, :] * vecs[0, :]).amplitudes(t))
+    return float(mods) if mods.ndim == 0 else mods
 
 
 def chain_pattern(chain: ChainCouplings) -> CouplingPattern:

@@ -31,10 +31,10 @@ from .chains import (
 from .dynamics import (
     classify_spectrum,
     has_degenerate_mixed_group,
+    mirror_propagator,
     mirroring_report,
     phase_network_fit,
     transfer_fidelity,
-    permuted_ranks,
 )
 from .lattice import (
     build_square_lattice,
@@ -82,12 +82,21 @@ def _build_chain(args):
     return uniform_chain(args.n, strength=args.strength)
 
 
+def _time_grid(tmax, points):
+    """tmax/points, 2*tmax/points, ..., tmax; a bad --tmax or --points exits 2."""
+    if points < 1:
+        raise ValueError(f"--points must be at least 1, got {points}")
+    if not (math.isfinite(tmax) and tmax > 0):
+        raise ValueError(f"--tmax must be finite and positive, got {tmax}")
+    return np.linspace(0.0, tmax, points + 1)[1:]
+
+
 def cmd_chain(args):
     chain = _build_chain(args)
-    ts = np.linspace(0.0, args.tmax, args.points + 1)[1:]
+    ts = _time_grid(args.tmax, args.points)
     if chain.nominal_transfer_time is not None and chain.nominal_transfer_time <= args.tmax:
         ts = np.unique(np.append(ts, chain.nominal_transfer_time))
-    mods = np.array([measured_transfer_modulus(chain, t) for t in ts])
+    mods = measured_transfer_modulus(chain, ts)
     i = int(np.argmax(mods))
     require = args.require_peak
     if require is None and chain.nominal_transfer_time is not None:
@@ -344,13 +353,13 @@ def cmd_scan(args):
         if nominal is None:
             raise ValueError("this pattern has no nominal transfer time; pass --tmax")
         tmax = 2 * nominal
-    ts = np.linspace(0.0, tmax, args.points + 1)[1:]
+    ts = _time_grid(tmax, args.points)
     if args.source is not None or args.target is not None:
         if args.source is None or args.target is None:
             raise ValueError("transfer scans need both --source and --target")
         src = _parse_site(args.source)
         dst = _parse_site(args.target)
-        vals = np.array([transfer_fidelity(pat, src, dst, t) for t in ts])
+        vals = transfer_fidelity(pat, src, dst, ts)
         i = int(np.argmax(vals))
         obj = {
             "schema_version": jsonio.SCHEMA_VERSION,
@@ -365,10 +374,7 @@ def cmd_scan(args):
         _write_outputs(args, obj, csv=(["t", "fidelity"], zip(ts, vals)))
         return
     sym = symmetry_map(pat.geometry, args.mirror or default_mirror)
-    H = build_sector_hamiltonian(pat.to_graph(), args.k)
-    evals, vecs = H.eig()
-    prows = permuted_ranks(H.basis, sym)
-    amps = np.abs((vecs[prows, :] * vecs) @ np.exp(-1j * np.outer(evals, ts)))
+    amps = np.abs(mirror_propagator(pat, args.k, sym).amplitudes(ts))
     mins = amps.min(axis=0)
     means = amps.mean(axis=0)
     i = int(np.argmax(mins))

@@ -6,6 +6,8 @@ Lanczos core works on plain complex arrays. Its matrix-free variant evolves a
 SparseState over one sorted mask index that starts as the state's support
 and grows to its hop closure as H is applied; once the index is closed, a
 CSR matrix built once applies H. It never enumerates a sector basis.
+Curves of fixed propagator entries over a time grid diagonalize once and go
+through sectors.Propagator: one product per curve, not one eigh per point.
 """
 
 from __future__ import annotations
@@ -16,40 +18,23 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .lattice import CouplingPattern, ExchangeGraph, SymmetryMap
+from .lattice import CouplingPattern, ExchangeGraph, SymmetryMap, _as_graph
 from .sectors import (
+    Propagator,
     SectorBasis,
     SectorHamiltonian,
     SectorState,
     SparseState,
+    _hops,
     _sort_runs,
+    basis_state,
     build_sector_hamiltonian,
-    enumerate_sector_basis,
     permute_masks,
 )
 
 DENSE_DIM_LIMIT = 4096
 KRYLOV_DIM = 30
 KRYLOV_TOL = 1e-10
-
-
-def _as_graph(obj) -> ExchangeGraph:
-    return obj.to_graph() if isinstance(obj, CouplingPattern) else obj
-
-
-def _hops(graph: ExchangeGraph, masks: np.ndarray):
-    """Every nonzero hop out of masks: (source position, target mask, 2w)."""
-    rows, flipped, weights = [], [], []
-    for a, b, w in graph.edges:
-        if w == 0.0:
-            continue
-        mov = np.nonzero(((masks >> a) & 1) != ((masks >> b) & 1))[0]
-        rows.append(mov)
-        flipped.append(masks[mov] ^ np.int64((1 << a) | (1 << b)))
-        weights.append(np.full(len(mov), 2.0 * w))
-    if not rows:
-        return np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)
-    return np.concatenate(rows), np.concatenate(flipped), np.concatenate(weights)
 
 
 def apply_hamiltonian(graph, psi: SparseState) -> SparseState:
@@ -246,24 +231,28 @@ def evolve_state(graph, psi: SparseState, t: float) -> SparseState:
 # -- fidelities and reports ---------------------------------------------------
 
 
-def _flat_site(pattern_or_graph, site) -> int:
+def _flat_site(pattern_or_graph, site, site_count: int) -> int:
     if isinstance(site, (int, np.integer)):
+        if not 0 <= site < site_count:
+            raise ValueError(f"flat site {site} outside 0..{site_count - 1}")
         return int(site)
     if isinstance(pattern_or_graph, CouplingPattern):
         return pattern_or_graph.geometry.flat(*site)
     raise ValueError("(i, j) site addressing needs a CouplingPattern, not a bare graph")
 
 
-def transfer_fidelity(pattern, source, target, t: float) -> float:
-    """|<target| exp(-iH t) |source>| in the single-excitation sector."""
+def transfer_fidelity(pattern, source, target, t):
+    """|<target| exp(-iH t) |source>| in the single-excitation sector.
+
+    A scalar t gives a float; an array of times gives moduli of its shape.
+    """
     graph = _as_graph(pattern)
-    a = _flat_site(pattern, source)
-    b = _flat_site(pattern, target)
-    H = build_sector_hamiltonian(graph, 1)
+    a = _flat_site(pattern, source, graph.site_count)
+    b = _flat_site(pattern, target, graph.site_count)
     # k=1 masks are 1<<p in ascending p, so flat site == rank
-    evals, vecs = H.eig()
-    amp = (vecs[b, :] * vecs[a, :]) @ np.exp(-1j * evals * t)
-    return float(abs(amp))
+    evals, vecs = build_sector_hamiltonian(graph, 1).eig()
+    mods = np.abs(Propagator(evals, vecs[b, :] * vecs[a, :]).amplitudes(t))
+    return float(mods) if mods.ndim == 0 else mods
 
 
 def permuted_ranks(basis: SectorBasis, sym: SymmetryMap) -> np.ndarray:
@@ -283,6 +272,13 @@ def permutation_operator(basis: SectorBasis, sym: SymmetryMap) -> sp.csr_matrix:
     return sp.csr_matrix(
         (np.ones(basis.dim), (rows, np.arange(basis.dim))), shape=(basis.dim, basis.dim)
     )
+
+
+def mirror_propagator(pattern, k: int, sym: SymmetryMap) -> Propagator:
+    """U[perm(x), x] of exp(-iH_k t) for every sector basis state x, in rank order."""
+    H = build_sector_hamiltonian(pattern, k)
+    evals, vecs = H.eig()
+    return Propagator(evals, vecs[permuted_ranks(H.basis, sym), :] * vecs)
 
 
 @dataclass(frozen=True)
@@ -307,8 +303,9 @@ def mirroring_report(pattern, k: int, sym: SymmetryMap, t: float) -> MirroringRe
     gauged relative to the vacuum. Perfect mirroring up to phases means
     min_modulus approaches 1.
     """
-    graph = _as_graph(pattern)
-    H = build_sector_hamiltonian(graph, k)
+    if not np.isfinite(t):
+        raise ValueError("evolution time must be finite")
+    H = build_sector_hamiltonian(pattern, k)
     basis = H.basis
     perm_rows = permuted_ranks(basis, sym)
     if basis.dim <= DENSE_DIM_LIMIT:
@@ -322,7 +319,7 @@ def mirroring_report(pattern, k: int, sym: SymmetryMap, t: float) -> MirroringRe
         target = np.empty(basis.dim, dtype=np.complex128)
         max_off = 0.0
         for x in range(basis.dim):
-            col = evolve(H, SectorState(basis, _unit(basis.dim, x)), t).amplitudes
+            col = evolve(H, basis_state(basis, basis.masks[x]), t).amplitudes
             target[x] = col[perm_rows[x]]
             col = np.abs(col)
             col[perm_rows[x]] = 0.0
@@ -340,12 +337,6 @@ def mirroring_report(pattern, k: int, sym: SymmetryMap, t: float) -> MirroringRe
         phases=phases,
         basis=basis,
     )
-
-
-def _unit(dim, i):
-    v = np.zeros(dim, dtype=np.complex128)
-    v[i] = 1.0
-    return v
 
 
 @dataclass(frozen=True)

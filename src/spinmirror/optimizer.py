@@ -20,16 +20,16 @@ from .lattice import (
     CouplingPattern,
     Geometry,
     SymmetryMap,
+    _as_graph,
     build_chain,
     build_square_lattice,
     check_symmetry,
     edge_orbits,
     pattern_from_weights,
     symmetry_map,
-    uniform_pattern,
 )
-from .sectors import SparseState, build_sector_hamiltonian
-from .dynamics import permuted_ranks
+from .sectors import Propagator, SparseState, build_sector_hamiltonian
+from .dynamics import mirror_propagator
 from .witness import (
     WitnessSpec,
     build_witness,
@@ -69,51 +69,32 @@ class Objective:
             raise ValueError("need at least 2 time grid points")
 
 
-class _Evaluator:
-    """Precomputed spectral data for cheap evaluation over many times."""
-
-    def __init__(self, pattern, objective: Objective):
-        graph = pattern.to_graph() if isinstance(pattern, CouplingPattern) else pattern
-        self.objective = objective
-        weights = [abs(w) for _, _, w in graph.edges]
-        mean = float(np.mean(weights)) if weights else 0.0
-        tmax = 8 * math.pi / mean if mean > 0 else 1.0
-        self.window = objective.time_window or (0.0, tmax)
-        if objective.kind == "sector_average":
-            H = build_sector_hamiltonian(graph, objective.k)
-            evals, vecs = H.eig()
-            rows = permuted_ranks(H.basis, objective.mirror)
-            self._evals = evals
-            self._W = vecs[rows, :] * vecs  # row x: components of U_{perm(x),x}
-        else:
-            state = objective.state
-            if state.site_count != graph.site_count:
-                raise ValueError("objective state site count does not match pattern")
-            target = state.map_sites(objective.mirror)
-            lams, ws = [], []
-            tsplit = target.sector_split()
-            for k, comp in state.sector_split().items():
-                H = build_sector_hamiltonian(graph, k)
-                evals, vecs = H.eig()
-                psi_k = comp.to_sector_state(H.basis).amplitudes
-                tau_k = (
-                    tsplit[k].to_sector_state(H.basis).amplitudes
-                    if k in tsplit
-                    else np.zeros(H.dim, np.complex128)
-                )
-                lams.append(evals)
-                ws.append(np.conj(vecs.T @ tau_k) * (vecs.T @ psi_k))
-            self._evals = np.concatenate(lams) if lams else np.zeros(1)
-            self._w = np.concatenate(ws) if ws else np.zeros(1, np.complex128)
-
-    def values(self, ts: np.ndarray) -> np.ndarray:
-        phases = np.exp(-1j * np.outer(self._evals, np.asarray(ts, dtype=float)))
-        if self.objective.kind == "sector_average":
-            return np.abs(self._W @ phases).mean(axis=0)
-        return np.abs(self._w @ phases)
-
-    def value(self, t: float) -> float:
-        return float(self.values(np.array([t]))[0])
+def _objective_propagator(graph, objective: Objective) -> Propagator:
+    """The mirror amplitudes an objective reads: U[perm(x), x] for every x of
+    a sector, or one overlap <mirror(state)| U |state> over the state's sectors."""
+    if objective.kind == "sector_average":
+        return mirror_propagator(graph, objective.k, objective.mirror)
+    state = objective.state
+    if state.site_count != graph.site_count:
+        raise ValueError("objective state site count does not match pattern")
+    target = state.map_sites(objective.mirror)
+    lams, ws = [], []
+    tsplit = target.sector_split()
+    for k, comp in state.sector_split().items():
+        H = build_sector_hamiltonian(graph, k)
+        evals, vecs = H.eig()
+        psi_k = comp.to_sector_state(H.basis).amplitudes
+        tau_k = (
+            tsplit[k].to_sector_state(H.basis).amplitudes
+            if k in tsplit
+            else np.zeros(H.dim, np.complex128)
+        )
+        lams.append(evals)
+        ws.append(np.conj(vecs.T @ tau_k) * (vecs.T @ psi_k))
+    return Propagator(
+        np.concatenate(lams) if lams else np.zeros(1),
+        np.concatenate(ws) if ws else np.zeros(1, np.complex128),
+    )
 
 
 def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
@@ -141,18 +122,26 @@ def evaluate_objective(pattern, objective: Objective) -> tuple[float, float]:
     incumbent three times at 10x resolution, then polished by golden section.
     Deterministic for fixed inputs.
     """
-    ev = _Evaluator(pattern, objective)
-    t0, t1 = ev.window
+    graph = _as_graph(pattern)
+    prop = _objective_propagator(graph, objective)
+
+    def values(ts):
+        # mean over the mirrored entries; a single-state objective has one
+        return np.abs(np.atleast_2d(prop.amplitudes(ts))).mean(axis=0)
+
+    weights = [abs(w) for _, _, w in graph.edges]
+    mean = float(np.mean(weights)) if weights else 0.0
+    t0, t1 = objective.time_window or (0.0, 8 * math.pi / mean if mean > 0 else 1.0)
     if not (np.isfinite(t0) and np.isfinite(t1) and t1 > t0):
         raise ValueError("bad time window")
     ts = np.linspace(t0, t1, objective.time_grid_points)
-    vals = ev.values(ts)
+    vals = values(ts)
     i = int(np.argmax(vals))
     best_t, best_v = float(ts[i]), float(vals[i])
     width = (t1 - t0) / (objective.time_grid_points - 1)
     for _ in range(3):
         local = np.linspace(max(t0, best_t - width), min(t1, best_t + width), 21)
-        lv = ev.values(local)
+        lv = values(local)
         j = int(np.argmax(lv))
         if lv[j] > best_v:
             best_v, best_t = float(lv[j]), float(local[j])
@@ -160,7 +149,7 @@ def evaluate_objective(pattern, objective: Objective) -> tuple[float, float]:
     lo = max(t0, best_t - 10 * width)
     hi = min(t1, best_t + 10 * width)
     if hi > lo:
-        gt, gv = _golden_max(ev.value, lo, hi, tol=1e-12 * max(1.0, abs(t1)))
+        gt, gv = _golden_max(lambda t: float(values([t])[0]), lo, hi, tol=1e-12 * max(1.0, abs(t1)))
         if gv > best_v:
             best_v, best_t = gv, gt
     return best_v, best_t
@@ -396,15 +385,11 @@ def probe_2x2(
         for orbit, v in zip(orbits, (1.0, float(r))):
             weights[orbit] = v
         pat = pattern_from_weights(g, weights)
-        graph = pat.to_graph()
         tmax = 8 * math.pi / float(np.mean(np.abs(weights)))
         ts = tmax * np.arange(1, n_times + 1) / n_times
         mins = np.ones(n_times)
         for k in (1, 2, 3):
-            H = build_sector_hamiltonian(graph, k)
-            evals, vecs = H.eig()
-            prows = permuted_ranks(H.basis, rot)
-            amps = (vecs[prows, :] * vecs) @ np.exp(-1j * np.outer(evals, ts))
+            amps = mirror_propagator(pat, k, rot).amplitudes(ts)
             mins = np.minimum(mins, np.abs(amps).min(axis=0))
         j = int(np.argmax(mins))
         rows.append((float(r), float(mins[j]), float(ts[j])))

@@ -2,7 +2,9 @@
 
 Occupation bitmasks use bit p for flat site p; the vacuum is mask 0. The
 exchange Hamiltonian never changes a mask's popcount, so each weight-k sector
-evolves independently.
+evolves independently. One hop rule, _hops, builds both the sector matrices
+and the matrix-free products in dynamics; a Propagator evaluates fixed
+entries of exp(-iHt) over whole time grids.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Iterable, Mapping
 import numpy as np
 import scipy.sparse as sp
 
-from .lattice import CouplingPattern, ExchangeGraph
+from .lattice import ExchangeGraph, _as_graph
 
 _M1 = np.uint64(0x5555555555555555)
 _M2 = np.uint64(0x3333333333333333)
@@ -118,36 +120,46 @@ class SectorHamiltonian:
         return self._eig
 
 
-def _as_graph(obj) -> ExchangeGraph:
-    return obj.to_graph() if isinstance(obj, CouplingPattern) else obj
+@dataclass(frozen=True)
+class Propagator:
+    """Fixed entries of exp(-iHt) as weights @ exp(-i evals t), one per leading index."""
+
+    evals: np.ndarray = field(repr=False)
+    weights: np.ndarray = field(repr=False)
+
+    def amplitudes(self, ts) -> np.ndarray:
+        """Every entry at every time, shaped weights.shape[:-1] + np.shape(ts)."""
+        ts = np.asarray(ts, dtype=float)
+        amps = self.weights @ np.exp(-1j * np.outer(self.evals, ts))
+        return amps.reshape(self.weights.shape[:-1] + ts.shape)
+
+
+def _hops(graph: ExchangeGraph, masks: np.ndarray):
+    """Every nonzero hop out of masks: (source position, target mask, 2w)."""
+    rows, flipped, weights = [], [], []
+    for a, b, w in graph.edges:
+        if w == 0.0:
+            continue
+        mov = np.nonzero(((masks >> a) & 1) != ((masks >> b) & 1))[0]
+        rows.append(mov)
+        flipped.append(masks[mov] ^ np.int64((1 << a) | (1 << b)))
+        weights.append(np.full(len(mov), 2.0 * w))
+    if not rows:
+        return np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)
+    return np.concatenate(rows), np.concatenate(flipped), np.concatenate(weights)
 
 
 def build_sector_hamiltonian(graph, k: int) -> SectorHamiltonian:
     """Assemble H_k: off-diagonal 2w between masks differing by one hop.
 
     XX+YY has no diagonal part in the occupation basis, so the diagonal is 0.
+    Zero-strength edges store nothing.
     """
     graph = _as_graph(graph)
     basis = enumerate_sector_basis(graph.site_count, k)
-    masks = basis.masks
-    rows, cols, data = [], [], []
-    for a, b, w in graph.edges:
-        occ_a = (masks >> a) & 1
-        occ_b = (masks >> b) & 1
-        mov = np.nonzero(occ_a != occ_b)[0]
-        if len(mov) == 0:
-            continue
-        flipped = masks[mov] ^ np.int64((1 << a) | (1 << b))
-        rows.append(mov)
-        cols.append(np.searchsorted(masks, flipped))
-        data.append(np.full(len(mov), 2.0 * w))
-    if rows:
-        mat = sp.coo_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(basis.dim, basis.dim),
-        ).tocsr()
-    else:
-        mat = sp.csr_matrix((basis.dim, basis.dim))
+    rows, flipped, weights = _hops(graph, basis.masks)
+    cols = np.searchsorted(basis.masks, flipped)
+    mat = sp.coo_matrix((weights, (rows, cols)), shape=(basis.dim, basis.dim)).tocsr()
     return SectorHamiltonian(basis, mat)
 
 

@@ -19,6 +19,7 @@ from .lattice import (
     CouplingPattern,
     ExchangeGraph,
     SymmetryMap,
+    _as_graph,
     build_square_lattice,
     check_symmetry,
     manhattan_distance,
@@ -89,7 +90,7 @@ def build_witness(spec: WitnessSpec) -> SparseState:
 def verify_zero_energy(graph, witness: SparseState) -> float:
     """||H w|| / (||w|| * max(1, sum|edge strengths|)); 0 up to rounding when
     the graph is main-diagonal symmetric."""
-    graph = graph.to_graph() if isinstance(graph, CouplingPattern) else graph
+    graph = _as_graph(graph)
     wnorm = witness.norm()
     if wnorm == 0.0:
         return 0.0
@@ -103,7 +104,7 @@ def verify_odd_distance(graph: ExchangeGraph, witness: SparseState) -> float:
     Every edge must span an odd Manhattan distance and the strengths must be
     main-diagonal symmetric; violations raise instead of computing a number.
     """
-    graph = graph.to_graph() if isinstance(graph, CouplingPattern) else graph
+    graph = _as_graph(graph)
     n = math.isqrt(graph.site_count)
     if n * n != graph.site_count:
         raise ValueError("graph does not cover a square lattice")

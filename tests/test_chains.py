@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -117,3 +118,34 @@ def test_parallel_chain_pattern():
     assert square.geometry.rows == 4
     with pytest.raises(ValueError):
         parallel_chain_pattern(c, 0)
+
+
+_CHAIN5 = christandl_chain(5)
+
+
+@pytest.mark.parametrize(
+    "curve",
+    [
+        partial(measured_transfer_modulus, _CHAIN5),
+        partial(transfer_fidelity, chain_pattern(_CHAIN5), 0, 4),
+    ],
+    ids=["measured_transfer_modulus", "transfer_fidelity"],
+)
+def test_curves_take_time_arrays(curve):
+    ts = np.linspace(0.1, 3.0, 6).reshape(2, 3)
+    moduli = curve(ts)
+    assert moduli.shape == (2, 3)
+    for idx in np.ndindex(ts.shape):
+        scalar = curve(float(ts[idx]))
+        assert type(scalar) is float
+        assert abs(moduli[idx] - scalar) <= 1e-15
+    assert type(curve(np.array(1.2))) is float
+    assert curve(np.array([1.2])).shape == (1,)
+
+
+def test_transfer_fidelity_rejects_flat_sites_outside_the_chain():
+    pat = chain_pattern(christandl_chain(5))
+    with pytest.raises(ValueError, match="outside 0..4"):
+        transfer_fidelity(pat, 0, 99, 1.0)
+    with pytest.raises(ValueError, match="outside 0..4"):
+        transfer_fidelity(pat, -1, 0, 1.0)

@@ -1,14 +1,17 @@
 import importlib.metadata
 import json
 import math
+import shlex
 import shutil
 import subprocess
 import sysconfig
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from spinmirror import __version__, jsonio
-from spinmirror.cli import main
+from spinmirror import __version__, dynamics, jsonio
+from spinmirror.cli import build_parser, main
 from spinmirror.lattice import ExchangeGraph, build_square_lattice, uniform_pattern
 
 
@@ -182,6 +185,77 @@ def test_scan_transfer_needs_both_sites():
 
 def test_scan_uniform_lattice_needs_tmax():
     assert run("scan", "--pattern", "uniform-lattice", "--n", "2", "--k", "1") == 2
+
+
+@pytest.mark.parametrize("source,target", [("0", "99"), ("-1", "0")])
+def test_scan_rejects_flat_sites_outside_the_lattice(source, target, capsys):
+    code = run("scan", "--pattern", "christandl-chain", "--n", "5",
+               "--source", source, "--target", target)
+    assert code == 2
+    assert "outside 0..4" in capsys.readouterr().err
+
+
+_CHAIN4 = ("chain", "--n", "4")
+_SCAN4 = ("scan", "--pattern", "christandl-chain", "--n", "4", "--source", "0", "--target", "3")
+_MIRROR3 = ("mirror", "--pattern", "christandl-chain", "--n", "3")
+
+
+@pytest.mark.parametrize(
+    "argv,code,message",
+    [
+        (_CHAIN4 + ("--points", "0"), 2, "--points"),
+        (_CHAIN4 + ("--tmax", "nan"), 2, "--tmax"),
+        (_CHAIN4 + ("--tmax", "-5"), 2, "--tmax"),
+        (_CHAIN4 + ("--tmax", "0"), 2, "--tmax"),
+        (_SCAN4 + ("--points", "0"), 2, "--points"),
+        (_SCAN4 + ("--tmax", "inf"), 2, "--tmax"),
+        (("scan", "--pattern", "christandl-product", "--n", "2", "--tmax", "nan"), 2, "--tmax"),
+        (_MIRROR3 + ("--t", "inf"), 2, "finite"),
+        (_MIRROR3 + ("--t", "nan"), 2, "finite"),
+        (_MIRROR3 + ("--t", "0"), 0, None),
+    ],
+)
+def test_time_inputs_are_validated(argv, code, message, capsys):
+    assert run(*argv) == code
+    err = capsys.readouterr().err
+    if message is None:
+        assert err == ""
+    else:
+        assert message in err
+
+
+def test_curves_diagonalize_once(monkeypatch):
+    """A curve is one eigendecomposition, not one per time point."""
+    counts = {"eigh": 0, "build": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    monkeypatch.setattr(dynamics, "build_sector_hamiltonian",
+                        counted("build", dynamics.build_sector_hamiltonian))
+    assert run("chain", "--n", "6", "--chain", "uniform", "--tmax", "200",
+               "--points", "20000") == 0
+    assert counts["eigh"] == 1
+    assert run("scan", "--pattern", "christandl-chain", "--n", "5",
+               "--source", "1,1", "--target", "1,5") == 0
+    assert counts["build"] == 1
+
+
+def test_readme_cli_quickstart_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI quickstart", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("spinmirror ")]
+    assert len(lines) == 9
+    parser, _ = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")
 
 
 def test_optimize_probe_grid(tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from spinmirror import dynamics
 from spinmirror.chains import (
@@ -19,6 +20,7 @@ from spinmirror.dynamics import (
     evolve_sparse,
     evolve_state,
     has_degenerate_mixed_group,
+    mirror_propagator,
     mirroring_report,
     permutation_operator,
     permuted_ranks,
@@ -30,6 +32,7 @@ from spinmirror.lattice import (
     ExchangeGraph,
     build_chain,
     build_square_lattice,
+    random_symmetric_pattern,
     symmetry_map,
     uniform_pattern,
 )
@@ -41,7 +44,7 @@ from spinmirror.sectors import (
     from_sector_state,
 )
 
-from oracles import sector_propagation
+from oracles import pauli_hamiltonian, restrict_to_sector, sector_masks, sector_propagation
 
 
 def random_graph(site_count, n_edges, seed):
@@ -81,6 +84,25 @@ def test_two_site_flip():
 def test_transfer_fidelity_quarter_swap():
     pat = chain_pattern(uniform_chain(2))
     assert transfer_fidelity(pat, 0, 1, math.pi / 8) == pytest.approx(math.sqrt(2) / 2, abs=1e-14)
+
+
+def test_mirror_propagator_matches_pauli_expm():
+    g = build_square_lattice(3)
+    rot = symmetry_map(g, "rotation_pi")
+    pat = random_symmetric_pattern(g, (rot,), seed=4)
+    full = pauli_hamiltonian(9, pat.to_graph().edges)
+    ts = (0.3, 1.7, 4.1)
+    for k in (1, 2, 3):
+        masks = sector_masks(9, k)
+        # rotation by pi sends flat site p of the 3x3 lattice to site 8 - p
+        mirrored = [sum(1 << (8 - p) for p in range(9) if m >> p & 1) for m in masks]
+        rows = np.searchsorted(masks, mirrored)
+        H = restrict_to_sector(full, 9, k).toarray()
+        amps = mirror_propagator(pat, k, rot).amplitudes(ts)
+        assert amps.shape == (len(masks), len(ts))
+        for i, t in enumerate(ts):
+            U = scipy.linalg.expm(-1j * t * H)
+            assert np.abs(amps[:, i] - U[rows, np.arange(len(masks))]).max() < 1e-12
 
 
 def test_unitarity_and_reversibility():

@@ -83,12 +83,14 @@ def test_sector_matches_pauli_oracle_chain():
 
 
 def test_sector_matches_pauli_oracle_long_range():
-    graph = ExchangeGraph(5, ((0, 3, 0.9), (1, 4, -0.4), (0, 1, 1.1)))
+    # the zero-strength edge must add nothing, not even stored zeros
+    graph = ExchangeGraph(5, ((0, 3, 0.9), (1, 4, -0.4), (0, 1, 1.1), (2, 4, 0.0)))
     full = pauli_hamiltonian(5, graph.edges)
     for k in range(6):
-        mine = build_sector_hamiltonian(graph, k).mat.toarray()
+        mat = build_sector_hamiltonian(graph, k).mat
         ref = restrict_to_sector(full, 5, k).toarray()
-        assert np.abs(mine - ref).max() == 0.0
+        assert np.abs(mat.toarray() - ref).max() == 0.0
+        assert mat.nnz == np.count_nonzero(ref)
 
 
 # -- SparseState ---------------------------------------------------------------
