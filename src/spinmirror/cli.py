@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import time
 
 import numpy as np
 
@@ -63,14 +64,18 @@ class ToleranceError(RuntimeError):
     """A computed quantity missed a tolerance the caller required."""
 
 
-def _write_outputs(args, obj, csv=None):
-    """Print the JSON document, and persist it when --out was given."""
+def _write_outputs(args, obj, csv=None, meta=None):
+    """Print the JSON document, and persist it when --out was given.
+
+    meta adds run facts (backends, timings) to the .meta.json sidecar only,
+    so the .json and .csv outputs stay byte-identical across reruns.
+    """
     if args.out:
         jsonio.write_json(args.out + ".json", obj)
         if csv is not None:
             header, rows = csv
             jsonio.write_csv(args.out + ".csv", header, rows)
-        jsonio.write_meta(args.out + ".meta.json", argv=args.raw_argv)
+        jsonio.write_meta(args.out + ".meta.json", argv=args.raw_argv, extra=meta)
         print(f"wrote {args.out}.json")
     else:
         sys.stdout.write(jsonio.canonical_dumps(obj))
@@ -161,7 +166,9 @@ def cmd_mirror(args):
     t = args.t if args.t is not None else nominal
     if t is None:
         raise ValueError("this pattern has no nominal transfer time; pass --t")
+    start = time.perf_counter()
     rep = mirroring_report(pat, args.k, sym, t)
+    seconds = time.perf_counter() - start
     fit = phase_network_fit(rep.phases, rep.basis)
     obj = {
         "schema_version": jsonio.SCHEMA_VERSION,
@@ -184,8 +191,14 @@ def cmd_mirror(args):
          float(rep.phases[r].real), float(rep.phases[r].imag))
         for r in range(rep.basis.dim)
     ]
+    meta = {
+        "backend": rep.backend,
+        "dim": rep.basis.dim,
+        "block_dims": rep.block_dims,
+        "seconds": seconds,
+    }
     _write_outputs(
-        args, obj, csv=(["rank", "mask", "modulus", "phase_re", "phase_im"], rows)
+        args, obj, csv=(["rank", "mask", "modulus", "phase_re", "phase_im"], rows), meta=meta
     )
     if args.require_min is not None and rep.min_modulus < args.require_min:
         raise ToleranceError(
@@ -324,17 +337,13 @@ def cmd_optimize(args):
             rows.append(
                 (ri, iteration, value, t, ";".join(repr(float(p)) for p in params))
             )
+    meta = {
+        "wall_clock_s": sum(r.wall_clock for r in runs),
+        "evaluations": sum(r.evaluations for r in runs),
+    }
     _write_outputs(
-        args, obj, csv=(["restart", "iteration", "value", "time", "params"], rows)
+        args, obj, csv=(["restart", "iteration", "value", "time", "params"], rows), meta=meta
     )
-    if args.out:
-        total_wall = sum(r.wall_clock for r in runs)
-        total_evals = sum(r.evaluations for r in runs)
-        jsonio.write_meta(
-            args.out + ".meta.json",
-            argv=args.raw_argv,
-            extra={"wall_clock_s": total_wall, "evaluations": total_evals},
-        )
     if failed:
         raise ToleranceError(message)
 

@@ -8,6 +8,9 @@ and grows to its hop closure as H is applied; once the index is closed, a
 CSR matrix built once applies H. It never enumerates a sector basis.
 Curves of fixed propagator entries over a time grid diagonalize once and go
 through sectors.Propagator: one product per curve, not one eigh per point.
+Mirroring reports on patterns that the mirror maps exactly onto themselves
+split each sector into its two mirror-parity blocks; the dense limit then
+applies per block, and no full-sector matrix is formed.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .lattice import CouplingPattern, ExchangeGraph, SymmetryMap, _as_graph
+from .lattice import CouplingPattern, ExchangeGraph, SymmetryMap, _as_graph, check_symmetry
 from .sectors import (
     Propagator,
     SectorBasis,
@@ -283,7 +286,11 @@ def mirror_propagator(pattern, k: int, sym: SymmetryMap) -> Propagator:
 
 @dataclass(frozen=True)
 class MirroringReport:
-    """Per-basis-state diagnostics of U = exp(-iH_k t) against a permutation."""
+    """Per-basis-state diagnostics of U = exp(-iH_k t) against a permutation.
+
+    backend is "parity-blocks", "dense" or "krylov-columns"; block_dims holds
+    the (P = +1, P = -1) block dimensions on the parity-block path.
+    """
 
     k: int
     t: float
@@ -293,6 +300,74 @@ class MirroringReport:
     moduli: np.ndarray = field(repr=False)
     phases: np.ndarray = field(repr=False)
     basis: SectorBasis = field(repr=False)
+    backend: str = "dense"
+    block_dims: tuple[int, ...] = ()
+
+
+_BLOCK_CHUNK = 256  # block columns of U formed per pair of real products
+
+
+def _eig_phases(block, t):
+    """(V, cos Et, sin Et) of a dense real symmetric block H = V diag(E) V^T."""
+    evals, vecs = np.linalg.eigh(block)
+    return vecs, np.cos(evals * t), np.sin(evals * t)
+
+
+def _block_columns(vecs, cos, sin, cols):
+    """Columns cols of V exp(-iEt) V^T from two real products."""
+    W = vecs[cols].T
+    return vecs @ (cos[:, None] * W) - 1j * (vecs @ (sin[:, None] * W))
+
+
+def _parity_block_entries(H: SectorHamiltonian, perm_rows, t):
+    """Targets U[P x, x] and the off-target maximum from the two parity blocks.
+
+    P must be an involution that commutes with H exactly. Each pair a < Pa
+    gives (|a> +- |Pa>)/sqrt(2) and each fixed point f gives |f> in the +
+    block, so H+ = [[H[a,a] + H[a,Pa], sqrt2 H[a,f]], [sqrt2 H[f,a], H[f,f]]]
+    and H- = H[a,a] - H[a,Pa]. Over the pairs, U[a,a] = U[Pa,Pa] = (U+ + U-)/2
+    and U[Pa,a] = U[a,Pa] = (U+ - U-)/2; U[a,f] = U[Pa,f] = U+[a,f]/sqrt2 and
+    U[f,f'] = U+[f,f']. U+- are formed a column chunk at a time, so no
+    full-sector matrix is ever allocated.
+    """
+    x = np.arange(H.dim)
+    a, f = x[x < perm_rows], x[x == perm_rows]
+    m, q = len(a), len(f)
+    s2 = math.sqrt(2.0)
+    Ha, Hf = H.mat[a], H.mat[f]
+    # each dense block lives only as long as its own eigh call
+    plus = _eig_phases(np.block([
+        [(Ha[:, a] + Ha[:, perm_rows[a]]).toarray(), s2 * Ha[:, f].toarray()],
+        [s2 * Hf[:, a].toarray(), Hf[:, f].toarray()],
+    ]), t)
+    minus = _eig_phases((Ha[:, a] - Ha[:, perm_rows[a]]).toarray(), t)
+    target = np.empty(H.dim, dtype=np.complex128)
+    max_off = 0.0
+    for start in range(0, m, _BLOCK_CHUNK):
+        cols = np.arange(start, min(start + _BLOCK_CHUNK, m))
+        diag = np.arange(len(cols))
+        up, um = _block_columns(*plus, cols), _block_columns(*minus, cols)
+        cross = (up[:m] - um) / 2
+        target[a[cols]] = target[perm_rows[a[cols]]] = cross[cols, diag]
+        cross[cols, diag] = 0.0
+        max_off = max(
+            max_off,
+            float(np.abs(up[:m] + um).max()) / 2,
+            float(np.abs(cross).max()),
+            float(np.abs(up[m:]).max(initial=0.0)) / s2,
+        )
+    for start in range(m, m + q, _BLOCK_CHUNK):
+        cols = np.arange(start, min(start + _BLOCK_CHUNK, m + q))
+        diag = np.arange(len(cols))
+        up = _block_columns(*plus, cols)
+        target[f[cols - m]] = up[cols, diag]
+        up[cols, diag] = 0.0
+        max_off = max(
+            max_off,
+            float(np.abs(up[:m]).max(initial=0.0)) / s2,
+            float(np.abs(up[m:]).max()),
+        )
+    return target, max_off, (m + q, m)
 
 
 def mirroring_report(pattern, k: int, sym: SymmetryMap, t: float) -> MirroringReport:
@@ -302,13 +377,30 @@ def mirroring_report(pattern, k: int, sym: SymmetryMap, t: float) -> MirroringRe
     evolves trivially (H has no diagonal part), so amplitudes are already
     gauged relative to the vacuum. Perfect mirroring up to phases means
     min_modulus approaches 1.
+
+    When sym is an involution that maps every edge onto one of exactly equal
+    strength (so P H P = H exactly), the sector splits into its P = +1 and
+    P = -1 blocks and the dense limit applies to the larger block: each block
+    is diagonalized once and every reported number is read off the block
+    propagators ("parity-blocks"). Otherwise sectors up to the dense limit
+    form the whole U from one eigendecomposition ("dense"), and larger ones
+    propagate one basis column at a time ("krylov-columns").
     """
     if not np.isfinite(t):
         raise ValueError("evolution time must be finite")
     H = build_sector_hamiltonian(pattern, k)
     basis = H.basis
     perm_rows = permuted_ranks(basis, sym)
-    if basis.dim <= DENSE_DIM_LIMIT:
+    block_dims = ()
+    commutes = check_symmetry(pattern, sym, tol=0.0) and np.array_equal(
+        perm_rows[perm_rows], np.arange(basis.dim)
+    )
+    # the + block holds one vector per pair a < Pa and one per fixed point
+    if commutes and np.count_nonzero(np.arange(basis.dim) <= perm_rows) <= DENSE_DIM_LIMIT:
+        backend = "parity-blocks"
+        target, max_off, block_dims = _parity_block_entries(H, perm_rows, t)
+    elif basis.dim <= DENSE_DIM_LIMIT:
+        backend = "dense"
         evals, vecs = H.eig()
         U = (vecs * np.exp(-1j * evals * t)) @ vecs.T
         target = U[perm_rows, np.arange(basis.dim)]
@@ -316,6 +408,7 @@ def mirroring_report(pattern, k: int, sym: SymmetryMap, t: float) -> MirroringRe
         off[perm_rows, np.arange(basis.dim)] = 0.0
         max_off = float(off.max()) if basis.dim else 0.0
     else:
+        backend = "krylov-columns"
         target = np.empty(basis.dim, dtype=np.complex128)
         max_off = 0.0
         for x in range(basis.dim):
@@ -336,6 +429,8 @@ def mirroring_report(pattern, k: int, sym: SymmetryMap, t: float) -> MirroringRe
         moduli=moduli,
         phases=phases,
         basis=basis,
+        backend=backend,
+        block_dims=block_dims,
     )
 
 

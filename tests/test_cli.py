@@ -101,6 +101,52 @@ def test_mirror_product_lattice_outputs(tmp_path):
     assert "timestamp" in meta
 
 
+MIRROR_KEYS = {"schema_version", "pattern_hash", "k", "t", "mirror", "min_modulus",
+               "max_offtarget", "phase_fit"}
+
+
+@pytest.mark.parametrize("k, t", [("0", None), ("9", None), ("0", "0"), ("9", "0")])
+def test_mirror_edge_sectors_on_parity_blocks(tmp_path, k, t):
+    # k=0 and k=M are one fixed basis state with an empty - block
+    prefix = tmp_path / "edge"
+    argv = ["mirror", "--pattern", "christandl-product", "--n", "3", "--k", k]
+    assert run(*argv, *(["--t", t] if t else []), "--out", str(prefix)) == 0
+    doc = json.loads((tmp_path / "edge.json").read_text())
+    assert set(doc) == MIRROR_KEYS
+    assert doc["min_modulus"] == 1.0 and doc["max_offtarget"] == 0.0
+    meta = json.loads((tmp_path / "edge.meta.json").read_text())
+    assert meta["backend"] == "parity-blocks"
+    assert meta["dim"] == 1 and meta["block_dims"] == [1, 0]
+
+
+def test_mirror_at_time_zero_reads_the_identity(capsys):
+    # U = 1: every paired state has target 0 and its own diagonal entry 1 off target
+    assert run("mirror", "--pattern", "christandl-product", "--n", "3", "--k", "2",
+               "--t", "0") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert set(doc) == MIRROR_KEYS
+    assert doc["min_modulus"] < 1e-12
+    assert abs(doc["max_offtarget"] - 1.0) < 1e-12
+
+
+def test_mirror_sidecar_names_the_backend(tmp_path):
+    prefix = tmp_path / "side"
+    assert run("mirror", "--pattern", "christandl-product", "--n", "3", "--k", "2",
+               "--out", str(prefix)) == 0
+    meta = json.loads((tmp_path / "side.meta.json").read_text())
+    assert meta["backend"] == "parity-blocks"
+    assert meta["dim"] == 36 and sum(meta["block_dims"]) == 36
+    assert meta["seconds"] >= 0
+    # a lattice whose couplings break the rotation takes the dense path
+    pattern = tmp_path / "asym.json"
+    pattern.write_text(json.dumps({"schema_version": "1", "kind": "square", "n": 3,
+                                   "J": [[1, 2, 3], [4, 5, 6]], "K": [[1, 2], [3, 4], [5, 6]]}))
+    assert run("mirror", "--pattern-file", str(pattern), "--k", "2", "--t", "0.7",
+               "--out", str(prefix)) == 0
+    meta = json.loads((tmp_path / "side.meta.json").read_text())
+    assert meta["backend"] == "dense" and meta["block_dims"] == []
+
+
 def test_mirror_require_min_exits_3(tmp_path):
     code = run("mirror", "--pattern", "uniform-lattice", "--n", "3", "--k", "1",
                "--t", "1.0", "--require-min", "0.999")

@@ -32,11 +32,13 @@ from spinmirror.lattice import (
     ExchangeGraph,
     build_chain,
     build_square_lattice,
+    check_symmetry,
     random_symmetric_pattern,
     symmetry_map,
     uniform_pattern,
 )
 from spinmirror.sectors import (
+    SectorHamiltonian,
     SparseState,
     basis_state,
     build_sector_hamiltonian,
@@ -307,3 +309,131 @@ def test_evolution_rejects_site_count_mismatch():
             evolve_sparse(PRODUCT_4X4, psi, t)
         with pytest.raises(ValueError, match="site counts"):
             evolve_state(PRODUCT_4X4, psi, t)
+
+
+# -- mirror reports in parity blocks, against the Pauli and sector oracles -----
+
+ROT_3X3 = random_symmetric_pattern(
+    build_square_lattice(3), (symmetry_map(build_square_lattice(3), "rotation_pi"),), seed=4
+)
+
+
+def pauli_mirror_entries(pattern, k, sym, t):
+    """U[perm(x), x] and the largest other |U| entry, from expm of the Pauli H."""
+    n = pattern.geometry.site_count
+    H = restrict_to_sector(pauli_hamiltonian(n, pattern.to_graph().edges), n, k).toarray()
+    U = scipy.linalg.expm(-1j * t * H)
+    masks = sector_masks(n, k)
+    mirrored = [sum(1 << sym.perm[p] for p in range(n) if m >> p & 1) for m in masks]
+    rows, cols = np.searchsorted(masks, mirrored), np.arange(len(masks))
+    off = np.abs(U)
+    off[rows, cols] = 0.0
+    return U[rows, cols], float(off.max())
+
+
+def assert_report_matches_pauli(rep, pattern, sym, tol):
+    target, max_off = pauli_mirror_entries(pattern, rep.k, sym, rep.t)
+    assert np.abs(rep.moduli * rep.phases - target).max() < tol
+    assert abs(rep.max_offtarget - max_off) < tol
+    assert rep.min_modulus == rep.moduli.min()
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_parity_block_report_matches_pauli_oracle(k):
+    # the centre site of the 3x3 lattice is fixed by the rotation, so every
+    # sector has fixed basis states and a + block larger than its - block
+    sym = symmetry_map(ROT_3X3.geometry, "rotation_pi")
+    rep = mirroring_report(ROT_3X3, k, sym, 1.3)
+    assert rep.backend == "parity-blocks"
+    plus, minus = rep.block_dims
+    assert plus + minus == math.comb(9, k) and plus > minus
+    assert_report_matches_pauli(rep, ROT_3X3, sym, 1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_parity_block_report_matches_pauli_oracle_on_an_even_chain(k):
+    # the mirror of an even chain moves each excitation to the other
+    # sublattice, so at odd k the targets are imaginary and a conjugated
+    # propagator would show (on the square lattices here they are real)
+    chain = build_chain(6)
+    sym = symmetry_map(chain, "vertical_axis")
+    pattern = random_symmetric_pattern(chain, (sym,), seed=2)
+    rep = mirroring_report(pattern, k, sym, 0.9)
+    assert rep.backend == "parity-blocks"
+    assert np.abs(rep.phases.imag).max() > 0.5
+    assert_report_matches_pauli(rep, pattern, sym, 1e-12)
+
+
+def nearly_symmetric_3x3():
+    J = ROT_3X3.J.copy()
+    J[0, 0] = np.nextafter(J[0, 0], np.inf)
+    return CouplingPattern(ROT_3X3.geometry, J, ROT_3X3.K)
+
+
+def asymmetric_3x3():
+    rng = np.random.default_rng(11)
+    return CouplingPattern(build_square_lattice(3), rng.uniform(0.5, 1.5, (2, 3)),
+                           rng.uniform(0.5, 1.5, (3, 2)))
+
+
+@pytest.mark.parametrize("make", [asymmetric_3x3, nearly_symmetric_3x3])
+@pytest.mark.parametrize("k", [2, 4])
+def test_report_without_exact_symmetry_takes_dense_path(make, k):
+    pattern = make()
+    sym = symmetry_map(pattern.geometry, "rotation_pi")
+    if make is nearly_symmetric_3x3:
+        # symmetric within 1e-15: a tolerance would wrongly call it commuting
+        assert check_symmetry(pattern, sym) and not check_symmetry(pattern, sym, tol=0.0)
+    rep = mirroring_report(pattern, k, sym, 1.3)
+    assert rep.backend == "dense" and rep.block_dims == ()
+    assert_report_matches_pauli(rep, pattern, sym, 1e-12)
+
+
+def test_parity_blocks_diagonalize_each_block_once(monkeypatch):
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    def no_full_eig(self):
+        raise AssertionError("full-sector eigendecomposition on the parity-block path")
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(SectorHamiltonian, "eig", no_full_eig)
+    rep = mirroring_report(ROT_3X3, 4, symmetry_map(ROT_3X3.geometry, "rotation_pi"), 1.3)
+    assert rep.block_dims == (66, 60)
+    assert shapes == [(66, 66), (60, 60)]
+
+
+@pytest.mark.parametrize("k, backend", [(3, "parity-blocks"), (4, "krylov-columns")])
+def test_parity_block_switch_on_both_sides_of_the_limit(monkeypatch, k, backend):
+    # with the limit at 60, k=3 (dim 84, blocks 44 + 40) fits as blocks
+    # although the whole sector does not; k=4 (blocks 66 + 60) does not fit
+    monkeypatch.setattr(dynamics, "DENSE_DIM_LIMIT", 60)
+    sym = symmetry_map(ROT_3X3.geometry, "rotation_pi")
+    rep = mirroring_report(ROT_3X3, k, sym, 1.3)
+    assert rep.backend == backend
+    assert_report_matches_pauli(rep, ROT_3X3, sym, 1e-12 if k == 3 else 1e-9)
+
+
+def test_product_lattice_k5_report_in_parity_blocks(monkeypatch):
+    # dim 4368 is past the dense limit; its blocks (2184 each) are not
+    columns = []
+    monkeypatch.setattr(dynamics, "evolve", lambda *args: columns.append(args))
+    c = christandl_chain(4)
+    pat = product_lattice_couplings(c, c)
+    sym = symmetry_map(pat.geometry, "rotation_pi")
+    t = c.nominal_transfer_time
+    rep = mirroring_report(pat, 5, sym, t)
+    assert columns == []
+    assert rep.backend == "parity-blocks" and rep.block_dims == (2184, 2184)
+    rows = permuted_ranks(rep.basis, sym)
+    for x in np.random.default_rng(0).choice(rep.basis.dim, size=3, replace=False):
+        mask = int(rep.basis.masks[x])
+        masks, col = sector_propagation(16, PRODUCT_4X4.edges, 5, {mask: 1.0}, t)
+        assert np.array_equal(masks, rep.basis.masks)
+        assert abs(rep.moduli[x] * rep.phases[x] - col[rows[x]]) < 1e-9
+        col[rows[x]] = 0.0
+        assert rep.max_offtarget >= np.abs(col).max() - 1e-9
