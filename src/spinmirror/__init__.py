@@ -79,6 +79,7 @@ from .witness import (
 from .optimizer import (
     Objective,
     OptimizationRun,
+    PolishCounts,
     Probe2x2Result,
     evaluate_objective,
     optimize,

@@ -340,6 +340,10 @@ def cmd_optimize(args):
     meta = {
         "wall_clock_s": sum(r.wall_clock for r in runs),
         "evaluations": sum(r.evaluations for r in runs),
+        "time_polish": {
+            key: sum(getattr(r.time_polish, key) for r in runs)
+            for key in vars(runs[0].time_polish)
+        },
     }
     _write_outputs(
         args, obj, csv=(["restart", "iteration", "value", "time", "params"], rows), meta=meta

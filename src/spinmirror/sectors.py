@@ -133,6 +133,15 @@ class Propagator:
         amps = self.weights @ np.exp(-1j * np.outer(self.evals, ts))
         return amps.reshape(self.weights.shape[:-1] + ts.shape)
 
+    def derivatives(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """a(t), a'(t) and a''(t) for every entry at one time, from one exp(-i evals t)."""
+        e = np.exp(-1j * self.evals * t)
+        return (
+            self.weights @ e,
+            self.weights @ (-1j * self.evals * e),
+            self.weights @ (-(self.evals**2) * e),
+        )
+
 
 def _hops(graph: ExchangeGraph, masks: np.ndarray):
     """Every nonzero hop out of masks: (source position, target mask, 2w)."""
@@ -158,8 +167,14 @@ def build_sector_hamiltonian(graph, k: int) -> SectorHamiltonian:
     graph = _as_graph(graph)
     basis = enumerate_sector_basis(graph.site_count, k)
     rows, flipped, weights = _hops(graph, basis.masks)
+    # CSR straight from the hops: a stable row sort keeps each row's entries
+    # in hop order, and sort_indices then orders them by column, as COO would
+    order = np.argsort(rows, kind="stable")
+    indptr = np.zeros(basis.dim + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=basis.dim), out=indptr[1:])
     cols = np.searchsorted(basis.masks, flipped)
-    mat = sp.coo_matrix((weights, (rows, cols)), shape=(basis.dim, basis.dim)).tocsr()
+    mat = sp.csr_matrix((weights[order], cols[order], indptr), shape=(basis.dim, basis.dim))
+    mat.sort_indices()
     return SectorHamiltonian(basis, mat)
 
 

@@ -317,6 +317,27 @@ def test_optimize_probe_grid(tmp_path):
     assert len(lines) == 5
 
 
+@pytest.mark.parametrize("preset", ["chain-4-pst", "rx-3x3-witness"])
+def test_optimize_sidecar_counts_the_time_polish(tmp_path, preset):
+    prefix = tmp_path / "opt"
+    argv = ("optimize", "--preset", preset, "--restarts", "1", "--max-iters", "1",
+            "--out", str(prefix))
+    assert run(*argv) == 0
+    meta = json.loads((tmp_path / "opt.meta.json").read_text())
+    polish = meta["time_polish"]
+    assert sorted(polish) == ["bisections", "kept_incumbent", "newton_steps"]
+    assert 0 <= polish["kept_incumbent"] <= meta["evaluations"]
+    if preset == "chain-4-pst":
+        assert polish["newton_steps"] > 0
+    else:
+        # the witness objective is zero up to rounding: nothing to polish
+        assert polish == {"bisections": 0, "kept_incumbent": meta["evaluations"],
+                          "newton_steps": 0}
+    first = [(tmp_path / ("opt" + ext)).read_bytes() for ext in (".json", ".csv")]
+    assert run(*argv) == 0
+    assert [(tmp_path / ("opt" + ext)).read_bytes() for ext in (".json", ".csv")] == first
+
+
 def test_optimize_unknown_preset_rejected():
     assert run("optimize", "--preset", "bogus") == 2
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,12 +17,16 @@ from spinmirror.lattice import (
 from spinmirror.optimizer import (
     Objective,
     OptimizationRun,
+    PolishCounts,
+    _golden_max,
+    _newton_max,
+    _objective_propagator,
     evaluate_objective,
     optimize,
     probe_2x2,
     witness_ceiling,
 )
-from spinmirror.sectors import SparseState
+from spinmirror.sectors import Propagator, SparseState
 from spinmirror.witness import WitnessSpec, build_witness, diagonal_basis_state
 
 
@@ -45,11 +50,89 @@ def test_objective_validation():
 def test_zero_pattern_average_counts_fixed_masks():
     # H = 0 so U = I always; only the 2 rotation-fixed masks of the 6 in k=2
     # contribute, pinning the average at 1/3 with argmax at the first grid time.
+    # The other 4 mirrored entries vanish, so the polish has no derivative to
+    # follow and must keep the grid incumbent without dividing by zero.
     g = build_square_lattice(2)
     pat = pattern_from_weights(g, np.zeros(4))
-    v, t = evaluate_objective(pat, rotation_objective(g, 2))
+    counts = PolishCounts()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v, t = evaluate_objective(pat, rotation_objective(g, 2), counts)
     assert v == pytest.approx(1 / 3, abs=1e-15)
     assert t == 0.0
+    assert counts == PolishCounts(kept_incumbent=1)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_witness_objective_keeps_its_grid_incumbent(seed):
+    # the R_x-constrained 3x3 witness objective reads about 1e-14: a mirrored
+    # overlap that is zero up to rounding, with no maximum to polish
+    g = build_square_lattice(3)
+    group = (symmetry_map(g, "main_diagonal"), symmetry_map(g, "anti_diagonal"))
+    psi = build_witness(WitnessSpec(3, diagonal_basis_state(3, "100")))
+    obj = single_state_objective(g, psi)
+    counts = PolishCounts()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v, _ = evaluate_objective(random_symmetric_pattern(g, group, seed), obj, counts)
+    assert np.isfinite(v) and v < 1e-12
+    assert counts == PolishCounts(kept_incumbent=1)
+
+
+def _golden_polished(pattern, objective):
+    """evaluate_objective's grid and refinements, then a golden-section polish."""
+    prop = _objective_propagator(pattern.to_graph(), objective)
+
+    def values(ts):
+        return np.abs(np.atleast_2d(prop.amplitudes(ts))).mean(axis=0)
+
+    t1 = 8 * math.pi / float(np.mean(np.abs(pattern.edge_weights())))
+    ts = np.linspace(0.0, t1, objective.time_grid_points)
+    vals = values(ts)
+    best_t, best_v = float(ts[np.argmax(vals)]), float(vals.max())
+    width = t1 / (objective.time_grid_points - 1)
+    for _ in range(3):
+        local = np.linspace(max(0.0, best_t - width), min(t1, best_t + width), 21)
+        lv = values(local)
+        if lv.max() > best_v:
+            best_v, best_t = float(lv.max()), float(local[np.argmax(lv)])
+        width /= 10
+    lo, hi = max(0.0, best_t - 10 * width), min(t1, best_t + 10 * width)
+    gt, gv = _golden_max(lambda t: float(values([t])[0]), lo, hi, 1e-12 * max(1.0, t1))
+    return max(gv, best_v)
+
+
+@pytest.mark.parametrize("kind", ["sector_average", "single_state"])
+@pytest.mark.parametrize("seed", range(4))
+def test_newton_polish_is_no_worse_than_golden_section(kind, seed):
+    rng = np.random.default_rng(seed)
+    n = 4 + seed % 3
+    g = build_chain(n)
+    pat = pattern_from_weights(g, rng.uniform(0.2, 2.0, n - 1))
+    mirror = symmetry_map(g, "vertical_axis")
+    if kind == "sector_average":
+        obj = Objective(kind=kind, mirror=mirror, k=1 + seed % 2)
+    else:
+        masks = rng.choice(1 << n, size=4, replace=False)
+        amps = rng.normal(size=4) + 1j * rng.normal(size=4)
+        obj = Objective(kind=kind, mirror=mirror, state=SparseState(n, masks, amps))
+    counts = PolishCounts()
+    v, _ = evaluate_objective(pat, obj, counts)
+    assert v >= _golden_polished(pat, obj) - 1e-15
+    assert counts.newton_steps > 0
+
+
+def test_newton_polish_bisects_when_a_step_leaves_the_bracket():
+    # |a(t)| = |cos(t/2)|, maximal at t = 0; from t = -2.5 the Newton step
+    # t - 2 tan(t/2) lands near 3.5, outside [-3, 1]
+    prop = Propagator(np.array([0.0, 1.0]), np.array([0.5, 0.5], dtype=complex))
+    counts = PolishCounts()
+    t, f = _newton_max(prop, -3.0, 1.0, -2.5, 1e-12, counts)
+    assert abs(t) < 1e-9
+    assert f == pytest.approx(1.0, abs=1e-15)
+    assert counts.bisections >= 1 and counts.newton_steps >= 1
+    # f' < 0 over all of [0.5, 1]: no maximum inside, nothing to polish
+    assert _newton_max(prop, 0.5, 1.0, 0.7, 1e-12, PolishCounts()) is None
 
 
 def test_single_state_across_sectors_closed_form():

@@ -198,3 +198,78 @@ def test_basis_state_and_sector_state_validation():
     assert st_.amplitudes[basis.rank(0b010)] == 1.0
     with pytest.raises(ValueError):
         SectorState(basis, np.zeros(2))
+
+
+def _coo_reference(graph, k):
+    """H_k assembled entry by entry from itertools combinations, through COO."""
+    import itertools
+
+    import scipy.sparse as sp
+
+    masks = sorted(
+        sum(1 << p for p in occ) for occ in itertools.combinations(range(graph.site_count), k)
+    )
+    rank = {m: i for i, m in enumerate(masks)}
+    rows, cols, vals = [], [], []
+    for m in masks:
+        for a, b, w in graph.edges:
+            if w != 0.0 and ((m >> a) & 1) != ((m >> b) & 1):
+                rows.append(rank[m])
+                cols.append(rank[m ^ (1 << a) ^ (1 << b)])
+                vals.append(2.0 * w)
+    dim = len(masks)
+    ij = (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64))
+    return sp.coo_matrix((np.array(vals, dtype=float), ij), shape=(dim, dim)).tocsr()
+
+
+@pytest.mark.parametrize(
+    "n, k, zero_edge",
+    [(2, 0, None), (2, 4, None), (3, 4, 5), (3, 2, 0), (5, 3, 7)],
+)
+def test_csr_build_is_byte_identical_to_a_coo_reference(n, k, zero_edge):
+    from spinmirror.lattice import build_square_lattice, pattern_from_weights
+
+    geo = build_square_lattice(n)
+    weights = np.random.default_rng(n + k).uniform(0.1, 2.0, len(geo.edges()))
+    if zero_edge is not None:
+        weights[zero_edge] = 0.0
+    graph = pattern_from_weights(geo, weights).to_graph()
+    got = build_sector_hamiltonian(graph, k).mat
+    ref = _coo_reference(graph, k)
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert got.has_sorted_indices
+
+
+@pytest.mark.parametrize("kind", ["sector_average", "single_state"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_propagator_derivatives_match_central_differences(kind, seed):
+    from spinmirror.lattice import build_chain, pattern_from_weights, symmetry_map
+    from spinmirror.optimizer import Objective, _objective_propagator
+
+    rng = np.random.default_rng(seed)
+    n = 4 + seed
+    geo = build_chain(n)
+    pat = pattern_from_weights(geo, rng.uniform(0.2, 2.0, n - 1))
+    mirror = symmetry_map(geo, "vertical_axis")
+    if kind == "sector_average":
+        obj = Objective(kind=kind, mirror=mirror, k=2)
+    else:
+        masks = rng.choice(1 << n, size=5, replace=False)
+        amps = rng.normal(size=5) + 1j * rng.normal(size=5)
+        obj = Objective(kind=kind, mirror=mirror, state=SparseState(n, masks, amps))
+    prop = _objective_propagator(pat.to_graph(), obj)
+    # central differences miss by at most h^2/6 sum|w||E|^3 (first) and
+    # h^2/12 sum|w|E^4 (second), plus rounding of order eps sum|w| / h^p
+    w, e, eps = np.abs(prop.weights), np.abs(prop.evals), np.finfo(float).eps
+    h1, h2 = 1e-5, 1e-4
+    tol1 = 2 * (h1**2 / 6 * (w @ e**3) + 4 * eps * w.sum(axis=-1) / h1)
+    tol2 = 2 * (h2**2 / 12 * (w @ e**4) + 8 * eps * w.sum(axis=-1) / h2**2)
+    for t in rng.uniform(0.0, 10.0, 3):
+        a, da, d2a = prop.derivatives(t)
+        lo1, mid, hi1 = np.moveaxis(prop.amplitudes([t - h1, t, t + h1]), -1, 0)
+        assert np.all(np.abs(a - mid) <= 1e-13)
+        assert np.all(np.abs(da - (hi1 - lo1) / (2 * h1)) <= tol1)
+        lo2, _, hi2 = np.moveaxis(prop.amplitudes([t - h2, t, t + h2]), -1, 0)
+        assert np.all(np.abs(d2a - (hi2 - 2 * mid + lo2) / h2**2) <= tol2)
