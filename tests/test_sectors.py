@@ -1,12 +1,21 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinmirror.chains import chain_pattern, christandl_chain, uniform_chain
-from spinmirror.lattice import ExchangeGraph
+from spinmirror.lattice import (
+    ExchangeGraph,
+    build_chain,
+    build_square_lattice,
+    pattern_from_weights,
+    symmetry_map,
+)
+from spinmirror.optimizer import Objective, _objective_propagator
 from spinmirror.sectors import (
     SectorState,
     SparseState,
@@ -202,10 +211,6 @@ def test_basis_state_and_sector_state_validation():
 
 def _coo_reference(graph, k):
     """H_k assembled entry by entry from itertools combinations, through COO."""
-    import itertools
-
-    import scipy.sparse as sp
-
     masks = sorted(
         sum(1 << p for p in occ) for occ in itertools.combinations(range(graph.site_count), k)
     )
@@ -227,8 +232,6 @@ def _coo_reference(graph, k):
     [(2, 0, None), (2, 4, None), (3, 4, 5), (3, 2, 0), (5, 3, 7)],
 )
 def test_csr_build_is_byte_identical_to_a_coo_reference(n, k, zero_edge):
-    from spinmirror.lattice import build_square_lattice, pattern_from_weights
-
     geo = build_square_lattice(n)
     weights = np.random.default_rng(n + k).uniform(0.1, 2.0, len(geo.edges()))
     if zero_edge is not None:
@@ -245,9 +248,6 @@ def test_csr_build_is_byte_identical_to_a_coo_reference(n, k, zero_edge):
 @pytest.mark.parametrize("kind", ["sector_average", "single_state"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_propagator_derivatives_match_central_differences(kind, seed):
-    from spinmirror.lattice import build_chain, pattern_from_weights, symmetry_map
-    from spinmirror.optimizer import Objective, _objective_propagator
-
     rng = np.random.default_rng(seed)
     n = 4 + seed
     geo = build_chain(n)
