@@ -59,7 +59,6 @@ from .dynamics import (
     evolve_state,
     has_degenerate_mixed_group,
     mirroring_report,
-    permutation_operator,
     permuted_ranks,
     phase_network_fit,
     transfer_fidelity,

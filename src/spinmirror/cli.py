@@ -266,7 +266,9 @@ def cmd_classify(args):
         raise ValueError("need --parallel-chains N or --pattern-file")
     sym = symmetry_map(pat.geometry, args.sym)
     H = build_sector_hamiltonian(pat.to_graph(), args.k)
+    start = time.perf_counter()
     groups = classify_spectrum(H, sym, degeneracy_tol=args.degeneracy_tol)
+    seconds = time.perf_counter() - start
     obj = {
         "schema_version": jsonio.SCHEMA_VERSION,
         "pattern_hash": jsonio.pattern_digest(pat),
@@ -287,10 +289,12 @@ def cmd_classify(args):
     rows = [
         (g.eigenvalue, g.multiplicity, g.label, g.max_symmetry_defect) for g in groups
     ]
+    block_dims = [sum(g.vector_symmetries.count(s) for g in groups) for s in (1, -1)]
     _write_outputs(
         args,
         obj,
         csv=(["eigenvalue", "multiplicity", "label", "max_symmetry_defect"], rows),
+        meta={"dim": H.dim, "block_dims": block_dims, "seconds": seconds},
     )
 
 

@@ -1,6 +1,6 @@
 """Exact time evolution, mirroring reports, phase fits, spectrum classification.
 
-Dense eigendecomposition handles sectors up to dimension 4096; larger sectors
+Dense eigendecomposition evolves sectors up to dimension 4096; larger sectors
 go through a residual-controlled Lanczos approximation of exp(-iHt). The
 Lanczos core works on plain complex arrays. Its matrix-free variant evolves a
 SparseState over one sorted mask index that starts as the state's support
@@ -8,9 +8,8 @@ and grows to its hop closure as H is applied; once the index is closed, a
 CSR matrix built once applies H. It never enumerates a sector basis.
 Curves of fixed propagator entries over a time grid diagonalize once and go
 through sectors.Propagator: one product per curve, not one eigh per point.
-Mirroring reports on patterns that the mirror maps exactly onto themselves
-split each sector into its two mirror-parity blocks; the dense limit then
-applies per block, and no full-sector matrix is formed.
+Mirroring reports and spectrum classification share one mirror-parity split
+into P = +1 and P = -1 blocks; a sector that does not commute is one block.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .lattice import CouplingPattern, ExchangeGraph, SymmetryMap, _as_graph, check_symmetry
+from .lattice import CouplingPattern, ExchangeGraph, SymmetryMap, _as_graph
 from .sectors import (
     Propagator,
     SectorBasis,
@@ -30,7 +29,6 @@ from .sectors import (
     SparseState,
     _hops,
     _sort_runs,
-    basis_state,
     build_sector_hamiltonian,
     permute_masks,
 )
@@ -269,14 +267,6 @@ def permuted_ranks(basis: SectorBasis, sym: SymmetryMap) -> np.ndarray:
     return rows
 
 
-def permutation_operator(basis: SectorBasis, sym: SymmetryMap) -> sp.csr_matrix:
-    """The basis permutation induced by a site permutation, as a sparse matrix."""
-    rows = permuted_ranks(basis, sym)
-    return sp.csr_matrix(
-        (np.ones(basis.dim), (rows, np.arange(basis.dim))), shape=(basis.dim, basis.dim)
-    )
-
-
 def mirror_propagator(pattern, k: int, sym: SymmetryMap) -> Propagator:
     """U[perm(x), x] of exp(-iH_k t) for every sector basis state x, in rank order."""
     H = build_sector_hamiltonian(pattern, k)
@@ -284,12 +274,67 @@ def mirror_propagator(pattern, k: int, sym: SymmetryMap) -> Propagator:
     return Propagator(evals, vecs[permuted_ranks(H.basis, sym), :] * vecs)
 
 
+# -- the mirror-parity split ---------------------------------------------------
+
+# Peak bytes of a dense d x d block over what was held before it, per 8 d^2: the
+# block, eigh's copy, workspace and output, and the column chunks. Single-block
+# reports measured 5.23 at d = 1820 and 5.08 at d = 4368 (OpenBLAS, one thread).
+_BLOCK_PEAK_FACTOR = 5.3
+
+
+def _available_bytes() -> int | None:
+    """MemAvailable as the OS reports it, or None where it reports none."""
+    try:
+        with open("/proc/meminfo") as f:
+            return next(int(ln.split()[1]) * 1024 for ln in f if ln.startswith("MemAvailable:"))
+    except (OSError, StopIteration):
+        return None
+
+
+def _check_block_memory(d: int) -> None:
+    """Raise before forming a dense d x d block whose estimated peak does not fit."""
+    need, available = int(_BLOCK_PEAK_FACTOR * 8 * d * d), _available_bytes()
+    if available is not None and need > available:
+        raise ValueError(f"a dense block of dimension {d} needs about {need} bytes at peak; "
+                         f"{available} bytes of memory are available")
+
+
+def _parity_split(H: SectorHamiltonian, sym: SymmetryMap):
+    """(perm_rows, exact): the mirror P on H's basis; exact if P^2 = 1 and P H P = H to the bit."""
+    perm_rows = permuted_ranks(H.basis, sym)
+    exact = (np.array_equal(perm_rows[perm_rows], np.arange(H.dim))
+             and (H.mat[perm_rows][:, perm_rows] != H.mat).nnz == 0)
+    return perm_rows, exact
+
+
+def _parity_blocks(H: SectorHamiltonian, perm_rows, solve):
+    """(solve(H+), solve(H-)) for the P = +1 and P = -1 blocks of H.
+
+    P must be an involution that commutes with H exactly. Each pair a < Pa
+    gives (|a> +- |Pa>)/sqrt(2) and each fixed point f gives |f> in the +
+    block, so H+ = [[H[a,a] + H[a,Pa], sqrt2 H[a,f]], [sqrt2 H[f,a], H[f,f]]]
+    and H- = H[a,a] - H[a,Pa], pairs first in ascending a, then fixed points.
+    """
+    x = np.arange(H.dim)
+    a, f = x[x < perm_rows], x[x == perm_rows]
+    s2 = math.sqrt(2.0)
+    Ha, Hf = H.mat[a], H.mat[f]
+    # each dense block lives only as long as its own solve call
+    _check_block_memory(len(a) + len(f))
+    plus = solve(np.block([
+        [(Ha[:, a] + Ha[:, perm_rows[a]]).toarray(), s2 * Ha[:, f].toarray()],
+        [s2 * Hf[:, a].toarray(), Hf[:, f].toarray()],
+    ]))
+    _check_block_memory(len(a))
+    return plus, solve((Ha[:, a] - Ha[:, perm_rows[a]]).toarray())
+
+
 @dataclass(frozen=True)
 class MirroringReport:
     """Per-basis-state diagnostics of U = exp(-iH_k t) against a permutation.
 
-    backend is "parity-blocks", "dense" or "krylov-columns"; block_dims holds
-    the (P = +1, P = -1) block dimensions on the parity-block path.
+    backend is "parity-blocks", with block_dims the (P = +1, P = -1) block
+    dimensions, or "full-sector", with block_dims (dim,).
     """
 
     k: int
@@ -300,17 +345,11 @@ class MirroringReport:
     moduli: np.ndarray = field(repr=False)
     phases: np.ndarray = field(repr=False)
     basis: SectorBasis = field(repr=False)
-    backend: str = "dense"
-    block_dims: tuple[int, ...] = ()
+    backend: str
+    block_dims: tuple[int, ...]
 
 
 _BLOCK_CHUNK = 256  # block columns of U formed per pair of real products
-
-
-def _eig_phases(block, t):
-    """(V, cos Et, sin Et) of a dense real symmetric block H = V diag(E) V^T."""
-    evals, vecs = np.linalg.eigh(block)
-    return vecs, np.cos(evals * t), np.sin(evals * t)
 
 
 def _block_columns(vecs, cos, sin, cols):
@@ -319,28 +358,39 @@ def _block_columns(vecs, cos, sin, cols):
     return vecs @ (cos[:, None] * W) - 1j * (vecs @ (sin[:, None] * W))
 
 
-def _parity_block_entries(H: SectorHamiltonian, perm_rows, t):
-    """Targets U[P x, x] and the off-target maximum from the two parity blocks.
+def mirroring_report(pattern, k: int, sym: SymmetryMap, t: float) -> MirroringReport:
+    """Moduli and phases of the mirror-permutation entries of exp(-iH_k t).
 
-    P must be an involution that commutes with H exactly. Each pair a < Pa
-    gives (|a> +- |Pa>)/sqrt(2) and each fixed point f gives |f> in the +
-    block, so H+ = [[H[a,a] + H[a,Pa], sqrt2 H[a,f]], [sqrt2 H[f,a], H[f,f]]]
-    and H- = H[a,a] - H[a,Pa]. Over the pairs, U[a,a] = U[Pa,Pa] = (U+ + U-)/2
-    and U[Pa,a] = U[a,Pa] = (U+ - U-)/2; U[a,f] = U[Pa,f] = U+[a,f]/sqrt2 and
-    U[f,f'] = U+[f,f']. U+- are formed a column chunk at a time, so no
-    full-sector matrix is ever allocated.
+    phases[x] is the unit-modulus direction of U[perm(x), x]. The k=0 sector
+    evolves trivially (H has no diagonal part), so amplitudes are already
+    gauged relative to the vacuum. Perfect mirroring up to phases means
+    min_modulus approaches 1.
+
+    When sym is an involution with P H_k P = H_k exactly, the sector splits
+    into its P = +1 and P = -1 blocks ("parity-blocks"). Over the pairs,
+    U[a,a] = U[Pa,Pa] = (U+ + U-)/2 and U[Pa,a] = U[a,Pa] = (U+ - U-)/2;
+    U[a,f] = U[Pa,f] = U+[a,f]/sqrt2 and U[f,f'] = U+[f,f']. Otherwise the
+    split is taken under the identity ("full-sector"): one + block of fixed
+    points whose targets sit in rows P x. Each block is diagonalized once and
+    U+- are formed a column chunk at a time; no complex n x n U is ever built.
+    A block whose estimated peak memory exceeds what the OS reports as
+    available raises ValueError before it is formed.
     """
+    if not np.isfinite(t):
+        raise ValueError("evolution time must be finite")
+
+    def solve(block):  # (V, cos Et, sin Et) of a block V diag(E) V^T
+        evals, vecs = np.linalg.eigh(block)
+        return vecs, np.cos(evals * t), np.sin(evals * t)
+
+    H = build_sector_hamiltonian(pattern, k)
+    perm_rows, exact = _parity_split(H, sym)
     x = np.arange(H.dim)
-    a, f = x[x < perm_rows], x[x == perm_rows]
+    split = perm_rows if exact else x
+    a, f = x[x < split], x[x == split]
     m, q = len(a), len(f)
     s2 = math.sqrt(2.0)
-    Ha, Hf = H.mat[a], H.mat[f]
-    # each dense block lives only as long as its own eigh call
-    plus = _eig_phases(np.block([
-        [(Ha[:, a] + Ha[:, perm_rows[a]]).toarray(), s2 * Ha[:, f].toarray()],
-        [s2 * Hf[:, a].toarray(), Hf[:, f].toarray()],
-    ]), t)
-    minus = _eig_phases((Ha[:, a] - Ha[:, perm_rows[a]]).toarray(), t)
+    plus, minus = _parity_blocks(H, split, solve)
     target = np.empty(H.dim, dtype=np.complex128)
     max_off = 0.0
     for start in range(0, m, _BLOCK_CHUNK):
@@ -356,67 +406,18 @@ def _parity_block_entries(H: SectorHamiltonian, perm_rows, t):
             float(np.abs(cross).max()),
             float(np.abs(up[m:]).max(initial=0.0)) / s2,
         )
+    rows = m + np.searchsorted(f, perm_rows[f])  # + block row of each fixed point's mirror
     for start in range(m, m + q, _BLOCK_CHUNK):
         cols = np.arange(start, min(start + _BLOCK_CHUNK, m + q))
         diag = np.arange(len(cols))
         up = _block_columns(*plus, cols)
-        target[f[cols - m]] = up[cols, diag]
-        up[cols, diag] = 0.0
+        target[f[cols - m]] = up[rows[cols - m], diag]
+        up[rows[cols - m], diag] = 0.0
         max_off = max(
             max_off,
             float(np.abs(up[:m]).max(initial=0.0)) / s2,
             float(np.abs(up[m:]).max()),
         )
-    return target, max_off, (m + q, m)
-
-
-def mirroring_report(pattern, k: int, sym: SymmetryMap, t: float) -> MirroringReport:
-    """Moduli and phases of the mirror-permutation entries of exp(-iH_k t).
-
-    phases[x] is the unit-modulus direction of U[perm(x), x]. The k=0 sector
-    evolves trivially (H has no diagonal part), so amplitudes are already
-    gauged relative to the vacuum. Perfect mirroring up to phases means
-    min_modulus approaches 1.
-
-    When sym is an involution that maps every edge onto one of exactly equal
-    strength (so P H P = H exactly), the sector splits into its P = +1 and
-    P = -1 blocks and the dense limit applies to the larger block: each block
-    is diagonalized once and every reported number is read off the block
-    propagators ("parity-blocks"). Otherwise sectors up to the dense limit
-    form the whole U from one eigendecomposition ("dense"), and larger ones
-    propagate one basis column at a time ("krylov-columns").
-    """
-    if not np.isfinite(t):
-        raise ValueError("evolution time must be finite")
-    H = build_sector_hamiltonian(pattern, k)
-    basis = H.basis
-    perm_rows = permuted_ranks(basis, sym)
-    block_dims = ()
-    commutes = check_symmetry(pattern, sym, tol=0.0) and np.array_equal(
-        perm_rows[perm_rows], np.arange(basis.dim)
-    )
-    # the + block holds one vector per pair a < Pa and one per fixed point
-    if commutes and np.count_nonzero(np.arange(basis.dim) <= perm_rows) <= DENSE_DIM_LIMIT:
-        backend = "parity-blocks"
-        target, max_off, block_dims = _parity_block_entries(H, perm_rows, t)
-    elif basis.dim <= DENSE_DIM_LIMIT:
-        backend = "dense"
-        evals, vecs = H.eig()
-        U = (vecs * np.exp(-1j * evals * t)) @ vecs.T
-        target = U[perm_rows, np.arange(basis.dim)]
-        off = np.abs(U)
-        off[perm_rows, np.arange(basis.dim)] = 0.0
-        max_off = float(off.max()) if basis.dim else 0.0
-    else:
-        backend = "krylov-columns"
-        target = np.empty(basis.dim, dtype=np.complex128)
-        max_off = 0.0
-        for x in range(basis.dim):
-            col = evolve(H, basis_state(basis, basis.masks[x]), t).amplitudes
-            target[x] = col[perm_rows[x]]
-            col = np.abs(col)
-            col[perm_rows[x]] = 0.0
-            max_off = max(max_off, float(col.max()))
     moduli = np.abs(target)
     safe = np.where(moduli > 0, moduli, 1.0)
     phases = target / safe
@@ -424,13 +425,13 @@ def mirroring_report(pattern, k: int, sym: SymmetryMap, t: float) -> MirroringRe
         k=k,
         t=t,
         sym_name=sym.name,
-        min_modulus=float(moduli.min()) if basis.dim else 1.0,
+        min_modulus=float(moduli.min()),
         max_offtarget=max_off,
         moduli=moduli,
         phases=phases,
-        basis=basis,
-        backend=backend,
-        block_dims=block_dims,
+        basis=H.basis,
+        backend="parity-blocks" if exact else "full-sector",
+        block_dims=(m + q, m) if exact else (H.dim,),
     )
 
 
@@ -489,53 +490,47 @@ def classify_spectrum(
     """Group eigenvalues and label each group by its symmetry eigenvalues.
 
     Requires the permutation to commute with H (raises otherwise). Eigenvalues
-    are grouped within degeneracy_tol, default 1e-8 times the spectral range.
-    A group is "mixed" when it contains both +1 and -1 eigenvectors of the
-    permutation; degenerate mixed groups are the mirroring obstructions.
+    are grouped within degeneracy_tol, default 1e-8 times the spectral range
+    (0 means 1e-12). A group is "mixed" when it contains both +1 and -1
+    eigenvectors of the permutation; degenerate mixed groups are the mirroring
+    obstructions. When P H P = H exactly, the merged spectra of the parity
+    blocks H+ (+1) and H- (-1) give the labels, with defect 0.0; a permutation
+    that commutes only within 1e-12 is diagonalized within each group of H,
+    with the measured defect. vector_symmetries lists -1 first.
     """
-    P = permutation_operator(H.basis, sym)
-    comm = (P @ H.mat - H.mat @ P).tocoo()
-    hscale = max(1.0, float(np.abs(H.mat.data).max()) if H.mat.nnz else 0.0)
-    if comm.nnz and float(np.abs(comm.data).max()) > 1e-12 * hscale:
-        raise ValueError("symmetry does not commute with the Hamiltonian")
-    evals, vecs = H.eig()
-    if H.dim == 0:
-        return []
-    spread = float(evals[-1] - evals[0])
-    tol = degeneracy_tol if degeneracy_tol is not None else 1e-8 * spread
+    if degeneracy_tol is not None and not (math.isfinite(degeneracy_tol) and degeneracy_tol >= 0):
+        raise ValueError(f"--degeneracy-tol must be finite and non-negative, got {degeneracy_tol}")
+    perm_rows, exact = _parity_split(H, sym)
+    if exact:
+        plus, minus = _parity_blocks(H, perm_rows, np.linalg.eigvalsh)
+        merged = np.concatenate([minus, plus])
+        order = np.argsort(merged, kind="stable")
+        evals, signs = merged[order], np.where(order < len(minus), -1, 1)
+    else:
+        hscale = max(1.0, float(np.abs(H.mat.data).max()) if H.mat.nnz else 0.0)
+        if abs(H.mat[perm_rows][:, perm_rows] - H.mat).max() > 1e-12 * hscale:
+            raise ValueError("symmetry does not commute with the Hamiltonian")
+        evals, vecs = H.eig()
+        inverse = np.argsort(perm_rows)  # (P v)[i] = v[inverse[i]]
+    tol = degeneracy_tol if degeneracy_tol is not None else 1e-8 * float(evals[-1] - evals[0])
     if tol <= 0:
         tol = 1e-12
-    groups: list[list[int]] = [[0]]
-    for i in range(1, H.dim):
-        if evals[i] - evals[i - 1] <= tol:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    Pd = P.toarray()
     out = []
-    for g in groups:
-        B = vecs[:, g]
-        M = B.T @ (Pd @ B)
-        M = (M + M.T) / 2
-        mu, W = np.linalg.eigh(M)
-        rotated = B @ W
-        labels = []
-        defect = 0.0
-        for col, m in zip(rotated.T, mu):
-            s = 1 if m > 0 else -1
-            labels.append(s)
-            defect = max(defect, float(np.linalg.norm(Pd @ col - s * col)))
-        if all(s == 1 for s in labels):
-            label = "+1"
-        elif all(s == -1 for s in labels):
-            label = "-1"
+    for g in np.split(np.arange(H.dim), np.flatnonzero(np.diff(evals) > tol) + 1):
+        if exact:
+            labels, defect = sorted(signs[g].tolist()), 0.0
         else:
-            label = "mixed"
+            B = vecs[:, g]
+            M = B.T @ B[inverse]
+            mu, W = np.linalg.eigh((M + M.T) / 2)
+            rotated = B @ W
+            labels = [1 if m > 0 else -1 for m in mu]
+            defect = float(np.linalg.norm(rotated[inverse] - rotated * labels, axis=0).max())
         out.append(
             SpectrumGroup(
                 eigenvalue=float(np.mean(evals[g])),
                 multiplicity=len(g),
-                label=label,
+                label="mixed" if len(set(labels)) > 1 else f"{labels[0]:+d}",
                 vector_symmetries=tuple(labels),
                 max_symmetry_defect=defect,
             )

@@ -2,8 +2,9 @@
 
 The Pauli oracles work on the full 2^M-dimensional space with explicit tensor
 products; the uniform-chain amplitude is a closed form; the sector propagator
-enumerates its basis with itertools and exponentiates with scipy. None shares
-code with the package internals. Site p occupies bit p of the basis index (least
+enumerates its basis with itertools and exponentiates with scipy; the
+spectrum classifier projects a dense mirror permutation onto each degeneracy
+group of the full sector. None shares code with the package internals. Site p occupies bit p of the basis index (least
 significant bit first), the same labeling the package uses.
 """
 
@@ -90,14 +91,12 @@ def uniform_chain_amplitude(n, ts):
     return weights @ np.exp(-4j * np.outer(np.cos(theta), np.asarray(ts)))
 
 
-def sector_propagation(site_count, edges, k, amplitudes, t):
-    """exp(-iHt) of a weight-k state given as {mask: amplitude}.
+def sector_matrix(site_count, edges, k):
+    """(masks, H) of the weight-k sector, built straight off the edge list.
 
-    Reaches sectors far past the Pauli oracle: the basis is every k-subset of
-    sites from itertools.combinations, ascending as masks; H hops one
-    excitation across an edge (a, b, w) with matrix element 2w, read straight
-    off the edge list; expm_multiply applies the exponential. Returns
-    (masks, amplitudes over them).
+    The basis is every k-subset of sites from itertools.combinations,
+    ascending as masks; H hops one excitation across an edge (a, b, w) with
+    matrix element 2w.
     """
     masks = sorted(sum(1 << p for p in c) for c in itertools.combinations(range(site_count), k))
     index = {m: i for i, m in enumerate(masks)}
@@ -109,7 +108,58 @@ def sector_propagation(site_count, edges, k, amplitudes, t):
                 cols.append(i)
                 vals.append(2.0 * w)
     H = sp.csr_matrix((vals, (rows, cols)), shape=(len(masks), len(masks)))
+    return masks, H
+
+
+def sector_propagation(site_count, edges, k, amplitudes, t):
+    """exp(-iHt) of a weight-k state given as {mask: amplitude}.
+
+    Reaches sectors far past the Pauli oracle: H comes from sector_matrix and
+    expm_multiply applies the exponential. Returns (masks, amplitudes over
+    them).
+    """
+    masks, H = sector_matrix(site_count, edges, k)
+    index = {m: i for i, m in enumerate(masks)}
     v = np.zeros(len(masks), dtype=np.complex128)
     for m, amp in amplitudes.items():
         v[index[m]] = amp
     return np.array(masks, dtype=np.int64), expm_multiply(-1j * t * H, v)
+
+
+def permutation_operator(masks, perm):
+    """Dense P with P[perm(m), m] = 1 over the ascending masks, perm acting on bits."""
+    index = {m: i for i, m in enumerate(masks)}
+    P = np.zeros((len(masks), len(masks)))
+    for i, m in enumerate(masks):
+        image = sum(1 << perm[p] for p in range(len(perm)) if m >> p & 1)
+        P[index[image], i] = 1.0
+    return P
+
+
+def classify_groups(site_count, edges, k, perm, tol=None):
+    """(mean eigenvalue, multiplicity, symmetry labels) of every degeneracy group.
+
+    Diagonalizes the full sector, groups neighbouring eigenvalues within tol
+    (default 1e-8 times the spectral range; 0 means 1e-12), then diagonalizes
+    the dense P projected onto each group; labels are the signs of its
+    eigenvalues in ascending order.
+    """
+    masks, H = sector_matrix(site_count, edges, k)
+    P = permutation_operator(masks, perm)
+    evals, vecs = np.linalg.eigh(H.toarray())
+    if tol is None:
+        tol = 1e-8 * (evals[-1] - evals[0])
+    tol = tol if tol > 0 else 1e-12
+    groups = [[0]]
+    for i in range(1, len(evals)):
+        if evals[i] - evals[i - 1] <= tol:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    out = []
+    for g in groups:
+        B = vecs[:, g]
+        M = B.T @ P @ B
+        mu = np.linalg.eigvalsh((M + M.T) / 2)
+        out.append((float(np.mean(evals[g])), len(g), tuple(1 if m > 0 else -1 for m in mu)))
+    return out

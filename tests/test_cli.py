@@ -137,14 +137,41 @@ def test_mirror_sidecar_names_the_backend(tmp_path):
     assert meta["backend"] == "parity-blocks"
     assert meta["dim"] == 36 and sum(meta["block_dims"]) == 36
     assert meta["seconds"] >= 0
-    # a lattice whose couplings break the rotation takes the dense path
+    # a lattice whose couplings break the rotation is one full-sector block
+    assert run("mirror", "--pattern-file", asymmetric_3x3_file(tmp_path), "--k", "2",
+               "--t", "0.7", "--out", str(prefix)) == 0
+    meta = json.loads((tmp_path / "side.meta.json").read_text())
+    assert meta["backend"] == "full-sector" and meta["block_dims"] == [36]
+
+
+def asymmetric_3x3_file(tmp_path):
     pattern = tmp_path / "asym.json"
     pattern.write_text(json.dumps({"schema_version": "1", "kind": "square", "n": 3,
                                    "J": [[1, 2, 3], [4, 5, 6]], "K": [[1, 2], [3, 4], [5, 6]]}))
-    assert run("mirror", "--pattern-file", str(pattern), "--k", "2", "--t", "0.7",
-               "--out", str(prefix)) == 0
-    meta = json.loads((tmp_path / "side.meta.json").read_text())
-    assert meta["backend"] == "dense" and meta["block_dims"] == []
+    return str(pattern)
+
+
+@pytest.mark.parametrize("shift", [-1, 0])
+@pytest.mark.parametrize("source, block", [
+    (("--pattern", "christandl-product", "--n", "3"), 66),  # blocks 66 + 60 at k=4
+    ("asymmetric", 126),  # one block of 126
+])
+def test_mirror_refuses_a_block_past_available_memory(tmp_path, monkeypatch, capsys,
+                                                      source, block, shift):
+    # one byte short of the largest block's estimated peak refuses; exactly it runs
+    need = int(dynamics._BLOCK_PEAK_FACTOR * 8 * block * block)
+    monkeypatch.setattr(dynamics, "_available_bytes", lambda: need + shift)
+    if source == "asymmetric":
+        source = ("--pattern-file", asymmetric_3x3_file(tmp_path))
+    code = run("mirror", *source, "--k", "4", "--t", "0.7")
+    out, err = capsys.readouterr()
+    if shift < 0:
+        assert code == 2 and out == ""
+        assert f"dimension {block} needs about {need} bytes" in err
+        assert f"{need - 1} bytes of memory are available" in err
+    else:
+        assert code == 0
+        assert json.loads(out)["min_modulus"] > 0
 
 
 def test_mirror_require_min_exits_3(tmp_path):
@@ -198,6 +225,23 @@ def test_classify_parallel_chains(tmp_path):
     assert isinstance(doc["has_degenerate_mixed"], bool)
     lines = (tmp_path / "cls.csv").read_text().splitlines()
     assert len(lines) == 1 + len(doc["groups"])
+    meta = json.loads((tmp_path / "cls.meta.json").read_text())
+    # the mirror fixes each chain's middle site: 2 pairs + 2 fixed (+1), 2 pairs (-1)
+    assert meta["dim"] == 6 and meta["block_dims"] == [4, 2]
+    assert meta["seconds"] >= 0
+
+
+@pytest.mark.parametrize("tol, code", [("nan", 2), ("inf", 2), ("-1", 2), ("0", 0)])
+def test_classify_validates_the_degeneracy_tolerance(capsys, tol, code):
+    argv = ("classify", "--parallel-chains", "4", "--k", "2", "--degeneracy-tol", tol)
+    assert run(*argv) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert "--degeneracy-tol must be finite and non-negative" in err and out == ""
+    else:
+        # 0 groups only neighbours within 1e-12: the default's 7 groups stay
+        doc = json.loads(out)
+        assert len(doc["groups"]) == 7 and doc["has_degenerate_mixed"] is True
 
 
 def test_classify_needs_a_source():

@@ -22,7 +22,6 @@ from spinmirror.dynamics import (
     has_degenerate_mixed_group,
     mirror_propagator,
     mirroring_report,
-    permutation_operator,
     permuted_ranks,
     phase_network_fit,
     transfer_fidelity,
@@ -46,7 +45,14 @@ from spinmirror.sectors import (
     from_sector_state,
 )
 
-from oracles import pauli_hamiltonian, restrict_to_sector, sector_masks, sector_propagation
+from oracles import (
+    classify_groups,
+    pauli_hamiltonian,
+    permutation_operator,
+    restrict_to_sector,
+    sector_masks,
+    sector_propagation,
+)
 
 
 def random_graph(site_count, n_edges, seed):
@@ -164,7 +170,7 @@ def test_permuted_ranks_small():
     basis = enumerate_sector_basis(2, 1)
     sym = symmetry_map(build_chain(2), "vertical_axis")
     assert list(permuted_ranks(basis, sym)) == [1, 0]
-    P = permutation_operator(basis, sym).toarray()
+    P = permutation_operator(list(basis.masks), sym.perm)
     assert np.array_equal(P, [[0, 1], [1, 0]])
 
 
@@ -231,7 +237,8 @@ def test_classify_vectors_are_genuine_symmetry_eigenvectors():
 
 # -- both sides of the dense limit, and the growing index of evolve_sparse -----
 
-PRODUCT_4X4 = product_lattice_couplings(christandl_chain(4), christandl_chain(4)).to_graph()
+PRODUCT_4X4_PATTERN = product_lattice_couplings(christandl_chain(4), christandl_chain(4))
+PRODUCT_4X4 = PRODUCT_4X4_PATTERN.to_graph()
 MASK_4X4_K5 = 0b1001000100101  # sites 0, 2, 5, 8, 12
 
 
@@ -338,6 +345,19 @@ def assert_report_matches_pauli(rep, pattern, sym, tol):
     assert rep.min_modulus == rep.moduli.min()
 
 
+def assert_columns_match_sector_oracle(rep, pattern, sym, tol):
+    rows = permuted_ranks(rep.basis, sym)
+    edges = pattern.to_graph().edges
+    site_count = pattern.geometry.site_count
+    for x in np.random.default_rng(0).choice(rep.basis.dim, size=3, replace=False):
+        mask = int(rep.basis.masks[x])
+        masks, col = sector_propagation(site_count, edges, rep.k, {mask: 1.0}, rep.t)
+        assert np.array_equal(masks, rep.basis.masks)
+        assert abs(rep.moduli[x] * rep.phases[x] - col[rows[x]]) < tol
+        col[rows[x]] = 0.0
+        assert rep.max_offtarget >= np.abs(col).max() - tol
+
+
 @pytest.mark.parametrize("k", range(1, 9))
 def test_parity_block_report_matches_pauli_oracle(k):
     # the centre site of the 3x3 lattice is fixed by the rotation, so every
@@ -385,7 +405,7 @@ def test_report_without_exact_symmetry_takes_dense_path(make, k):
         # symmetric within 1e-15: a tolerance would wrongly call it commuting
         assert check_symmetry(pattern, sym) and not check_symmetry(pattern, sym, tol=0.0)
     rep = mirroring_report(pattern, k, sym, 1.3)
-    assert rep.backend == "dense" and rep.block_dims == ()
+    assert rep.backend == "full-sector" and rep.block_dims == (rep.basis.dim,)
     assert_report_matches_pauli(rep, pattern, sym, 1e-12)
 
 
@@ -407,33 +427,93 @@ def test_parity_blocks_diagonalize_each_block_once(monkeypatch):
     assert shapes == [(66, 66), (60, 60)]
 
 
-@pytest.mark.parametrize("k, backend", [(3, "parity-blocks"), (4, "krylov-columns")])
-def test_parity_block_switch_on_both_sides_of_the_limit(monkeypatch, k, backend):
-    # with the limit at 60, k=3 (dim 84, blocks 44 + 40) fits as blocks
-    # although the whole sector does not; k=4 (blocks 66 + 60) does not fit
-    monkeypatch.setattr(dynamics, "DENSE_DIM_LIMIT", 60)
-    sym = symmetry_map(ROT_3X3.geometry, "rotation_pi")
-    rep = mirroring_report(ROT_3X3, k, sym, 1.3)
-    assert rep.backend == backend
-    assert_report_matches_pauli(rep, ROT_3X3, sym, 1e-12 if k == 3 else 1e-9)
-
-
 def test_product_lattice_k5_report_in_parity_blocks(monkeypatch):
-    # dim 4368 is past the dense limit; its blocks (2184 each) are not
+    # dim 4368 in two blocks of 2184, read off the blocks without evolving columns
     columns = []
     monkeypatch.setattr(dynamics, "evolve", lambda *args: columns.append(args))
-    c = christandl_chain(4)
-    pat = product_lattice_couplings(c, c)
-    sym = symmetry_map(pat.geometry, "rotation_pi")
-    t = c.nominal_transfer_time
-    rep = mirroring_report(pat, 5, sym, t)
+    sym = symmetry_map(PRODUCT_4X4_PATTERN.geometry, "rotation_pi")
+    t = christandl_chain(4).nominal_transfer_time
+    rep = mirroring_report(PRODUCT_4X4_PATTERN, 5, sym, t)
     assert columns == []
     assert rep.backend == "parity-blocks" and rep.block_dims == (2184, 2184)
-    rows = permuted_ranks(rep.basis, sym)
-    for x in np.random.default_rng(0).choice(rep.basis.dim, size=3, replace=False):
-        mask = int(rep.basis.masks[x])
-        masks, col = sector_propagation(16, PRODUCT_4X4.edges, 5, {mask: 1.0}, t)
-        assert np.array_equal(masks, rep.basis.masks)
-        assert abs(rep.moduli[x] * rep.phases[x] - col[rows[x]]) < 1e-9
-        col[rows[x]] = 0.0
-        assert rep.max_offtarget >= np.abs(col).max() - 1e-9
+    assert_columns_match_sector_oracle(rep, PRODUCT_4X4_PATTERN, sym, 1e-9)
+
+
+def test_full_sector_report_matches_sector_oracle(monkeypatch):
+    # a 4x4 pattern that breaks the rotation: one block of dim 1820, no evolve
+    columns = []
+    monkeypatch.setattr(dynamics, "evolve", lambda *args: columns.append(args))
+    rng = np.random.default_rng(11)
+    pattern = CouplingPattern(build_square_lattice(4), rng.uniform(0.5, 1.5, (3, 4)),
+                              rng.uniform(0.5, 1.5, (4, 3)))
+    sym = symmetry_map(pattern.geometry, "rotation_pi")
+    rep = mirroring_report(pattern, 4, sym, 1.3)
+    assert columns == []
+    assert rep.backend == "full-sector" and rep.block_dims == (1820,)
+    assert_columns_match_sector_oracle(rep, pattern, sym, 1e-9)
+
+
+# -- spectrum classification against a dense-permutation oracle ----------------
+
+
+def assert_classify_matches_oracle(pattern, k, sym, tol=None):
+    groups = classify_spectrum(build_sector_hamiltonian(pattern, k), sym, tol)
+    ref = classify_groups(pattern.geometry.site_count, pattern.to_graph().edges, k, sym.perm, tol)
+    assert [(g.multiplicity, g.vector_symmetries) for g in groups] == [
+        (m, labels) for _, m, labels in ref
+    ]
+    assert [g.label for g in groups] == [
+        "+1" if set(labels) == {1} else "-1" if set(labels) == {-1} else "mixed"
+        for _, _, labels in ref
+    ]
+    assert max(abs(g.eigenvalue - e) for g, (e, _, _) in zip(groups, ref)) < 1e-12
+    return groups
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("mirror", ["rotation_pi", "vertical_axis"])
+def test_classify_matches_oracle_on_the_product_lattice(k, mirror):
+    groups = assert_classify_matches_oracle(PRODUCT_4X4_PATTERN, k,
+                                            symmetry_map(PRODUCT_4X4_PATTERN.geometry, mirror))
+    assert all(g.max_symmetry_defect == 0.0 for g in groups)
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_classify_matches_oracle_on_parallel_chains(k):
+    pat = parallel_chain_pattern(christandl_chain(4), 2)
+    groups = assert_classify_matches_oracle(pat, k, symmetry_map(pat.geometry, "vertical_axis"))
+    assert all(g.max_symmetry_defect == 0.0 for g in groups)
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_classify_tolerant_path_matches_oracle(monkeypatch, k):
+    # commutes within 1e-15 only: the full sector is diagonalized and the
+    # mirror projected per group, with the defect measured
+    def no_blocks(*args):
+        raise AssertionError("parity blocks for a pattern that does not commute exactly")
+
+    monkeypatch.setattr(dynamics, "_parity_blocks", no_blocks)
+    pattern = nearly_symmetric_3x3()
+    groups = assert_classify_matches_oracle(pattern, k, symmetry_map(pattern.geometry, "rotation_pi"))
+    assert 0.0 < max(g.max_symmetry_defect for g in groups) <= 1e-8
+
+
+def test_classify_exact_path_solves_the_two_blocks(monkeypatch):
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    def no_full_eig(self):
+        raise AssertionError("full-sector eigendecomposition on the exact path")
+
+    H = build_sector_hamiltonian(ROT_3X3, 4)
+    sym = symmetry_map(ROT_3X3.geometry, "rotation_pi")
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    monkeypatch.setattr(SectorHamiltonian, "eig", no_full_eig)
+    groups = classify_spectrum(H, sym)
+    assert shapes == [(66, 66), (60, 60)]
+    assert [sum(g.vector_symmetries.count(s) for g in groups) for s in (1, -1)] == [66, 60]
+    assert all(g.max_symmetry_defect == 0.0 for g in groups)
