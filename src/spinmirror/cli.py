@@ -38,6 +38,7 @@ from .dynamics import (
     transfer_fidelity,
 )
 from .lattice import (
+    SYMMETRY_NAMES,
     build_square_lattice,
     random_symmetric_pattern,
     symmetry_map,
@@ -443,8 +444,7 @@ def build_parser():
     p.add_argument("--pattern-file")
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--mirror", choices=("rotation_pi", "vertical_axis", "horizontal_axis",
-                                        "main_diagonal", "anti_diagonal"))
+    p.add_argument("--mirror", choices=SYMMETRY_NAMES)
     p.add_argument("--t", type=float, default=None)
     p.add_argument("--require-min", type=float, default=None)
 
@@ -462,9 +462,7 @@ def build_parser():
                    help="two uncoupled engineered chains of this length")
     p.add_argument("--pattern-file")
     p.add_argument("--k", type=int, default=2)
-    p.add_argument("--sym", default="vertical_axis",
-                   choices=("rotation_pi", "vertical_axis", "horizontal_axis",
-                            "main_diagonal", "anti_diagonal"))
+    p.add_argument("--sym", default="vertical_axis", choices=SYMMETRY_NAMES)
     p.add_argument("--degeneracy-tol", type=float, default=None)
 
     p = add("optimize", cmd_optimize, "preset coupling searches and grid probes")
@@ -480,7 +478,7 @@ def build_parser():
     p.add_argument("--pattern-file")
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--mirror", choices=("rotation_pi", "vertical_axis", "horizontal_axis"))
+    p.add_argument("--mirror", choices=SYMMETRY_NAMES)
     p.add_argument("--tmax", type=float, default=None)
     p.add_argument("--points", type=int, default=500)
     p.add_argument("--source", default=None, help="flat site or i,j (transfer mode)")

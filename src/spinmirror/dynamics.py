@@ -36,6 +36,7 @@ from .sectors import (
 DENSE_DIM_LIMIT = 4096
 KRYLOV_DIM = 30
 KRYLOV_TOL = 1e-10
+KRYLOV_BREAKDOWN = 1e-13  # a residual norm this small ends the Krylov space
 
 
 def apply_hamiltonian(graph, psi: SparseState) -> SparseState:
@@ -99,22 +100,22 @@ class _HopOperator:
 # -- Krylov propagation -------------------------------------------------------
 
 
-def _lanczos_step(matvec, lift, v, tau, m, breakdown_tol):
+def _lanczos_step(matvec, lift, v, tau):
     """One Krylov step: approximate exp(-i*tau*H) v for a unit vector v.
 
     matvec may return a vector over a grown index; lift then carries the
     stored basis onto it. Returns (w, err_estimate).
     """
     # np.zeros leaves untouched rows unmapped, so unused capacity costs no memory
-    V = np.zeros((m, len(v)), np.complex128)
+    V = np.zeros((KRYLOV_DIM, len(v)), np.complex128)
     V[0] = v
     alphas, betas = [], []
     broke_down = False
-    for j in range(m):
+    for j in range(KRYLOV_DIM):
         w = matvec(V[j])
         if len(w) != V.shape[1]:
             live = lift(V[: j + 1])
-            V = np.zeros((m, len(w)), np.complex128)
+            V = np.zeros((KRYLOV_DIM, len(w)), np.complex128)
             V[: j + 1] = live
         alpha = np.vdot(V[j], w).real
         w -= alpha * V[j]
@@ -126,11 +127,11 @@ def _lanczos_step(matvec, lift, v, tau, m, breakdown_tol):
         w -= basis.T @ np.conj(basis @ np.conj(w))
         alphas.append(alpha)
         beta = np.linalg.norm(w)
-        if beta <= breakdown_tol:
+        if beta <= KRYLOV_BREAKDOWN:
             broke_down = True
             break
         betas.append(beta)
-        if j + 1 < m:
+        if j + 1 < KRYLOV_DIM:
             V[j + 1] = w / beta
     j = len(alphas)
     T = np.diag(alphas)
@@ -143,8 +144,8 @@ def _lanczos_step(matvec, lift, v, tau, m, breakdown_tol):
     return approx, err
 
 
-def _krylov_expm(matvec, v, t, lift=lambda x: x, m=KRYLOV_DIM, tol=KRYLOV_TOL):
-    """Adaptive-substep Lanczos propagation of exp(-iHt) v."""
+def _krylov_expm(matvec, v, t, lift=lambda x: x):
+    """Adaptive-substep Lanczos propagation of exp(-iHt) v to a 2-norm error <= KRYLOV_TOL."""
     norm_v = np.linalg.norm(v)
     if norm_v == 0.0 or t == 0.0:
         return v
@@ -154,9 +155,9 @@ def _krylov_expm(matvec, v, t, lift=lambda x: x, m=KRYLOV_DIM, tol=KRYLOV_TOL):
     while abs(remaining) > 0:
         if abs(tau) > abs(remaining):
             tau = remaining
-        budget = tol * abs(tau) / abs(t)
+        budget = KRYLOV_TOL * abs(tau) / abs(t)
         # a rejected substep may have grown the index past current's
-        w, err = _lanczos_step(matvec, lift, lift(current), tau, m, 1e-13)
+        w, err = _lanczos_step(matvec, lift, lift(current), tau)
         if err > budget and abs(tau) > 1e-12 * abs(t):
             tau = tau / 2
             continue
@@ -183,8 +184,8 @@ def evolve(H: SectorHamiltonian, psi: SectorState, t: float) -> SectorState:
     return SectorState(psi.basis, amps)
 
 
-def evolve_sparse(graph, psi: SparseState, t: float, tol: float = KRYLOV_TOL) -> SparseState:
-    """Matrix-free Lanczos evolution of a SparseState.
+def evolve_sparse(graph, psi: SparseState, t: float) -> SparseState:
+    """Matrix-free Lanczos evolution of a SparseState, to a 2-norm error <= 1e-10.
 
     The Krylov vectors are plain arrays over one sorted mask index. It starts
     as psi's support and grows to index | hops(index) with every product by
@@ -200,7 +201,7 @@ def evolve_sparse(graph, psi: SparseState, t: float, tol: float = KRYLOV_TOL) ->
     if graph.site_count != psi.site_count:
         raise ValueError("graph and state have different site counts")
     op = _HopOperator(graph, psi.masks)
-    amps = _krylov_expm(op.matvec, psi.amps, t, lift=op.lift, tol=tol)
+    amps = _krylov_expm(op.matvec, psi.amps, t, lift=op.lift)
     return SparseState(psi.site_count, op.masks, amps)
 
 
@@ -445,8 +446,10 @@ class PhaseFit:
     ok: bool
 
 
-def phase_network_fit(phases: np.ndarray, basis: SectorBasis, sym: SymmetryMap | None = None) -> PhaseFit:
+def phase_network_fit(phases: np.ndarray, basis: SectorBasis) -> PhaseFit:
     """Fit the mirrored phases to a sector constant times a pairwise sign.
+
+    phases are MirroringReport.phases, one per basis state in rank order.
 
     Within a single sector every basis state has the same number of
     excitation pairs, C(k,2), so the two signs fit equally well and only the

@@ -11,7 +11,6 @@ from __future__ import annotations
 import datetime
 import hashlib
 import json
-import sys
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -21,12 +20,10 @@ from .chains import ChainCouplings
 from .lattice import (
     CouplingPattern,
     ExchangeGraph,
-    Geometry,
     build_chain,
     build_rect_lattice,
     build_square_lattice,
 )
-from .sectors import SparseState
 
 SCHEMA_VERSION = "1"
 
@@ -83,12 +80,12 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
             f.write(",".join(_format_cell(v) for v in row) + "\n")
 
 
-def write_meta(path, argv: Sequence[str] | None = None, extra: dict | None = None) -> None:
+def write_meta(path, argv: Sequence[str], extra: dict | None = None) -> None:
     """Sidecar metadata: the only artifact that carries a timestamp."""
     meta = {
         "tool": f"spinmirror {__version__}",
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "argv": list(argv if argv is not None else sys.argv),
+        "argv": list(argv),
     }
     if extra:
         meta.update(_py(extra))
@@ -169,30 +166,3 @@ def chain_to_obj(chain: ChainCouplings) -> dict:
         "couplings": _py(list(chain.couplings)),
         "transfer_time": None if chain.nominal_transfer_time is None else float(chain.nominal_transfer_time),
     }
-
-
-def chain_from_obj(obj: dict) -> ChainCouplings:
-    return ChainCouplings(
-        int(obj["n"]),
-        tuple(float(c) for c in obj["couplings"]),
-        None if obj.get("transfer_time") is None else float(obj["transfer_time"]),
-    )
-
-
-def state_to_obj(state: SparseState) -> dict:
-    """Amplitudes as (bitmask, re, im) triples."""
-    return {
-        "sites": state.site_count,
-        "amplitudes": [
-            [int(m), float(a.real), float(a.imag)] for m, a in zip(state.masks, state.amps)
-        ],
-    }
-
-
-def state_from_obj(obj: dict) -> SparseState:
-    triples = obj["amplitudes"]
-    return SparseState(
-        int(obj["sites"]),
-        np.array([t[0] for t in triples], dtype=np.int64),
-        np.array([complex(t[1], t[2]) for t in triples], dtype=np.complex128),
-    )

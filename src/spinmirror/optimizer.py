@@ -40,7 +40,7 @@ from .witness import (
 )
 
 COUPLING_BOX = (0.05, 10.0)
-DEFAULT_GRID_POINTS = 400
+TIME_GRID_POINTS = 400
 _GOLDEN = (math.sqrt(5) - 1) / 2
 _NEWTON_MAX_ITERS = 64
 
@@ -51,15 +51,14 @@ class Objective:
 
     sector_average is (1/dim) * sum_x |U_{perm(x),x}|, insensitive to the
     mirroring phases. single_state tracks |<mirror(state)| e^{-iHt} |state>|
-    and accepts states that straddle sectors.
+    and accepts states that straddle sectors. The time window is not part of
+    the objective: evaluate_objective derives it from the pattern.
     """
 
     kind: str
     mirror: SymmetryMap
     k: int | None = None
     state: SparseState | None = None
-    time_window: tuple[float, float] | None = None
-    time_grid_points: int = DEFAULT_GRID_POINTS
 
     def __post_init__(self):
         if self.kind not in ("single_state", "sector_average"):
@@ -68,8 +67,15 @@ class Objective:
             raise ValueError("sector_average needs a sector k")
         if self.kind == "single_state" and self.state is None:
             raise ValueError("single_state needs a state")
-        if self.time_grid_points < 2:
-            raise ValueError("need at least 2 time grid points")
+
+
+def _time_horizon(weights) -> float:
+    """End of the time window [0, 8 pi / mean |w|] over edge weights; 1 if all are zero."""
+    mean = float(np.mean(np.abs(weights))) if len(weights) else 0.0
+    t1 = 8 * math.pi / mean if mean > 0 else 1.0
+    if not (np.isfinite(t1) and t1 > 0):
+        raise ValueError("bad time window")
+    return t1
 
 
 def _objective_propagator(graph, objective: Objective) -> Propagator:
@@ -192,12 +198,13 @@ def evaluate_objective(
 ) -> tuple[float, float]:
     """Best objective value over the time window and its argmax time.
 
-    A coarse grid (time_grid_points over the window) is refined around the
-    incumbent three times at 10x resolution, then polished by a safeguarded
-    Newton iteration on the time derivative of the mean modulus, from the
-    closed-form derivatives of the Propagator. The grid incumbent stands when
-    the polish finds no better point; counts, if given, tallies the polish.
-    Deterministic for fixed inputs.
+    The window is [0, 8 pi / mean |w|] over the edge weights ([0, 1] if all
+    are zero; ValueError if not finite). A grid of TIME_GRID_POINTS over it is
+    refined around the incumbent three times at 10x resolution, then polished
+    by a safeguarded Newton iteration on the time derivative of the mean
+    modulus, from the closed-form derivatives of the Propagator. The grid
+    incumbent stands when the polish finds no better point; counts, if given,
+    tallies the polish. Deterministic for fixed inputs.
     """
     graph = _as_graph(pattern)
     prop = _objective_propagator(graph, objective)
@@ -207,24 +214,20 @@ def evaluate_objective(
         # mean over the mirrored entries; a single-state objective has one
         return np.abs(np.atleast_2d(prop.amplitudes(ts))).mean(axis=0)
 
-    weights = [abs(w) for _, _, w in graph.edges]
-    mean = float(np.mean(weights)) if weights else 0.0
-    t0, t1 = objective.time_window or (0.0, 8 * math.pi / mean if mean > 0 else 1.0)
-    if not (np.isfinite(t0) and np.isfinite(t1) and t1 > t0):
-        raise ValueError("bad time window")
-    ts = np.linspace(t0, t1, objective.time_grid_points)
+    t1 = _time_horizon([w for _, _, w in graph.edges])
+    ts = np.linspace(0.0, t1, TIME_GRID_POINTS)
     vals = values(ts)
     i = int(np.argmax(vals))
     best_t, best_v = float(ts[i]), float(vals[i])
-    width = (t1 - t0) / (objective.time_grid_points - 1)
+    width = t1 / (TIME_GRID_POINTS - 1)
     for _ in range(3):
-        local = np.linspace(max(t0, best_t - width), min(t1, best_t + width), 21)
+        local = np.linspace(max(0.0, best_t - width), min(t1, best_t + width), 21)
         lv = values(local)
         j = int(np.argmax(lv))
         if lv[j] > best_v:
             best_v, best_t = float(lv[j]), float(local[j])
         width /= 10
-    lo = max(t0, best_t - 10 * width)
+    lo = max(0.0, best_t - 10 * width)
     hi = min(t1, best_t + 10 * width)
     polished = _newton_max(prop, lo, hi, best_t, 1e-12 * max(1.0, abs(t1)), counts)
     if polished is not None and polished[1] > best_v:
@@ -244,7 +247,6 @@ class OptimizationRun:
     seed: int = 0
     max_iters: int = 40
     initial_pattern: CouplingPattern | None = None
-    box: tuple[float, float] = COUPLING_BOX
     best_pattern: CouplingPattern | None = None
     best_time: float = 0.0
     best_value: float = -1.0
@@ -274,7 +276,7 @@ def _pattern_of(run: OptimizationRun, orbits, params) -> CouplingPattern:
 
 
 def optimize(run: OptimizationRun, objective: Objective) -> OptimizationRun:
-    """Maximize the objective over orbit parameters inside the coupling box.
+    """Maximize the objective over orbit parameters inside COUPLING_BOX.
 
     The best-value trace is non-decreasing, every evaluated pattern respects
     the constraint group, and identical (seed, config) reproduce the run
@@ -282,9 +284,11 @@ def optimize(run: OptimizationRun, objective: Objective) -> OptimizationRun:
     """
     if run.method not in ("coordinate_descent", "nelder_mead_on_free_parameters"):
         raise ValueError(f"unknown method {run.method!r}")
+    if run.max_iters < 0:
+        raise ValueError(f"--max-iters must be non-negative, got {run.max_iters}")
     started = time.perf_counter()
     orbits = _orbits_of(run)
-    lo, hi = run.box
+    lo, hi = COUPLING_BOX
     if run.initial_pattern is not None:
         w = run.initial_pattern.edge_weights()
         params = np.array([w[orbit[0]] for orbit in orbits])
@@ -363,17 +367,17 @@ def optimize_with_restarts(
     objective: Objective,
     seed: int = 0,
     n_restarts: int = 8,
-    method: str = "coordinate_descent",
     max_iters: int = 40,
     initial_pattern: CouplingPattern | None = None,
 ) -> tuple[OptimizationRun, list[OptimizationRun]]:
-    """Run optimize from n_restarts seeded starting patterns; return the best."""
+    """Run coordinate descent from n_restarts seeded starting patterns; return the best."""
+    if n_restarts < 1:
+        raise ValueError(f"--restarts must be at least 1, got {n_restarts}")
     runs = []
     for r in range(n_restarts):
         run = OptimizationRun(
             geometry=geometry,
             constraint_group=tuple(group),
-            method=method,
             seed=seed + r,
             max_iters=max_iters,
             initial_pattern=initial_pattern if r == 0 else None,
@@ -436,16 +440,13 @@ class Probe2x2Result:
     rows: tuple[tuple[float, float, float], ...] = field(repr=False)
 
 
-def probe_2x2(
-    n_ratios: int = 200,
-    n_times: int = 2000,
-    ratio_range: tuple[float, float] = COUPLING_BOX,
-) -> Probe2x2Result:
+def probe_2x2(n_ratios: int = 200, n_times: int = 2000) -> Probe2x2Result:
     """Grid the 2x2 rotation-symmetric patterns and the time axis.
 
     The rotation group leaves two edge orbits (the two vertical couplings and
     the two horizontal ones); by scale invariance the vertical value is
-    pinned to 1 and only the ratio is scanned. The figure of merit at each
+    pinned to 1 and only the ratio is scanned, log-spaced across COUPLING_BOX,
+    with n_times steps up to 8 pi / mean |w|. The figure of merit at each
     (ratio, t) is the worst mirrored modulus over all 16 basis states. The
     observed supremum is numerical evidence, not a proof of anything.
     """
@@ -456,7 +457,7 @@ def probe_2x2(
     orbits = edge_orbits(g, (rot,))
     if len(orbits) != 2:
         raise RuntimeError("unexpected orbit structure on the 2x2 lattice")
-    lo, hi = ratio_range
+    lo, hi = COUPLING_BOX
     ratios = np.exp(np.linspace(math.log(lo), math.log(hi), n_ratios))
     rows = []
     sup, bratio, btime = -1.0, lo, 0.0
@@ -465,7 +466,7 @@ def probe_2x2(
         for orbit, v in zip(orbits, (1.0, float(r))):
             weights[orbit] = v
         pat = pattern_from_weights(g, weights)
-        tmax = 8 * math.pi / float(np.mean(np.abs(weights)))
+        tmax = _time_horizon(weights)
         ts = tmax * np.arange(1, n_times + 1) / n_times
         mins = np.ones(n_times)
         for k in (1, 2, 3):
@@ -481,7 +482,7 @@ def probe_2x2(
         best_time=btime,
         n_ratios=n_ratios,
         n_times=n_times,
-        ratio_range=ratio_range,
+        ratio_range=COUPLING_BOX,
         rows=tuple(rows),
     )
 

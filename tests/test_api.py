@@ -1,0 +1,103 @@
+"""The public API as users meet it: the README example and the parameter names.
+
+A change to a name below is a deliberate API change; CHANGES.md lists it.
+"""
+
+import inspect
+from pathlib import Path
+
+import spinmirror
+
+# tuple(inspect.signature(obj).parameters) for every callable in spinmirror.__all__
+PUBLIC_PARAMETERS = {
+    "Certificate": ("pattern_hash", "residual", "initial_target_overlap", "conclusion",
+                    "reason", "r_cross_symmetric"),
+    "ChainCouplings": ("n", "couplings", "nominal_transfer_time"),
+    "CouplingPattern": ("geometry", "J", "K"),
+    "ExchangeGraph": ("site_count", "edges"),
+    "Geometry": ("kind", "rows", "cols"),
+    "MirroringReport": ("k", "t", "sym_name", "min_modulus", "max_offtarget", "moduli",
+                        "phases", "basis", "backend", "block_dims"),
+    "Objective": ("kind", "mirror", "k", "state"),
+    "OptimizationRun": ("geometry", "constraint_group", "method", "seed", "max_iters",
+                        "initial_pattern", "best_pattern", "best_time", "best_value",
+                        "trace", "evaluations", "time_polish", "wall_clock", "completed"),
+    "PhaseFit": ("global_phase", "pair_phase_sign", "residual", "ok"),
+    "PolishCounts": ("newton_steps", "bisections", "kept_incumbent"),
+    "Probe2x2Result": ("supremum", "best_ratio", "best_time", "n_ratios", "n_times",
+                       "ratio_range", "rows"),
+    "SectorBasis": ("site_count", "k", "masks"),
+    "SectorHamiltonian": ("basis", "mat", "_eig"),
+    "SectorState": ("basis", "amplitudes"),
+    "SparseState": ("site_count", "masks", "amps"),
+    "SpectrumGroup": ("eigenvalue", "multiplicity", "label", "vector_symmetries",
+                      "max_symmetry_defect"),
+    "SymmetryMap": ("name", "perm"),
+    "WitnessSpec": ("n", "diagonal_state"),
+    "apply_hamiltonian": ("graph", "psi"),
+    "basis_state": ("basis", "mask"),
+    "build_chain": ("n",),
+    "build_rect_lattice": ("rows", "cols"),
+    "build_sector_hamiltonian": ("graph", "k"),
+    "build_square_lattice": ("n",),
+    "build_witness": ("spec",),
+    "chain_pattern": ("chain",),
+    "check_symmetry": ("pattern", "sym", "tol"),
+    "christandl_chain": ("n", "scale"),
+    "classify_spectrum": ("H", "sym", "degeneracy_tol"),
+    "diagonal_basis_state": ("n", "bits"),
+    "edge_orbits": ("geometry", "group"),
+    "enumerate_sector_basis": ("site_count", "k"),
+    "evaluate_objective": ("pattern", "objective", "counts"),
+    "evolve": ("H", "psi", "t"),
+    "evolve_sparse": ("graph", "psi", "t"),
+    "evolve_state": ("graph", "psi", "t"),
+    "from_sector_state": ("state",),
+    "group_closure": ("maps",),
+    "has_degenerate_mixed_group": ("groups",),
+    "impossibility_certificate": ("pattern", "diag_initial", "mirror"),
+    "manhattan_distance": ("geometry", "a", "b"),
+    "measured_transfer_modulus": ("chain", "t"),
+    "mirroring_report": ("pattern", "k", "sym", "t"),
+    "optimize": ("run", "objective"),
+    "optimize_with_restarts": ("geometry", "group", "objective", "seed", "n_restarts",
+                               "max_iters", "initial_pattern"),
+    "pair_sign": ("distance",),
+    "parallel_chain_pattern": ("chain", "n_rows"),
+    "pattern_from_graph": ("graph", "geometry"),
+    "pattern_from_weights": ("geometry", "weights"),
+    "permuted_ranks": ("basis", "sym"),
+    "phase_network_fit": ("phases", "basis"),
+    "phi_pair": ("sign",),
+    "popcount": ("masks",),
+    "probe_2x2": ("n_ratios", "n_times"),
+    "product_lattice_couplings": ("row_chain", "col_chain"),
+    "random_symmetric_pattern": ("geometry", "group", "seed", "coupling_range"),
+    "single_excitation_hopping": ("chain",),
+    "symmetrize_pattern": ("pattern", "group"),
+    "symmetry_map": ("geometry", "name"),
+    "transfer_fidelity": ("pattern", "source", "target", "t"),
+    "uniform_chain": ("n", "strength"),
+    "uniform_pattern": ("geometry", "strength"),
+    "verify_odd_distance": ("graph", "witness"),
+    "verify_zero_energy": ("graph", "witness"),
+    "witness_ceiling": ("pattern", "objective"),
+    "witness_subspace_basis": ("n",),
+}
+
+
+def test_public_parameter_names_are_pinned():
+    # names only: annotation text differs between Python versions
+    found = {
+        name: tuple(inspect.signature(obj).parameters)
+        for name in spinmirror.__all__
+        if callable(obj := getattr(spinmirror, name))
+    }
+    assert found == PUBLIC_PARAMETERS
+
+
+def test_readme_library_quickstart_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library quickstart", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    assert "import" in block and "assert" in block
+    exec(compile(block, "README.md", "exec"), {})

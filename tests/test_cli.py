@@ -12,7 +12,12 @@ import pytest
 
 from spinmirror import __version__, dynamics, jsonio
 from spinmirror.cli import build_parser, main
-from spinmirror.lattice import ExchangeGraph, build_square_lattice, uniform_pattern
+from spinmirror.lattice import (
+    SYMMETRY_NAMES,
+    ExchangeGraph,
+    build_square_lattice,
+    uniform_pattern,
+)
 
 
 def run(*argv):
@@ -269,6 +274,24 @@ def test_scan_mirror_mode(capsys):
     assert doc["best_min_modulus"] >= 1 - 1e-9
 
 
+@pytest.mark.parametrize("pattern, code", [("christandl-product", 0), ("christandl-chain", 2)])
+def test_scan_takes_every_mirror_name(pattern, code, capsys):
+    assert run("scan", "--pattern", pattern, "--n", "3", "--mirror", "main_diagonal",
+               "--points", "20") == code
+    out, err = capsys.readouterr()
+    if code:
+        assert "requires a square geometry" in err
+    else:
+        assert json.loads(out)["mirror"] == "main_diagonal"
+
+
+def test_mirror_choices_are_the_symmetry_names():
+    _, subparsers = build_parser()
+    for command, dest in (("mirror", "mirror"), ("classify", "sym"), ("scan", "mirror")):
+        action = next(a for a in subparsers[command]._actions if a.dest == dest)
+        assert tuple(action.choices) == SYMMETRY_NAMES
+
+
 def test_scan_transfer_needs_both_sites():
     assert run("scan", "--pattern", "christandl-chain", "--n", "3", "--source", "1") == 2
 
@@ -380,6 +403,22 @@ def test_optimize_sidecar_counts_the_time_polish(tmp_path, preset):
     first = [(tmp_path / ("opt" + ext)).read_bytes() for ext in (".json", ".csv")]
     assert run(*argv) == 0
     assert [(tmp_path / ("opt" + ext)).read_bytes() for ext in (".json", ".csv")] == first
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("--preset", "chain-4-pst", "--restarts", "0"), "--restarts"),
+    (("--preset", "rx-3x3-witness", "--restarts", "0"), "--restarts"),
+    (("--preset", "chain-4-pst", "--max-iters", "-1"), "--max-iters"),
+    (("--preset", "rx-3x3-witness", "--restarts", "1", "--max-iters", "-1"), "--max-iters"),
+    (("--preset", "rx-3x3-witness", "--restarts", "1", "--max-iters", "0"), None),
+])
+def test_optimize_validates_search_sizes(argv, flag, capsys):
+    code = run("optimize", *argv)
+    out, err = capsys.readouterr()
+    if flag is None:
+        assert code == 0 and len(json.loads(out)["restarts"]) == 1
+    else:
+        assert code == 2 and flag in err and out == ""
 
 
 def test_optimize_unknown_preset_rejected():

@@ -15,6 +15,8 @@ from spinmirror.lattice import (
     uniform_pattern,
 )
 from spinmirror.optimizer import (
+    COUPLING_BOX,
+    TIME_GRID_POINTS,
     Objective,
     OptimizationRun,
     PolishCounts,
@@ -43,8 +45,14 @@ def test_objective_validation():
         Objective(kind="sector_average", mirror=rot)
     with pytest.raises(ValueError, match="state"):
         Objective(kind="single_state", mirror=rot)
-    with pytest.raises(ValueError, match="grid"):
-        Objective(kind="sector_average", mirror=rot, k=1, time_grid_points=1)
+
+
+def test_time_window_must_be_finite():
+    # the window ends at 8 pi / mean |w|, which overflows for subnormal couplings
+    g = build_chain(3)
+    obj = Objective(kind="sector_average", mirror=symmetry_map(g, "vertical_axis"), k=1)
+    with pytest.raises(ValueError, match="time window"):
+        evaluate_objective(pattern_from_weights(g, [1e-320, 1e-320]), obj)
 
 
 def test_zero_pattern_average_counts_fixed_masks():
@@ -87,10 +95,10 @@ def _golden_polished(pattern, objective):
         return np.abs(np.atleast_2d(prop.amplitudes(ts))).mean(axis=0)
 
     t1 = 8 * math.pi / float(np.mean(np.abs(pattern.edge_weights())))
-    ts = np.linspace(0.0, t1, objective.time_grid_points)
+    ts = np.linspace(0.0, t1, TIME_GRID_POINTS)
     vals = values(ts)
     best_t, best_v = float(ts[np.argmax(vals)]), float(vals.max())
-    width = t1 / (objective.time_grid_points - 1)
+    width = t1 / (TIME_GRID_POINTS - 1)
     for _ in range(3):
         local = np.linspace(max(0.0, best_t - width), min(t1, best_t + width), 21)
         lv = values(local)
@@ -279,5 +287,8 @@ def test_probe_2x2_is_deterministic():
     assert all(len(row) == 3 for row in a.rows)
     assert a.supremum == max(row[1] for row in a.rows)
     assert 0.0 < a.supremum <= 1.0 + 1e-12
+    assert a.ratio_range == COUPLING_BOX
+    assert a.rows[0][0] == pytest.approx(COUPLING_BOX[0], rel=1e-12)
+    assert a.rows[-1][0] == pytest.approx(COUPLING_BOX[1], rel=1e-12)
     with pytest.raises(ValueError):
         probe_2x2(n_ratios=1)

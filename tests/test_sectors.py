@@ -72,6 +72,17 @@ def test_popcount_matches_python():
     assert np.array_equal(popcount(vals), [bin(int(v)).count("1") for v in vals])
 
 
+def test_popcount_swar_fallback_matches_python(monkeypatch):
+    # numpy before 2.0 has no bitwise_count; popcount then counts bits by SWAR
+    monkeypatch.delattr(np, "bitwise_count")
+    rng = np.random.default_rng(1)
+    vals = rng.integers(0, 2**63 - 1, size=1000, dtype=np.int64, endpoint=True)
+    vals = np.append(vals, np.array([0, 1, 2**62, 2**63 - 1], dtype=np.int64))
+    counts = popcount(vals)
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, [bin(int(v)).count("1") for v in vals])
+
+
 def test_two_site_hamiltonian():
     H = build_sector_hamiltonian(chain_pattern(uniform_chain(2, 0.8)).to_graph(), 1)
     assert np.array_equal(H.mat.toarray(), [[0.0, 1.6], [1.6, 0.0]])
