@@ -299,7 +299,28 @@ def cmd_classify(args):
     )
 
 
+# the flags each preset reads, with their values when not given
+_SEARCH_FLAGS = {"seed": 0, "restarts": 8, "max_iters": 8}
+_PROBE_FLAGS = {"ratios": 200, "times": 2000}
+
+
+def _preset_flags(args):
+    """Fill in the defaults of the flags the preset reads; refuse any other."""
+    if args.preset not in PRESET_NAMES:
+        raise ValueError(f"unknown preset {args.preset!r}; choose from {PRESET_NAMES}")
+    reads = _PROBE_FLAGS if args.preset == "rodot-2x2-probe" else _SEARCH_FLAGS
+    for dest in (*_SEARCH_FLAGS, *_PROBE_FLAGS):
+        value = getattr(args, dest)
+        if dest in reads:
+            setattr(args, dest, reads[dest] if value is None else value)
+        elif value is not None:
+            flags = ", ".join("--" + d.replace("_", "-") for d in reads)
+            raise ValueError(f"--{dest.replace('_', '-')} does not apply to preset "
+                             f"{args.preset}, which reads {flags}")
+
+
 def cmd_optimize(args):
+    _preset_flags(args)
     preset = args.preset
     if preset == "rodot-2x2-probe":
         res = probe_2x2(n_ratios=args.ratios, n_times=args.times)
@@ -327,14 +348,12 @@ def cmd_optimize(args):
             f"best value {report['best_value']:.3e} exceeds witness ceiling "
             f"{report['ceiling']:.3e}"
         )
-    elif preset == "chain-4-pst":
+    else:
         report, runs = preset_chain4(
             seed=args.seed, n_restarts=args.restarts, max_iters=args.max_iters
         )
         failed = report["best_value"] < 1 - 1e-8
         message = f"best mirrored fidelity {report['best_value']:.12f} below 1-1e-8"
-    else:
-        raise ValueError(f"unknown preset {preset!r}; choose from {PRESET_NAMES}")
     obj = dict(report, schema_version=jsonio.SCHEMA_VERSION)
     rows = []
     for ri, run in enumerate(runs):
@@ -467,11 +486,12 @@ def build_parser():
 
     p = add("optimize", cmd_optimize, "preset coupling searches and grid probes")
     p.add_argument("--preset", choices=PRESET_NAMES, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=8)
-    p.add_argument("--max-iters", type=int, default=8)
-    p.add_argument("--ratios", type=int, default=200, help="ratio grid size (probe)")
-    p.add_argument("--times", type=int, default=2000, help="time grid size (probe)")
+    p.add_argument("--seed", type=int, help="search seed (default 0; searches only)")
+    p.add_argument("--restarts", type=int, help="search restarts (default 8; searches only)")
+    p.add_argument("--max-iters", type=int,
+                   help="iterations per restart (default 8; searches only)")
+    p.add_argument("--ratios", type=int, help="ratio grid size (default 200; probe only)")
+    p.add_argument("--times", type=int, help="time grid size (default 2000; probe only)")
 
     p = add("scan", cmd_scan, "fidelity curves over a time grid")
     p.add_argument("--pattern", choices=_PATTERN_PRESETS)

@@ -22,13 +22,16 @@ import scipy.sparse as sp
 
 from .lattice import CouplingPattern, ExchangeGraph, SymmetryMap, _as_graph
 from .sectors import (
+    _STRUCTURES,
     Propagator,
     SectorBasis,
     SectorHamiltonian,
     SectorState,
     SparseState,
-    _hops,
-    _sort_runs,
+    _hop_structure,
+    _live_edges,
+    _readonly,
+    _support_hops,
     build_sector_hamiltonian,
     permute_masks,
 )
@@ -43,28 +46,43 @@ def apply_hamiltonian(graph, psi: SparseState) -> SparseState:
     """Exact sparse application of H: each edge hops one excitation, weight 2w.
 
     Popcounts are preserved, and the support only grows to hop-connected
-    bitmasks (exact zero amplitudes are dropped by canonicalization).
+    bitmasks (exact zero amplitudes are dropped by canonicalization). The
+    weight-free hops of psi's support come from a bounded cache keyed on
+    (site count, endpoints of the nonzero edges, support masks), so a support
+    seen under other weights of the same topology is not sorted again.
+    Targets hit more than once sum in hop order, as SparseState merges them.
     """
     graph = _as_graph(graph)
     if graph.site_count != psi.site_count:
         raise ValueError("graph and state have different site counts")
-    rows, flipped, weights = _hops(graph, psi.masks)
-    return SparseState(psi.site_count, flipped, psi.amps[rows] * weights)
+    endpoints, weights = _live_edges(graph)
+    hops = _support_hops(graph.site_count, endpoints, psi.masks)
+    src = psi.amps[hops.rows] * hops.fill(weights)
+    out = np.zeros(len(hops.grown), np.complex128)
+    if hops.distinct:
+        out[hops.targets] = src
+    else:
+        out.real = np.bincount(hops.targets, src.real, len(out))
+        out.imag = np.bincount(hops.targets, src.imag, len(out))
+    return SparseState(psi.site_count, hops.grown, out)
 
 
 class _HopOperator:
     """H on vectors over a sorted mask index that grows to its hop closure.
 
     matvec takes a vector over the current index and returns H x over
-    index | hops(index), which then becomes the current index. Growing costs
-    one stable sort of the index and the hopped masks; the product itself is
-    a scatter over the per-hop arrays. Once an index is closed under hops,
-    its CSR matrix is built once and serves every later matvec. lift carries
-    a vector held over any earlier index onto the current one.
+    index | hops(index), which then becomes the current index. The first
+    growth step, out of the caller's support, reads its weight-free hops from
+    the cache apply_hamiltonian uses; later steps build theirs uncached, since
+    their indices rarely repeat. The product is a scatter of the filled hops.
+    Once an index is closed under hops, its CSR matrix is built once and
+    serves every later matvec. lift carries a vector held over any earlier
+    index onto the current one.
     """
 
     def __init__(self, graph: ExchangeGraph, masks: np.ndarray):
-        self.graph = graph
+        self.site_count = graph.site_count
+        self.endpoints, self.weights = _live_edges(graph)
         self.masks = masks
         self._lifts = []  # (index length, its positions in the next index, next length)
         self._csr = None
@@ -73,18 +91,20 @@ class _HopOperator:
         if self._csr is not None:
             return self._csr @ x
         n = len(self.masks)
-        rows, flipped, weights = _hops(self.graph, self.masks)
-        order, grown, run = _sort_runs(np.concatenate([self.masks, flipped]))
-        pos = np.empty_like(run)
-        pos[order] = run
-        if len(grown) == n:
-            self._csr = sp.csr_matrix((weights, (pos[n:], rows)), shape=(n, n))
+        if self._lifts:
+            hops = _hop_structure(self.endpoints, self.masks)
+        else:
+            hops = _support_hops(self.site_count, self.endpoints, self.masks)
+        fill = hops.fill(self.weights)
+        size = len(hops.grown)
+        if size == n:
+            self._csr = sp.csr_matrix((fill, (hops.targets, hops.rows)), shape=(n, n))
             return self._csr @ x
-        self._lifts.append((n, pos[:n], len(grown)))
-        self.masks = grown
-        src = x[rows] * weights
-        return np.bincount(pos[n:], src.real, len(grown)) + 1j * np.bincount(
-            pos[n:], src.imag, len(grown)
+        self._lifts.append((n, hops.index_pos, size))
+        self.masks = hops.grown
+        src = x[hops.rows] * fill
+        return np.bincount(hops.targets, src.real, size) + 1j * np.bincount(
+            hops.targets, src.imag, size
         )
 
     def lift(self, x: np.ndarray) -> np.ndarray:
@@ -258,14 +278,22 @@ def transfer_fidelity(pattern, source, target, t):
 
 
 def permuted_ranks(basis: SectorBasis, sym: SymmetryMap) -> np.ndarray:
-    """rank(perm(mask)) for every mask in the basis, in rank order."""
+    """rank(perm(mask)) for every mask in the basis, in rank order (read-only).
+
+    A basis holds the whole sector, so the ranks depend only on (M, k, perm);
+    they come from the bounded structure cache.
+    """
     if sym.site_count != basis.site_count:
         raise ValueError("symmetry map acts on a different site count")
-    new = permute_masks(basis.masks, sym.perm)
-    rows = np.searchsorted(basis.masks, new)
-    if np.any(rows >= basis.dim) or np.any(basis.masks[rows] != new):
-        raise ValueError("permutation does not preserve the sector")
-    return rows
+
+    def build():
+        new = permute_masks(basis.masks, sym.perm)
+        rows = np.searchsorted(basis.masks, new)
+        if np.any(rows >= basis.dim) or np.any(basis.masks[rows] != new):
+            raise ValueError("permutation does not preserve the sector")
+        return _readonly(rows)[0]
+
+    return _STRUCTURES.get(("ranks", basis.site_count, basis.k, tuple(sym.perm)), build)
 
 
 def mirror_propagator(pattern, k: int, sym: SymmetryMap) -> Propagator:

@@ -451,7 +451,8 @@ def probe_2x2(n_ratios: int = 200, n_times: int = 2000) -> Probe2x2Result:
     observed supremum is numerical evidence, not a proof of anything.
     """
     if n_ratios < 2 or n_times < 2:
-        raise ValueError("need at least a 2x2 grid")
+        raise ValueError(f"--ratios and --times need at least 2 points each (a 2x2 grid), "
+                         f"got {n_ratios} and {n_times}")
     g = build_square_lattice(2)
     rot = symmetry_map(g, "rotation_pi")
     orbits = edge_orbits(g, (rot,))

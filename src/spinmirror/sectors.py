@@ -2,16 +2,22 @@
 
 Occupation bitmasks use bit p for flat site p; the vacuum is mask 0. The
 exchange Hamiltonian never changes a mask's popcount, so each weight-k sector
-evolves independently. One hop rule, _hops, builds both the sector matrices
-and the matrix-free products in dynamics; a Propagator evaluates fixed
+evolves independently. One hop rule, _hop_structure, serves the sector
+matrices and the matrix-free products in dynamics. It is weight-free: it
+depends only on the masks and the endpoints of the nonzero edges, so a bounded
+process-wide cache keeps the structures of recent supports and sectors, and
+each call fills in 2w for the current weights. A Propagator evaluates fixed
 entries of exp(-iHt) over whole time grids.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 import scipy.sparse as sp
@@ -143,38 +149,147 @@ class Propagator:
         )
 
 
-def _hops(graph: ExchangeGraph, masks: np.ndarray):
-    """Every nonzero hop out of masks: (source position, target mask, 2w)."""
-    rows, flipped, weights = [], [], []
-    for a, b, w in graph.edges:
-        if w == 0.0:
-            continue
-        mov = np.nonzero(((masks >> a) & 1) != ((masks >> b) & 1))[0]
+# weight-free structures kept by _STRUCTURES, least recent evicted first. A loop
+# that runs witness checks beside coupling searches (the sparse-sweep benchmark)
+# touches 19 keys; at 16 entries its supports were evicted on every pass.
+HOP_CACHE_SIZE = 32
+
+
+class _BoundedCache:
+    """At most `size` entries; a hit makes an entry the most recent, a miss
+    builds it and evicts the least recent. Entries must never be written to.
+    A lock guards the entries, so threads may share the cache."""
+
+    def __init__(self, size: int):
+        self.size = size
+        self.entries: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key, build: Callable[[], object]):
+        with self._lock:
+            value = self.entries.get(key)
+            if value is not None:
+                self.entries.move_to_end(key)
+                return value
+        value = build()
+        with self._lock:
+            self.entries[key] = value
+            while len(self.entries) > self.size:
+                self.entries.popitem(last=False)
+        return value
+
+
+# keyed on the site count, the live edge endpoints and a support or sector;
+# holds index arrays only, never weights or amplitudes
+_STRUCTURES = _BoundedCache(HOP_CACHE_SIZE)
+
+
+def _live_edges(graph: ExchangeGraph) -> tuple[tuple[tuple[int, int], ...], np.ndarray]:
+    """(endpoints, weights) of the nonzero edges, in graph order."""
+    live = [(a, b, w) for a, b, w in graph.edges if w != 0.0]
+    return tuple((a, b) for a, b, _ in live), np.array([w for *_, w in live], dtype=float)
+
+
+def _readonly(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@dataclass(frozen=True)
+class _Hops:
+    """Every hop out of a sorted mask index across the live edges, without weights.
+
+    Hops are grouped by live edge in edge order, counts[e] of them for edge
+    e. Hop h moves an excitation out of index[rows[h]] and lands on
+    grown[targets[h]], where grown is index | hop targets, ascending;
+    index_pos are the index's own positions in grown.
+    """
+
+    rows: np.ndarray
+    counts: np.ndarray
+    targets: np.ndarray
+    grown: np.ndarray
+    index_pos: np.ndarray
+
+    def fill(self, weights: np.ndarray) -> np.ndarray:
+        """The matrix element 2w of every hop, for live-edge weights w."""
+        return np.repeat(2.0 * weights, self.counts)
+
+    @functools.cached_property
+    def distinct(self) -> bool:
+        """True when no two hops land on the same mask."""
+        return bool(np.bincount(self.targets, minlength=1).max() <= 1)
+
+
+def _hops_out(endpoints, masks: np.ndarray):
+    """The hop rule: (source rows, hops per live edge, landed masks) out of masks."""
+    rows, landed = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    for a, b in endpoints:
+        mov = np.flatnonzero(((masks >> a) & 1) != ((masks >> b) & 1))
         rows.append(mov)
-        flipped.append(masks[mov] ^ np.int64((1 << a) | (1 << b)))
-        weights.append(np.full(len(mov), 2.0 * w))
-    if not rows:
-        return np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)
-    return np.concatenate(rows), np.concatenate(flipped), np.concatenate(weights)
+        landed.append(masks[mov] ^ np.int64((1 << a) | (1 << b)))
+    counts = np.array([len(r) for r in rows[1:]], dtype=np.int64)
+    return np.concatenate(rows), counts, np.concatenate(landed)
+
+
+def _index_dtype(size: int):
+    return np.int32 if size <= np.iinfo(np.int32).max else np.int64
+
+
+def _hop_structure(endpoints, masks: np.ndarray) -> _Hops:
+    """Build the hops of a strictly ascending mask index by one stable sort."""
+    rows, counts, landed = _hops_out(endpoints, masks)
+    order, grown, run = _sort_runs(np.concatenate([masks, landed]))
+    idx = _index_dtype(len(run))
+    pos = np.empty(len(run), idx)
+    pos[order] = run
+    n = len(masks)
+    return _Hops(*_readonly(rows.astype(idx), counts.astype(idx), pos[n:], grown, pos[:n]))
+
+
+def _support_hops(site_count: int, endpoints, masks: np.ndarray) -> _Hops:
+    """_hop_structure of a support, through the cache."""
+    key = ("support", site_count, endpoints, masks.tobytes())
+    return _STRUCTURES.get(key, lambda: _hop_structure(endpoints, masks))
+
+
+def _sector_structure(site_count: int, endpoints, k: int):
+    """(basis, CSR indices, indptr, live edge of each stored entry) of a sector.
+
+    A sector's hops stay inside it, so each lands on a basis position found
+    by binary search. Entries are stored by row (the source), then by column
+    (the target).
+    """
+    basis = enumerate_sector_basis(site_count, k)
+    rows, counts, landed = _hops_out(endpoints, basis.masks)
+    cols = np.searchsorted(basis.masks, landed)
+    order = np.argsort(rows * basis.dim + cols)  # keys are distinct: any sort will do
+    idx = _index_dtype(max(len(rows), basis.dim))
+    indptr = np.zeros(basis.dim + 1, dtype=idx)
+    np.cumsum(np.bincount(rows, minlength=basis.dim), out=indptr[1:])
+    edge = np.repeat(np.arange(len(endpoints), dtype=idx), counts)[order]
+    return (basis, *_readonly(cols[order].astype(idx), indptr, edge))
 
 
 def build_sector_hamiltonian(graph, k: int) -> SectorHamiltonian:
     """Assemble H_k: off-diagonal 2w between masks differing by one hop.
 
     XX+YY has no diagonal part in the occupation basis, so the diagonal is 0.
-    Zero-strength edges store nothing.
+    Zero-strength edges store nothing. The basis and the weight-free CSR
+    structure come from a bounded cache keyed on (site count, endpoints of
+    the nonzero edges, k); every call fills in fresh data, and the matrix
+    owns copies of the index arrays.
     """
     graph = _as_graph(graph)
-    basis = enumerate_sector_basis(graph.site_count, k)
-    rows, flipped, weights = _hops(graph, basis.masks)
-    # CSR straight from the hops: a stable row sort keeps each row's entries
-    # in hop order, and sort_indices then orders them by column, as COO would
-    order = np.argsort(rows, kind="stable")
-    indptr = np.zeros(basis.dim + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=basis.dim), out=indptr[1:])
-    cols = np.searchsorted(basis.masks, flipped)
-    mat = sp.csr_matrix((weights[order], cols[order], indptr), shape=(basis.dim, basis.dim))
-    mat.sort_indices()
+    endpoints, weights = _live_edges(graph)
+    basis, indices, indptr, edge = _STRUCTURES.get(
+        ("sector", graph.site_count, endpoints, k),
+        lambda: _sector_structure(graph.site_count, endpoints, k),
+    )
+    mat = sp.csr_matrix(((2.0 * weights)[edge], indices.copy(), indptr.copy()),
+                        shape=(basis.dim, basis.dim))
+    mat.has_sorted_indices = True
     return SectorHamiltonian(basis, mat)
 
 

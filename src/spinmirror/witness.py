@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import jsonio
 from .dynamics import apply_hamiltonian
 from .lattice import (
@@ -66,25 +68,27 @@ def build_witness(spec: WitnessSpec) -> SparseState:
     """Tensor the diagonal state with the alternating pair states.
 
     Support size is (diagonal support) * 2^(N(N-1)/2); the result is
-    normalized whenever the diagonal state is (enforced within 1e-12).
+    normalized whenever the diagonal state is (enforced within 1e-12). The
+    products are formed on raw arrays in one pass, diagonal first and then
+    the pairs in (i, j) order, each amplitude multiplied left to right, and
+    canonicalized once.
     """
     if abs(spec.diagonal_state.norm() - 1.0) > 1e-12:
         raise ValueError("diagonal state must be normalized")
     n = spec.n
     g = build_square_lattice(n)
-    m_sites = n * n
     diag_sites = [g.flat(d, d) for d in range(1, n + 1)]
-    embedded_masks = permute_masks(spec.diagonal_state.masks, diag_sites)
-    state = SparseState(m_sites, embedded_masks, spec.diagonal_state.amps)
+    masks = permute_masks(spec.diagonal_state.masks, diag_sites)
+    amps = spec.diagonal_state.amps
     r = 1 / math.sqrt(2)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            s = pair_sign(j - i)
-            above = g.flat(i, j)
-            below = g.flat(j, i)
-            pair = SparseState.from_dict(m_sites, {1 << below: r, 1 << above: s * r})
-            state = state.tensor(pair)
-    return state
+            # the pair's canonical order: the site above the diagonal has the lower bit
+            pair_masks = np.array([1 << g.flat(i, j), 1 << g.flat(j, i)], dtype=np.int64)
+            pair_amps = np.array([pair_sign(j - i) * r, r], dtype=np.complex128)
+            masks = (masks[:, None] | pair_masks[None, :]).ravel()
+            amps = (amps[:, None] * pair_amps[None, :]).ravel()
+    return SparseState(n * n, masks, amps)
 
 
 def verify_zero_energy(graph, witness: SparseState) -> float:

@@ -421,6 +421,28 @@ def test_optimize_validates_search_sizes(argv, flag, capsys):
         assert code == 2 and flag in err and out == ""
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("--preset", "rodot-2x2-probe", "--restarts", "0"), "--restarts"),
+    (("--preset", "rodot-2x2-probe", "--max-iters", "3"), "--max-iters"),
+    (("--preset", "rodot-2x2-probe", "--seed", "1"), "--seed"),
+    (("--preset", "chain-4-pst", "--restarts", "1", "--max-iters", "1", "--ratios", "0"),
+     "--ratios"),
+    (("--preset", "chain-4-pst", "--restarts", "1", "--max-iters", "1", "--times", "-5"),
+     "--times"),
+    (("--preset", "rx-3x3-witness", "--ratios", "4"), "--ratios"),
+    (("--preset", "rodot-2x2-probe", "--ratios", "1"), "--ratios"),
+    (("--preset", "rodot-2x2-probe", "--ratios", "4", "--times", "1"), "--times"),
+    (("--preset", "rodot-2x2-probe", "--ratios", "3", "--times", "4"), None),
+])
+def test_optimize_names_flags_its_preset_ignores_or_refuses(argv, flag, capsys):
+    code = run("optimize", *argv)
+    out, err = capsys.readouterr()
+    if flag is None:
+        assert code == 0 and json.loads(out)["n_ratios"] == 3
+    else:
+        assert code == 2 and flag in err and out == ""
+
+
 def test_optimize_unknown_preset_rejected():
     assert run("optimize", "--preset", "bogus") == 2
 

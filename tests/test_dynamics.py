@@ -44,9 +44,12 @@ from spinmirror.sectors import (
     enumerate_sector_basis,
     from_sector_state,
 )
+from spinmirror.witness import WitnessSpec, build_witness
 
 from oracles import (
+    apply_hamiltonian_reference,
     classify_groups,
+    evolve_sparse_reference,
     pauli_hamiltonian,
     permutation_operator,
     restrict_to_sector,
@@ -170,6 +173,7 @@ def test_permuted_ranks_small():
     basis = enumerate_sector_basis(2, 1)
     sym = symmetry_map(build_chain(2), "vertical_axis")
     assert list(permuted_ranks(basis, sym)) == [1, 0]
+    assert not permuted_ranks(basis, sym).flags.writeable
     P = permutation_operator(list(basis.masks), sym.perm)
     assert np.array_equal(P, [[0, 1], [1, 0]])
 
@@ -316,6 +320,73 @@ def test_evolution_rejects_site_count_mismatch():
             evolve_sparse(PRODUCT_4X4, psi, t)
         with pytest.raises(ValueError, match="site counts"):
             evolve_state(PRODUCT_4X4, psi, t)
+
+
+# -- cached hop structures, against the per-call hop path ----------------------
+
+
+def random_witness(n, seed):
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    diag = SparseState(n, np.arange(2**n, dtype=np.int64), v / np.linalg.norm(v))
+    return build_witness(WitnessSpec(n, diag))
+
+
+def main_symmetric_graph(n, seed):
+    g = build_square_lattice(n)
+    return random_symmetric_pattern(g, (symmetry_map(g, "main_diagonal"),), seed=seed).to_graph()
+
+
+def random_support_state(site_count, ks, size, seed):
+    rng = np.random.default_rng(seed)
+    masks = np.unique(np.concatenate([rng.choice(sector_masks(site_count, k), size) for k in ks]))
+    return SparseState(site_count, masks, rng.normal(size=len(masks)) + 1j * rng.normal(size=len(masks)))
+
+
+def zero_edge_graph(seed):
+    edges = list(PRODUCT_4X4.edges)
+    for i in (2, 9, 17):
+        edges[i] = (*edges[i][:2], 0.0)
+    graph = ExchangeGraph(16, tuple(edges))
+    return graph, random_support_state(16, (4,), 12, seed)
+
+
+HOP_CASES = {
+    # (graph under two weight draws of one topology, state)
+    "witness-4x4": lambda s: (main_symmetric_graph(4, s), random_witness(4, 1)),
+    "witness-5x5": lambda s: (main_symmetric_graph(5, s), random_witness(5, 2)),
+    "random-4x4": lambda s: (main_symmetric_graph(4, s), random_support_state(16, (3, 5), 10, 3)),
+    "vacuum": lambda s: (main_symmetric_graph(4, s), SparseState.unit(16, 0)),
+    "full": lambda s: (main_symmetric_graph(4, s), SparseState.unit(16, (1 << 16) - 1)),
+    "zero-edges": lambda s: zero_edge_graph(4),
+    # -1 - 0j times 2w has a negative-zero imaginary part, which must survive
+    "negative-zero": lambda s: (main_symmetric_graph(4, s),
+                                SparseState(16, np.array([0b1011]), np.array([complex(-1, -0.0)]))),
+}
+
+
+def same_bytes(a, b):
+    return a.masks.tobytes() == b.masks.tobytes() and a.amps.tobytes() == b.amps.tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(HOP_CASES))
+def test_hop_products_are_byte_identical_to_the_per_call_hop_path(case):
+    dynamics._STRUCTURES.entries.clear()
+    for seed in (10, 11):  # a cold structure, then a cached one under new weights
+        graph, psi = HOP_CASES[case](seed)
+        assert same_bytes(apply_hamiltonian(graph, psi), apply_hamiltonian_reference(graph, psi))
+        assert same_bytes(evolve_sparse(graph, psi, 0.9), evolve_sparse_reference(graph, psi, 0.9))
+
+
+def test_writing_into_returned_states_leaves_the_next_product_unchanged():
+    graph, psi = main_symmetric_graph(4, 3), random_witness(4, 5)
+    for apply in (apply_hamiltonian, lambda g, x: evolve_sparse(g, x, 0.9)):
+        out = apply(graph, psi)
+        for arr in (out.masks, out.amps):
+            arr.setflags(write=True)
+            arr[:] = 0
+    assert same_bytes(apply_hamiltonian(graph, psi), apply_hamiltonian_reference(graph, psi))
+    assert same_bytes(evolve_sparse(graph, psi, 0.9), evolve_sparse_reference(graph, psi, 0.9))
 
 
 # -- mirror reports in parity blocks, against the Pauli and sector oracles -----

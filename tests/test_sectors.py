@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -16,7 +18,9 @@ from spinmirror.lattice import (
     symmetry_map,
 )
 from spinmirror.optimizer import Objective, _objective_propagator
+from spinmirror import sectors
 from spinmirror.sectors import (
+    HOP_CACHE_SIZE,
     SectorState,
     SparseState,
     basis_state,
@@ -27,7 +31,12 @@ from spinmirror.sectors import (
     popcount,
 )
 
-from oracles import pauli_hamiltonian, restrict_to_sector, sector_masks
+from oracles import (
+    pauli_hamiltonian,
+    restrict_to_sector,
+    sector_hamiltonian_reference,
+    sector_masks,
+)
 
 
 def test_sector_dims_and_order():
@@ -238,22 +247,76 @@ def _coo_reference(graph, k):
     return sp.coo_matrix((np.array(vals, dtype=float), ij), shape=(dim, dim)).tocsr()
 
 
+def csr_bytes(mat):
+    return [(getattr(mat, name).dtype, getattr(mat, name).tobytes())
+            for name in ("data", "indices", "indptr")]
+
+
+def lattice_graph(n, seed, zero_edge=None):
+    geo = build_square_lattice(n)
+    weights = np.random.default_rng(seed).uniform(0.1, 2.0, len(geo.edges()))
+    if zero_edge is not None:
+        weights[zero_edge] = 0.0
+    return pattern_from_weights(geo, weights).to_graph()
+
+
 @pytest.mark.parametrize(
     "n, k, zero_edge",
     [(2, 0, None), (2, 4, None), (3, 4, 5), (3, 2, 0), (5, 3, 7)],
 )
 def test_csr_build_is_byte_identical_to_a_coo_reference(n, k, zero_edge):
-    geo = build_square_lattice(n)
-    weights = np.random.default_rng(n + k).uniform(0.1, 2.0, len(geo.edges()))
-    if zero_edge is not None:
-        weights[zero_edge] = 0.0
-    graph = pattern_from_weights(geo, weights).to_graph()
-    got = build_sector_hamiltonian(graph, k).mat
-    ref = _coo_reference(graph, k)
+    # cold, then from the cached structure under other weights of one topology
+    sectors._STRUCTURES.entries.clear()
+    for seed in (n + k, 100 + n + k):
+        graph = lattice_graph(n, seed, zero_edge)
+        got = build_sector_hamiltonian(graph, k).mat
+        ref = _coo_reference(graph, k)
+        assert csr_bytes(got) == csr_bytes(ref)
+        assert csr_bytes(got) == csr_bytes(sector_hamiltonian_reference(graph, k))
+        assert got.has_sorted_indices
+    assert len(sectors._STRUCTURES.entries) == 1
+
+
+def test_new_weights_on_a_cached_topology_give_fresh_values():
+    first, second = lattice_graph(3, 1), lattice_graph(3, 2)
+    sectors._STRUCTURES.entries.clear()
+    old = build_sector_hamiltonian(first, 3).mat
+    warm = build_sector_hamiltonian(second, 3).mat
+    sectors._STRUCTURES.entries.clear()
+    cold = build_sector_hamiltonian(second, 3).mat
+    assert csr_bytes(warm) == csr_bytes(cold)
+    assert not np.array_equal(warm.data, old.data)
+
+
+def test_zero_weight_edge_changes_the_key_and_stores_nothing():
+    sectors._STRUCTURES.entries.clear()
+    full = build_sector_hamiltonian(lattice_graph(3, 4), 4).mat
+    graph = lattice_graph(3, 4, zero_edge=6)
+    cut = build_sector_hamiltonian(graph, 4).mat
+    assert len(sectors._STRUCTURES.entries) == 2
+    assert cut.nnz < full.nnz and np.all(cut.data != 0.0)
+    assert csr_bytes(cut) == csr_bytes(_coo_reference(graph, 4))
+
+
+def test_structure_cache_holds_at_most_its_bound():
+    sectors._STRUCTURES.entries.clear()
+    graphs = [chain_pattern(uniform_chain(n)).to_graph() for n in range(2, HOP_CACHE_SIZE + 6)]
+    for graph in graphs:
+        build_sector_hamiltonian(graph, 1)
+        assert len(sectors._STRUCTURES.entries) <= HOP_CACHE_SIZE
+    assert len(sectors._STRUCTURES.entries) == HOP_CACHE_SIZE
+    # the least recently used entries went first
+    sites = [key[1] for key in sectors._STRUCTURES.entries]
+    assert sites == [g.site_count for g in graphs[-HOP_CACHE_SIZE:]]
+
+
+def test_writing_into_a_built_matrix_leaves_the_next_build_unchanged():
+    graph = lattice_graph(3, 8)
+    ref = csr_bytes(sector_hamiltonian_reference(graph, 3))
+    mat = build_sector_hamiltonian(graph, 3).mat
     for name in ("data", "indices", "indptr"):
-        a, b = getattr(got, name), getattr(ref, name)
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-    assert got.has_sorted_indices
+        getattr(mat, name)[:] = 0
+    assert csr_bytes(build_sector_hamiltonian(graph, 3).mat) == ref
 
 
 @pytest.mark.parametrize("kind", ["sector_average", "single_state"])
@@ -284,3 +347,35 @@ def test_propagator_derivatives_match_central_differences(kind, seed):
         assert np.all(np.abs(da - (hi1 - lo1) / (2 * h1)) <= tol1)
         lo2, _, hi2 = np.moveaxis(prop.amplitudes([t - h2, t, t + h2]), -1, 0)
         assert np.all(np.abs(d2a - (hi2 - 2 * mid + lo2) / h2**2) <= tol2)
+
+
+def test_threads_share_the_structure_cache(monkeypatch):
+    # more threads than cores cycling more keys than the bound, switching often;
+    # tiny sectors keep the threads inside the cache's bookkeeping
+    monkeypatch.setattr(sectors._STRUCTURES, "size", 2)
+    graphs = [chain_pattern(uniform_chain(n, 0.5 + n)).to_graph() for n in (2, 3, 4)]
+    expected = [csr_bytes(_coo_reference(g, 1)) for g in graphs]
+    failures = []
+
+    def work(offset):
+        try:
+            for step in range(1000):
+                i = (offset + step) % 3
+                if csr_bytes(build_sector_hamiltonian(graphs[i], 1).mat) != expected[i]:
+                    failures.append(i)
+        except Exception as e:  # a lost update surfaces as an exception here
+            failures.append(repr(e))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(n,)) for n in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
+    assert len(sectors._STRUCTURES.entries) <= 2

@@ -12,7 +12,7 @@ from spinmirror.lattice import (
     symmetry_map,
     uniform_pattern,
 )
-from spinmirror.sectors import SparseState
+from spinmirror.sectors import SparseState, permute_masks
 from spinmirror.witness import (
     WitnessSpec,
     build_witness,
@@ -204,3 +204,29 @@ def test_witness_subspace_is_orthonormal():
     pat = uniform_pattern(build_square_lattice(2))
     for w in basis:
         assert verify_zero_energy(pat, w) <= 1e-14
+
+
+def tensor_loop_witness(spec):
+    """The witness as one SparseState.tensor product per pair, in (i, j) order."""
+    n = spec.n
+    g = build_square_lattice(n)
+    diag_sites = [g.flat(d, d) for d in range(1, n + 1)]
+    embedded = permute_masks(spec.diagonal_state.masks, diag_sites)
+    state = SparseState(n * n, embedded, spec.diagonal_state.amps)
+    r = 1 / math.sqrt(2)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            pair = SparseState.from_dict(
+                n * n, {1 << g.flat(j, i): r, 1 << g.flat(i, j): pair_sign(j - i) * r}
+            )
+            state = state.tensor(pair)
+    return state
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_one_pass_witness_is_byte_identical_to_a_tensor_loop(n, seed):
+    spec = WitnessSpec(n, random_diagonal_state(n, seed=100 * n + seed))
+    got, ref = build_witness(spec), tensor_loop_witness(spec)
+    assert got.masks.tobytes() == ref.masks.tobytes()
+    assert got.amps.tobytes() == ref.amps.tobytes()
