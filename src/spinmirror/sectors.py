@@ -2,12 +2,13 @@
 
 Occupation bitmasks use bit p for flat site p; the vacuum is mask 0. The
 exchange Hamiltonian never changes a mask's popcount, so each weight-k sector
-evolves independently. One hop rule, _hop_structure, serves the sector
-matrices and the matrix-free products in dynamics. It is weight-free: it
-depends only on the masks and the endpoints of the nonzero edges, so a bounded
-process-wide cache keeps the structures of recent supports and sectors, and
-each call fills in 2w for the current weights. A Propagator evaluates fixed
-entries of exp(-iHt) over whole time grids.
+evolves independently. One hop rule, _hops_out, serves the sector matrices
+(through _sector_structure) and the matrix-free products in dynamics (through
+_hop_structure). Both structures are weight-free: they depend only on the
+masks and the endpoints of the nonzero edges, so a bounded process-wide cache
+keeps those of recent supports and sectors, and each call fills in 2w for the
+current weights. A Propagator evaluates fixed entries of exp(-iHt) over whole
+time grids.
 """
 
 from __future__ import annotations
@@ -151,7 +152,7 @@ class Propagator:
 
 # weight-free structures kept by _STRUCTURES, least recent evicted first. A loop
 # that runs witness checks beside coupling searches (the sparse-sweep benchmark)
-# touches 19 keys; at 16 entries its supports were evicted on every pass.
+# touches 19 keys per pass; the bound keeps all of them.
 HOP_CACHE_SIZE = 32
 
 

@@ -171,7 +171,7 @@ def classify_groups(site_count, edges, k, perm, tol=None):
 #
 # Kept verbatim as the byte-for-byte reference for apply_hamiltonian,
 # evolve_sparse and build_sector_hamiltonian. Unlike the oracles above, these
-# reuse the package's SparseState canonicalization and Krylov driver, which the
+# reuse the package's SparseState canonicalization and Krylov loop, which the
 # replaced path called too, so a comparison isolates the hop layer.
 
 

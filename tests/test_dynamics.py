@@ -358,6 +358,9 @@ HOP_CASES = {
     "random-4x4": lambda s: (main_symmetric_graph(4, s), random_support_state(16, (3, 5), 10, 3)),
     "vacuum": lambda s: (main_symmetric_graph(4, s), SparseState.unit(16, 0)),
     "full": lambda s: (main_symmetric_graph(4, s), SparseState.unit(16, (1 << 16) - 1)),
+    # a whole sector is closed under hops: the first step builds the CSR
+    "whole-sector": lambda s: (main_symmetric_graph(4, s), SparseState(
+        16, sector_masks(16, 2), np.random.default_rng(6).normal(size=120) + 0.5j)),
     "zero-edges": lambda s: zero_edge_graph(4),
     # -1 - 0j times 2w has a negative-zero imaginary part, which must survive
     "negative-zero": lambda s: (main_symmetric_graph(4, s),
