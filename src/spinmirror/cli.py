@@ -231,10 +231,15 @@ def cmd_witness(args):
         _write_outputs(args, obj)
         return
     n = args.n
+    if n < 1:
+        raise ValueError(f"--n must be at least 1, got {n}")
+    try:
+        seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [args.seed]
+    except ValueError:
+        raise ValueError(f"--seeds must be a comma list of integers, got {args.seeds!r}") from None
     diag_bits = args.diag or "1" + "0" * (n - 1)
     diag = diagonal_basis_state(n, diag_bits)
     mirror = symmetry_map(build_square_lattice(n), "rotation_pi")
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [args.seed]
     certs = []
     for seed in seeds:
         pat = _witness_pattern(args, n, seed)

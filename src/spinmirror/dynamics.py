@@ -1,11 +1,13 @@
 """Exact time evolution, mirroring reports, phase fits, spectrum classification.
 
-Dense eigendecomposition evolves sectors up to dimension 4096; larger sectors
-go through a residual-controlled Lanczos approximation of exp(-iHt). The
-Lanczos core works on plain complex arrays. Its matrix-free variant evolves a
-SparseState over one sorted mask index that starts as the state's support
-and grows to its hop closure as H is applied; once the index is closed, a
-CSR matrix built once applies H. It never enumerates a sector basis.
+evolve diagonalizes a sector up to dimension 4096; larger sectors go through
+a residual-controlled Lanczos approximation of exp(-iHt), which builds one
+Krylov space per substep and shortens a rejected step on that same space.
+The Lanczos core works on plain complex arrays. Every SparseState, on one
+sector or several, evolves matrix-free (evolve_sparse, evolve_state) over
+one sorted mask index that starts as the state's support and grows to its
+hop closure as H is applied; once the index is closed, a CSR matrix built
+once applies H. It never enumerates a sector basis.
 Curves of fixed propagator entries over a time grid diagonalize once and go
 through sectors.Propagator: one product per curve, not one eigh per point.
 Mirroring reports and spectrum classification share one mirror-parity split
@@ -76,67 +78,63 @@ class _HopOperator:
     the cache apply_hamiltonian uses; later steps build theirs uncached, since
     their indices rarely repeat. The product is a scatter of the filled hops.
     Once an index is closed under hops, its CSR matrix is built once and
-    serves every later matvec. lift carries a vector held over any earlier
-    index onto the current one.
+    serves every later matvec. lift carries the stored Krylov vectors from the
+    index before the last growth step onto the current one; since a space is
+    never rebuilt, it is never more than one growth step behind.
     """
 
     def __init__(self, graph: ExchangeGraph, masks: np.ndarray):
         self.site_count = graph.site_count
         self.endpoints, self.weights = _live_edges(graph)
         self.masks = masks
-        self._lifts = []  # (index length, its positions in the next index, next length)
+        self._index_pos = None  # the previous index's positions in the current one
         self._csr = None
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         if self._csr is not None:
             return self._csr @ x
         n = len(self.masks)
-        if self._lifts:
-            hops = _hop_structure(self.endpoints, self.masks)
-        else:
+        if self._index_pos is None:
             hops = _support_hops(self.site_count, self.endpoints, self.masks)
+        else:
+            hops = _hop_structure(self.endpoints, self.masks)
         fill = hops.fill(self.weights)
         size = len(hops.grown)
         if size == n:
             self._csr = sp.csr_matrix((fill, (hops.targets, hops.rows)), shape=(n, n))
             return self._csr @ x
-        self._lifts.append((n, hops.index_pos, size))
-        self.masks = hops.grown
+        self._index_pos, self.masks = hops.index_pos, hops.grown
         src = x[hops.rows] * fill
         return np.bincount(hops.targets, src.real, size) + 1j * np.bincount(
             hops.targets, src.imag, size
         )
 
-    def lift(self, x: np.ndarray) -> np.ndarray:
-        """x (last axis over an earlier or the current index) over the current index."""
-        for n, pos, size in self._lifts:
-            if x.shape[-1] == n:
-                out = np.zeros(x.shape[:-1] + (size,), np.complex128)
-                out[..., pos] = x
-                x = out
-        return x
+    def lift(self, V: np.ndarray, rows: int) -> np.ndarray:
+        """V's first rows, held over the previous index, over the current one; same capacity."""
+        out = np.zeros((len(V), len(self.masks)), np.complex128)
+        out[:rows, self._index_pos] = V[:rows]
+        return out
 
 
 # -- Krylov propagation -------------------------------------------------------
 
 
-def _lanczos_step(matvec, lift, v, tau):
-    """One Krylov step: approximate exp(-i*tau*H) v for a unit vector v.
+def _krylov_space(matvec, v, lift):
+    """The Lanczos space of H and a unit vector v: (V, evals, U, beta).
 
-    matvec may return a vector over a grown index; lift then carries the
-    stored basis onto it. Returns (w, err_estimate).
+    The rows of V are the Lanczos vectors, U diag(evals) U^T is the
+    tridiagonal T that H becomes on them, and beta is the norm of the residual
+    past the last vector, or 0 after a breakdown. matvec may return a vector
+    over a grown index; lift then carries the stored vectors onto it.
     """
     # np.zeros leaves untouched rows unmapped, so unused capacity costs no memory
     V = np.zeros((KRYLOV_DIM, len(v)), np.complex128)
     V[0] = v
     alphas, betas = [], []
-    broke_down = False
     for j in range(KRYLOV_DIM):
         w = matvec(V[j])
         if len(w) != V.shape[1]:
-            live = lift(V[: j + 1])
-            V = np.zeros((KRYLOV_DIM, len(w)), np.complex128)
-            V[: j + 1] = live
+            V = lift(V, j + 1)
         alpha = np.vdot(V[j], w).real
         w -= alpha * V[j]
         if j > 0:
@@ -148,42 +146,46 @@ def _lanczos_step(matvec, lift, v, tau):
         alphas.append(alpha)
         beta = np.linalg.norm(w)
         if beta <= KRYLOV_BREAKDOWN:
-            broke_down = True
+            beta = 0.0
             break
         betas.append(beta)
         if j + 1 < KRYLOV_DIM:
             V[j + 1] = w / beta
     j = len(alphas)
-    T = np.diag(alphas)
-    for i, b in enumerate(betas[: j - 1]):
-        T[i, i + 1] = T[i + 1, i] = b
-    evals, U = np.linalg.eigh(T)
-    small = U @ (np.exp(-1j * tau * evals) * U[0, :].conj())
-    approx = small @ V[:j]
-    err = 0.0 if broke_down else betas[-1] * abs(small[-1]) * abs(tau)
-    return approx, err
+    off = betas[: j - 1]
+    evals, U = np.linalg.eigh(np.diag(alphas) + np.diag(off, 1) + np.diag(off, -1))
+    return V[:j], evals, U, beta
 
 
-def _krylov_expm(matvec, v, t, lift=lambda x: x):
-    """Adaptive-substep Lanczos propagation of exp(-iHt) v to a 2-norm error <= KRYLOV_TOL."""
+def _krylov_expm(matvec, v, t, lift=None):
+    """Adaptive-substep Lanczos propagation of exp(-iHt) v to a 2-norm error <= KRYLOV_TOL.
+
+    Each substep builds one Lanczos space from the current vector and takes
+    the first column of exp(-i tau T) on it. The space does not depend on the
+    step length, so a tau whose error estimate beta |[exp(-i tau T)]_(m,1)| tau
+    exceeds its share of the tolerance is halved on the same space: a rejected
+    step length costs no matvec. A halved tau carries over to later substeps.
+    """
     norm_v = np.linalg.norm(v)
     if norm_v == 0.0 or t == 0.0:
         return v
     current = v / norm_v
-    remaining = t
-    tau = t
+    remaining = tau = t
     while abs(remaining) > 0:
+        V, evals, U, beta = _krylov_space(matvec, current, lift)
+        first_column = Propagator(evals, U * U[0].conj())
         if abs(tau) > abs(remaining):
             tau = remaining
-        budget = KRYLOV_TOL * abs(tau) / abs(t)
-        # a rejected substep may have grown the index past current's
-        w, err = _lanczos_step(matvec, lift, lift(current), tau)
-        if err > budget and abs(tau) > 1e-12 * abs(t):
+        small = first_column.amplitudes(tau)
+        while beta * abs(small[-1]) * abs(t) > KRYLOV_TOL and abs(tau) > 1e-12 * abs(t):
             tau = tau / 2
-            continue
+            small = first_column.amplitudes(tau)
         remaining -= tau
-        current = w / np.linalg.norm(w)
-    return norm_v * current
+        current = small @ V
+        del V  # one space at a time: the next is built without this one held
+        current /= np.linalg.norm(current)
+    current *= norm_v
+    return current
 
 
 def evolve(H: SectorHamiltonian, psi: SectorState, t: float) -> SectorState:
@@ -212,42 +214,28 @@ def evolve_sparse(graph, psi: SparseState, t: float) -> SparseState:
     H until it is closed under hops; from then on a CSR matrix built once
     applies H. No sector basis is ever enumerated, so lattices whose sectors
     are far beyond the dense limit work as long as the support stays bounded
-    (a stationary state breaks the Lanczos loop down after one product). The
-    result is canonicalized once, dropping exact zeros.
+    (a stationary state breaks the Lanczos loop down after one product). H
+    conserves the excitation number, so a state on several sectors evolves
+    in one Krylov space. The result is canonicalized once, dropping exact
+    zeros.
     """
+    return _evolve_sparse(graph, psi, t)
+
+
+def evolve_state(graph, psi: SparseState, t: float) -> SparseState:
+    """exp(-iHt) psi on any sectors: evolve_sparse's body, traced under its own name."""
+    return _evolve_sparse(graph, psi, t)
+
+
+def _evolve_sparse(graph, psi: SparseState, t: float) -> SparseState:
     if not np.isfinite(t):
         raise ValueError("evolution time must be finite")
     graph = _as_graph(graph)
     if graph.site_count != psi.site_count:
         raise ValueError("graph and state have different site counts")
     op = _HopOperator(graph, psi.masks)
-    amps = _krylov_expm(op.matvec, psi.amps, t, lift=op.lift)
+    amps = _krylov_expm(op.matvec, psi.amps, t, op.lift)
     return SparseState(psi.site_count, op.masks, amps)
-
-
-def evolve_state(graph, psi: SparseState, t: float) -> SparseState:
-    """Evolve a multi-sector SparseState by evolving each sector exactly.
-
-    Sectors within the dense limit use eigendecomposition; larger ones fall
-    back to the matrix-free path.
-    """
-    graph = _as_graph(graph)
-    if graph.site_count != psi.site_count:
-        raise ValueError("graph and state have different site counts")
-    if len(psi.masks) == 0:
-        return psi
-    pieces = []
-    for k, comp in psi.sector_split().items():
-        if math.comb(graph.site_count, k) <= DENSE_DIM_LIMIT:
-            H = build_sector_hamiltonian(graph, k)
-            out = evolve(H, comp.to_sector_state(H.basis), t)
-            pieces.append(SparseState(psi.site_count, H.basis.masks, out.amplitudes))
-        else:
-            pieces.append(evolve_sparse(graph, comp, t))
-    state = pieces[0]
-    for p in pieces[1:]:
-        state = state.add(p)
-    return state
 
 
 # -- fidelities and reports ---------------------------------------------------

@@ -60,6 +60,9 @@ class WitnessSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("lattice side must be positive")
+        if self.n * self.n > 63:
+            raise ValueError(f"lattice side {self.n} needs {self.n * self.n} sites; "
+                             "bitmask states hold at most 63")
         if self.diagonal_state.site_count != self.n:
             raise ValueError("diagonal state must live on n sites")
 

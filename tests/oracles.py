@@ -230,7 +230,7 @@ class HopOperatorReference:
     def __init__(self, graph, masks):
         self.graph = graph
         self.masks = masks
-        self._lifts = []
+        self._index_pos = None
         self._csr = None
 
     def matvec(self, x):
@@ -244,20 +244,16 @@ class HopOperatorReference:
         if len(grown) == n:
             self._csr = sp.csr_matrix((weights, (pos[n:], rows)), shape=(n, n))
             return self._csr @ x
-        self._lifts.append((n, pos[:n], len(grown)))
-        self.masks = grown
+        self._index_pos, self.masks = pos[:n], grown
         src = x[rows] * weights
         return np.bincount(pos[n:], src.real, len(grown)) + 1j * np.bincount(
             pos[n:], src.imag, len(grown)
         )
 
-    def lift(self, x):
-        for n, pos, size in self._lifts:
-            if x.shape[-1] == n:
-                out = np.zeros(x.shape[:-1] + (size,), np.complex128)
-                out[..., pos] = x
-                x = out
-        return x
+    def lift(self, V, rows):
+        out = np.zeros((len(V), len(self.masks)), np.complex128)
+        out[:rows, self._index_pos] = V[:rows]
+        return out
 
 
 def evolve_sparse_reference(graph, psi, t):
@@ -266,5 +262,5 @@ def evolve_sparse_reference(graph, psi, t):
     from spinmirror.sectors import SparseState
 
     op = HopOperatorReference(graph, psi.masks)
-    amps = _krylov_expm(op.matvec, psi.amps, t, lift=op.lift)
+    amps = _krylov_expm(op.matvec, psi.amps, t, op.lift)
     return SparseState(psi.site_count, op.masks, amps)

@@ -3,10 +3,15 @@
 A change to a name below is a deliberate API change; CHANGES.md lists it.
 """
 
+import importlib
 import inspect
+import json
 from pathlib import Path
 
 import spinmirror
+from spinmirror.sectors import SectorHamiltonian, SparseState
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # tuple(inspect.signature(obj).parameters) for every callable in spinmirror.__all__
 PUBLIC_PARAMETERS = {
@@ -97,7 +102,36 @@ def test_public_parameter_names_are_pinned():
 
 
 def test_readme_library_quickstart_runs():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     block = readme.split("## Library quickstart", 1)[1].split("```python", 1)[1].split("```", 1)[0]
     assert "import" in block and "assert" in block
     exec(compile(block, "README.md", "exec"), {})
+
+
+def test_benchmark_traced_names_are_distinct_public_functions():
+    """Every per-function metric in BENCHMARK.json names a function the tracer wraps.
+
+    perfbench's tracer wraps the public functions each module defines, plus
+    two class members. A metric it finds no wrapper for ends a traced run
+    with exit 4; an alias would count two names' calls under one.
+    """
+    members = {
+        "sectors.SectorHamiltonian.eig": SectorHamiltonian.eig,
+        "sectors.SparseState.init": SparseState.__init__,
+    }
+    traced = {}
+    for metric in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]:
+        name, _, kind = metric["name"].rpartition(".")
+        if kind not in ("calls", "self_s") or name.startswith("layer."):
+            continue  # layer.<module>.self_s sums a whole module
+        if name in members:
+            traced[name] = members[name]
+            continue
+        module, _, attr = name.partition(".")
+        mod = importlib.import_module(f"spinmirror.{module}")
+        fn = getattr(mod, attr, None)
+        assert inspect.isfunction(fn) and not attr.startswith("_"), name
+        assert fn.__module__ == mod.__name__, f"{name} is defined in {fn.__module__}"
+        traced[name] = fn
+    assert {"dynamics.evolve_sparse", "dynamics.evolve_state"} <= set(traced)
+    assert len({id(fn) for fn in traced.values()}) == len(traced)

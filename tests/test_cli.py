@@ -1,9 +1,12 @@
 import importlib.metadata
 import json
 import math
+import os
+import resource
 import shlex
 import shutil
 import subprocess
+import sys
 import sysconfig
 from pathlib import Path
 
@@ -218,6 +221,30 @@ def test_witness_odd_distance_round_trip(tmp_path):
     bad_path = tmp_path / "bad.json"
     jsonio.write_json(str(bad_path), jsonio.graph_to_obj(bad))
     assert run("witness", "--odd-distance", str(bad_path)) == 2
+
+
+@pytest.mark.parametrize("flags, flag", [(("--n", "0"), "--n"), (("--seeds", "1,,2"), "--seeds")])
+def test_witness_bad_side_or_seed_list_exits_2_naming_the_flag(capsys, flags, flag):
+    assert run("witness", *flags) == 2
+    out, err = capsys.readouterr()
+    assert flag in err and out == ""
+
+
+def test_witness_past_the_site_limit_exits_2_before_allocating():
+    # an 8x8 witness would need 2^28-entry products; under a 1 GB address-space
+    # cap the check must come first, so a missed check fails here, not the host
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "spinmirror.cli", "witness", "--n", "8"],
+        capture_output=True, text=True, preexec_fn=cap, timeout=120, env=env,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "64 sites" in proc.stderr and "at most 63" in proc.stderr
 
 
 def test_classify_parallel_chains(tmp_path):

@@ -270,23 +270,55 @@ def test_evolutions_match_sector_oracle_on_both_sides_of_dense_limit(k):
         assert np.linalg.norm(oracle_vector(masks, out) - ref) < 1e-9
 
 
-def test_evolve_sparse_retries_a_substep_over_a_grown_index(monkeypatch):
-    # the first substep of a basis state grows the index to the whole sector
-    # and is rejected; the retry must carry the one-entry start vector over
-    lifted = []
-    lift = dynamics._HopOperator.lift
+def test_evolve_sparse_builds_one_krylov_space_per_accepted_substep(monkeypatch):
+    # t = 1.1 takes four substeps; two step lengths are rejected and halved on
+    # the space already built, where rebuilding it would cost 180 matvecs
+    matvecs, spaces, lifted = [], [], []
+    matvec, space, lift = (dynamics._HopOperator.matvec, dynamics._krylov_space,
+                           dynamics._HopOperator.lift)
 
-    def spy(self, x):
-        out = lift(self, x)
-        if x.ndim == 1 and out.shape[-1] != x.shape[-1]:
-            lifted.append((x.shape[-1], out.shape[-1]))
+    def count_matvec(self, x):
+        matvecs.append(len(x))
+        return matvec(self, x)
+
+    def count_space(*args):
+        spaces.append(1)
+        return space(*args)
+
+    def spy_lift(self, V, rows):
+        out = lift(self, V, rows)
+        assert np.array_equal(out[:rows][:, self._index_pos], V[:rows])
+        lifted.append((rows, V.shape[-1], out.shape[-1]))
         return out
 
-    monkeypatch.setattr(dynamics._HopOperator, "lift", spy)
+    monkeypatch.setattr(dynamics._HopOperator, "matvec", count_matvec)
+    monkeypatch.setattr(dynamics, "_krylov_space", count_space)
+    monkeypatch.setattr(dynamics._HopOperator, "lift", spy_lift)
     t = 1.1
     out = evolve_sparse(PRODUCT_4X4, SparseState.unit(16, MASK_4X4_K5), t)
-    assert (1, 4368) in lifted
+    assert len(matvecs) == dynamics.KRYLOV_DIM * len(spaces) == 120
+    # every growth step carries all stored vectors of the first space, from
+    # the one-entry start vector up to the whole 4368-state sector
+    rows, before, after = zip(*lifted)
+    assert rows == tuple(range(1, len(lifted) + 1))
+    assert before[0] == 1 and after[-1] == 4368 and before[1:] == after[:-1]
     masks, ref = sector_propagation(16, PRODUCT_4X4.edges, 5, {MASK_4X4_K5: 1.0}, t)
+    assert np.linalg.norm(oracle_vector(masks, out) - ref) < 1e-9
+
+
+def test_evolve_state_below_the_dense_limit_runs_no_eigendecomposition(monkeypatch):
+    calls = []
+    eig = SectorHamiltonian.eig
+
+    def spy(self):
+        calls.append(self.dim)
+        return eig(self)
+
+    monkeypatch.setattr(SectorHamiltonian, "eig", spy)
+    mask, t = 0b1000010000100001, 1.1  # k=4: dim 1820, within the dense limit
+    out = evolve_state(PRODUCT_4X4, SparseState.unit(16, mask), t)
+    assert calls == []
+    masks, ref = sector_propagation(16, PRODUCT_4X4.edges, 4, {mask: 1.0}, t)
     assert np.linalg.norm(oracle_vector(masks, out) - ref) < 1e-9
 
 

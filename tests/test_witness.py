@@ -60,6 +60,12 @@ def test_witness_support_sizes():
         build_witness(WitnessSpec(2, SparseState.from_dict(2, {0: 0.5})))
 
 
+def test_witness_spec_refuses_lattices_past_the_bitmask_limit():
+    WitnessSpec(7, diagonal_basis_state(7, "1000000"))  # 49 sites
+    with pytest.raises(ValueError, match="64 sites; bitmask states hold at most 63"):
+        WitnessSpec(8, diagonal_basis_state(8, "10000000"))
+
+
 def test_witness_zero_energy_uniform():
     for n in (2, 3, 4):
         pat = uniform_pattern(build_square_lattice(n))
