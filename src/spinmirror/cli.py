@@ -68,9 +68,11 @@ class ToleranceError(RuntimeError):
 def _write_outputs(args, obj, csv=None, meta=None):
     """Print the JSON document, and persist it when --out was given.
 
-    meta adds run facts (backends, timings) to the .meta.json sidecar only,
-    so the .json and .csv outputs stay byte-identical across reruns.
+    The document gets its schema_version here. meta adds run facts (backends,
+    timings) to the .meta.json sidecar only, so the .json and .csv outputs
+    stay byte-identical across reruns.
     """
+    obj = dict(obj, schema_version=jsonio.SCHEMA_VERSION)
     if args.out:
         jsonio.write_json(args.out + ".json", obj)
         if csv is not None:
@@ -108,7 +110,6 @@ def cmd_chain(args):
     if require is None and chain.nominal_transfer_time is not None:
         require = 1 - 1e-10
     obj = {
-        "schema_version": jsonio.SCHEMA_VERSION,
         "chain": jsonio.chain_to_obj(chain),
         "kind": args.chain,
         "tmax": args.tmax,
@@ -172,7 +173,6 @@ def cmd_mirror(args):
     seconds = time.perf_counter() - start
     fit = phase_network_fit(rep.phases, rep.basis)
     obj = {
-        "schema_version": jsonio.SCHEMA_VERSION,
         "pattern_hash": jsonio.pattern_digest(pat),
         "k": rep.k,
         "t": rep.t,
@@ -223,7 +223,6 @@ def cmd_witness(args):
         w = build_witness(WitnessSpec(n, diag))
         residual = verify_odd_distance(graph, w)
         obj = {
-            "schema_version": jsonio.SCHEMA_VERSION,
             "mode": "odd_distance",
             "sites": graph.site_count,
             "residual": residual,
@@ -245,7 +244,6 @@ def cmd_witness(args):
         pat = _witness_pattern(args, n, seed)
         certs.append((seed, impossibility_certificate(pat, diag, mirror)))
     obj = {
-        "schema_version": jsonio.SCHEMA_VERSION,
         "n": n,
         "diag": diag_bits,
         "pattern": args.pattern,
@@ -276,7 +274,6 @@ def cmd_classify(args):
     groups = classify_spectrum(H, sym, degeneracy_tol=args.degeneracy_tol)
     seconds = time.perf_counter() - start
     obj = {
-        "schema_version": jsonio.SCHEMA_VERSION,
         "pattern_hash": jsonio.pattern_digest(pat),
         "k": args.k,
         "sym": sym.name,
@@ -330,7 +327,6 @@ def cmd_optimize(args):
     if preset == "rodot-2x2-probe":
         res = probe_2x2(n_ratios=args.ratios, n_times=args.times)
         obj = {
-            "schema_version": jsonio.SCHEMA_VERSION,
             "preset": preset,
             "note": "numerical evidence only, not a proof",
             "supremum": res.supremum,
@@ -359,7 +355,6 @@ def cmd_optimize(args):
         )
         failed = report["best_value"] < 1 - 1e-8
         message = f"best mirrored fidelity {report['best_value']:.12f} below 1-1e-8"
-    obj = dict(report, schema_version=jsonio.SCHEMA_VERSION)
     rows = []
     for ri, run in enumerate(runs):
         for (iteration, value, t, params) in run.trace:
@@ -375,7 +370,7 @@ def cmd_optimize(args):
         },
     }
     _write_outputs(
-        args, obj, csv=(["restart", "iteration", "value", "time", "params"], rows), meta=meta
+        args, report, csv=(["restart", "iteration", "value", "time", "params"], rows), meta=meta
     )
     if failed:
         raise ToleranceError(message)
@@ -404,7 +399,6 @@ def cmd_scan(args):
         vals = transfer_fidelity(pat, src, dst, ts)
         i = int(np.argmax(vals))
         obj = {
-            "schema_version": jsonio.SCHEMA_VERSION,
             "mode": "transfer",
             "pattern_hash": jsonio.pattern_digest(pat),
             "source": str(args.source),
@@ -421,7 +415,6 @@ def cmd_scan(args):
     means = amps.mean(axis=0)
     i = int(np.argmax(mins))
     obj = {
-        "schema_version": jsonio.SCHEMA_VERSION,
         "mode": "mirror",
         "pattern_hash": jsonio.pattern_digest(pat),
         "k": args.k,

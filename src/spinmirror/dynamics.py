@@ -4,10 +4,12 @@ evolve diagonalizes a sector up to dimension 4096; larger sectors go through
 a residual-controlled Lanczos approximation of exp(-iHt), which builds one
 Krylov space per substep and shortens a rejected step on that same space.
 The Lanczos core works on plain complex arrays. Every SparseState, on one
-sector or several, evolves matrix-free (evolve_sparse, evolve_state) over
-one sorted mask index that starts as the state's support and grows to its
-hop closure as H is applied; once the index is closed, a CSR matrix built
-once applies H. It never enumerates a sector basis.
+sector or several, evolves matrix-free (evolve_sparse, evolve_state) through
+sectors._HopOperator, over one sorted mask index that starts as the state's
+support and grows to its hop closure as H is applied; once the index is
+closed, a CSR matrix built once applies H. It never enumerates a sector
+basis. apply_hamiltonian and the operator share one scatter, _Hops.apply,
+and every cached structure lives in sectors.
 Curves of fixed propagator entries over a time grid diagonalize once and go
 through sectors.Propagator: one product per curve, not one eigh per point.
 Mirroring reports and spectrum classification share one mirror-parity split
@@ -20,22 +22,19 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
-from .lattice import CouplingPattern, ExchangeGraph, SymmetryMap, _as_graph
+from .lattice import CouplingPattern, SymmetryMap, _as_graph
 from .sectors import (
-    _STRUCTURES,
     Propagator,
     SectorBasis,
     SectorHamiltonian,
     SectorState,
     SparseState,
-    _hop_structure,
+    _HopOperator,
     _live_edges,
-    _readonly,
+    _rank_structure,
     _support_hops,
     build_sector_hamiltonian,
-    permute_masks,
 )
 
 DENSE_DIM_LIMIT = 4096
@@ -50,70 +49,16 @@ def apply_hamiltonian(graph, psi: SparseState) -> SparseState:
     Popcounts are preserved, and the support only grows to hop-connected
     bitmasks (exact zero amplitudes are dropped by canonicalization). The
     weight-free hops of psi's support come from a bounded cache keyed on
-    (site count, endpoints of the nonzero edges, support masks), so a support
-    seen under other weights of the same topology is not sorted again.
-    Targets hit more than once sum in hop order, as SparseState merges them.
+    (endpoints of the nonzero edges, support masks), so a support seen under
+    other weights of the same topology is not sorted again. Targets hit more
+    than once sum in hop order, as SparseState merges them.
     """
     graph = _as_graph(graph)
     if graph.site_count != psi.site_count:
         raise ValueError("graph and state have different site counts")
     endpoints, weights = _live_edges(graph)
-    hops = _support_hops(graph.site_count, endpoints, psi.masks)
-    src = psi.amps[hops.rows] * hops.fill(weights)
-    out = np.zeros(len(hops.grown), np.complex128)
-    if hops.distinct:
-        out[hops.targets] = src
-    else:
-        out.real = np.bincount(hops.targets, src.real, len(out))
-        out.imag = np.bincount(hops.targets, src.imag, len(out))
-    return SparseState(psi.site_count, hops.grown, out)
-
-
-class _HopOperator:
-    """H on vectors over a sorted mask index that grows to its hop closure.
-
-    matvec takes a vector over the current index and returns H x over
-    index | hops(index), which then becomes the current index. The first
-    growth step, out of the caller's support, reads its weight-free hops from
-    the cache apply_hamiltonian uses; later steps build theirs uncached, since
-    their indices rarely repeat. The product is a scatter of the filled hops.
-    Once an index is closed under hops, its CSR matrix is built once and
-    serves every later matvec. lift carries the stored Krylov vectors from the
-    index before the last growth step onto the current one; since a space is
-    never rebuilt, it is never more than one growth step behind.
-    """
-
-    def __init__(self, graph: ExchangeGraph, masks: np.ndarray):
-        self.site_count = graph.site_count
-        self.endpoints, self.weights = _live_edges(graph)
-        self.masks = masks
-        self._index_pos = None  # the previous index's positions in the current one
-        self._csr = None
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        if self._csr is not None:
-            return self._csr @ x
-        n = len(self.masks)
-        if self._index_pos is None:
-            hops = _support_hops(self.site_count, self.endpoints, self.masks)
-        else:
-            hops = _hop_structure(self.endpoints, self.masks)
-        fill = hops.fill(self.weights)
-        size = len(hops.grown)
-        if size == n:
-            self._csr = sp.csr_matrix((fill, (hops.targets, hops.rows)), shape=(n, n))
-            return self._csr @ x
-        self._index_pos, self.masks = hops.index_pos, hops.grown
-        src = x[hops.rows] * fill
-        return np.bincount(hops.targets, src.real, size) + 1j * np.bincount(
-            hops.targets, src.imag, size
-        )
-
-    def lift(self, V: np.ndarray, rows: int) -> np.ndarray:
-        """V's first rows, held over the previous index, over the current one; same capacity."""
-        out = np.zeros((len(V), len(self.masks)), np.complex128)
-        out[:rows, self._index_pos] = V[:rows]
-        return out
+    hops = _support_hops(endpoints, psi.masks)
+    return SparseState(psi.site_count, hops.grown, hops.apply(psi.amps, weights))
 
 
 # -- Krylov propagation -------------------------------------------------------
@@ -269,19 +214,11 @@ def permuted_ranks(basis: SectorBasis, sym: SymmetryMap) -> np.ndarray:
     """rank(perm(mask)) for every mask in the basis, in rank order (read-only).
 
     A basis holds the whole sector, so the ranks depend only on (M, k, perm);
-    they come from the bounded structure cache.
+    they come from a bounded cache keyed on those three.
     """
     if sym.site_count != basis.site_count:
         raise ValueError("symmetry map acts on a different site count")
-
-    def build():
-        new = permute_masks(basis.masks, sym.perm)
-        rows = np.searchsorted(basis.masks, new)
-        if np.any(rows >= basis.dim) or np.any(basis.masks[rows] != new):
-            raise ValueError("permutation does not preserve the sector")
-        return _readonly(rows)[0]
-
-    return _STRUCTURES.get(("ranks", basis.site_count, basis.k, tuple(sym.perm)), build)
+    return _rank_structure(basis.site_count, basis.k, tuple(sym.perm))
 
 
 def mirror_propagator(pattern, k: int, sym: SymmetryMap) -> Propagator:

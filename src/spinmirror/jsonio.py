@@ -118,12 +118,29 @@ def pattern_to_obj(pattern: CouplingPattern) -> dict:
     return obj
 
 
-def pattern_from_obj(obj: dict) -> CouplingPattern:
-    known = {"schema_version", "kind", "n", "rows", "cols", "J", "K", "couplings"}
+def _check_keys(obj, what: str, known: set, required) -> None:
+    """Refuse a document that is not a JSON object, or that has an unknown or a missing key."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} document must hold a JSON object")
     unknown = set(obj) - known
     if unknown:
-        raise ValueError(f"unknown keys in pattern document: {sorted(unknown)}")
-    kind = obj.get("kind")
+        raise ValueError(f"unknown keys in {what} document: {sorted(unknown)}")
+    missing = [key for key in required if key not in obj]
+    if missing:
+        raise ValueError(f"{what} document lacks the key(s) {missing}")
+
+
+_PATTERN_KEYS = {"chain": ("n", "couplings"), "square": ("n", "J", "K"),
+                 "rect": ("rows", "cols", "J", "K")}
+_PATTERN_KNOWN = {"schema_version", "kind", "n", "rows", "cols", "J", "K", "couplings"}
+
+
+def pattern_from_obj(obj: dict) -> CouplingPattern:
+    _check_keys(obj, "pattern", _PATTERN_KNOWN, ("kind",))
+    kind = obj["kind"]
+    if not isinstance(kind, str) or kind not in _PATTERN_KEYS:
+        raise ValueError(f"unknown pattern kind {kind!r}")
+    _check_keys(obj, "pattern", _PATTERN_KNOWN, _PATTERN_KEYS[kind])
     if kind == "chain":
         n = int(obj["n"])
         c = np.asarray(obj["couplings"], dtype=float)
@@ -131,10 +148,8 @@ def pattern_from_obj(obj: dict) -> CouplingPattern:
         return CouplingPattern(g, np.zeros((0, n)), c.reshape(1, -1))
     if kind == "square":
         g = build_square_lattice(int(obj["n"]))
-    elif kind == "rect":
-        g = build_rect_lattice(int(obj["rows"]), int(obj["cols"]))
     else:
-        raise ValueError(f"unknown pattern kind {kind!r}")
+        g = build_rect_lattice(int(obj["rows"]), int(obj["cols"]))
     return CouplingPattern(g, np.asarray(obj["J"], dtype=float), np.asarray(obj["K"], dtype=float))
 
 
@@ -151,9 +166,7 @@ def graph_to_obj(graph: ExchangeGraph) -> dict:
 
 
 def graph_from_obj(obj: dict) -> ExchangeGraph:
-    unknown = set(obj) - {"schema_version", "sites", "edges"}
-    if unknown:
-        raise ValueError(f"unknown keys in graph document: {sorted(unknown)}")
+    _check_keys(obj, "graph", {"schema_version", "sites", "edges"}, ("sites", "edges"))
     return ExchangeGraph(
         int(obj["sites"]),
         tuple((int(a), int(b), float(w)) for a, b, w in obj["edges"]),

@@ -7,6 +7,8 @@ API; bitmask positions elsewhere in the package always use the flat index.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -313,9 +315,14 @@ def check_symmetry(pattern, sym: SymmetryMap, tol: float = 1e-12) -> bool:
     return True
 
 
-def _edge_orbits_of_graph(
-    edges: Sequence[tuple[int, int]], perms: Sequence[tuple[int, ...]]
-) -> list[list[int]]:
+def edge_orbits(geometry: Geometry, group: Iterable[SymmetryMap]) -> list[list[int]]:
+    """Partition of the canonical edge list into orbits under the group closure.
+
+    Orbits are sorted by their smallest edge index; one free parameter per
+    orbit fully determines a group-symmetric pattern.
+    """
+    edges = geometry.edges()
+    perms = group_closure(group)
     index = {e: i for i, e in enumerate(edges)}
     seen = set()
     orbits = []
@@ -340,13 +347,12 @@ def _edge_orbits_of_graph(
     return orbits
 
 
-def edge_orbits(geometry: Geometry, group: Iterable[SymmetryMap]) -> list[list[int]]:
-    """Partition of the canonical edge list into orbits under the group closure.
-
-    Orbits are sorted by their smallest edge index; one free parameter per
-    orbit fully determines a group-symmetric pattern.
-    """
-    return _edge_orbits_of_graph(geometry.edges(), group_closure(group))
+def _orbit_pattern(geometry: Geometry, orbits, values: Iterable[float]) -> CouplingPattern:
+    """The pattern carrying the i-th value on every edge of the i-th orbit, filled in orbit order."""
+    weights = np.empty(len(geometry.edges()))
+    for orbit, v in zip(orbits, values):
+        weights[orbit] = v
+    return pattern_from_weights(geometry, weights)
 
 
 def symmetrize_pattern(pattern: CouplingPattern, group: Iterable[SymmetryMap]) -> CouplingPattern:
@@ -355,13 +361,11 @@ def symmetrize_pattern(pattern: CouplingPattern, group: Iterable[SymmetryMap]) -
     Orbit sizes under the reflection groups here are powers of two, so the
     average of an already-constant orbit is bit-exact.
     """
-    weights = pattern.edge_weights().copy()
-    for orbit in edge_orbits(pattern.geometry, group):
-        total = 0.0
-        for i in orbit:
-            total += weights[i]
-        weights[orbit] = total / len(orbit)
-    return pattern_from_weights(pattern.geometry, weights)
+    weights = pattern.edge_weights()
+    orbits = edge_orbits(pattern.geometry, group)
+    # each orbit summed left to right
+    means = [functools.reduce(operator.add, weights[orbit], 0.0) / len(orbit) for orbit in orbits]
+    return _orbit_pattern(pattern.geometry, orbits, means)
 
 
 def random_symmetric_pattern(
@@ -379,7 +383,5 @@ def random_symmetric_pattern(
     if not lo < hi:
         raise ValueError("coupling range must satisfy lo < hi")
     rng = np.random.default_rng(seed)
-    weights = np.empty(len(geometry.edges()))
-    for orbit in edge_orbits(geometry, group):
-        weights[orbit] = rng.uniform(lo, hi)
-    return pattern_from_weights(geometry, weights)
+    orbits = edge_orbits(geometry, group)
+    return _orbit_pattern(geometry, orbits, (rng.uniform(lo, hi) for _ in orbits))

@@ -23,6 +23,7 @@ from .lattice import (
     Geometry,
     SymmetryMap,
     _as_graph,
+    _orbit_pattern,
     build_chain,
     build_square_lattice,
     check_symmetry,
@@ -265,10 +266,7 @@ def _orbits_of(run: OptimizationRun) -> list[list[int]]:
 
 
 def _pattern_of(run: OptimizationRun, orbits, params) -> CouplingPattern:
-    weights = np.empty(len(run.geometry.edges()))
-    for orbit, v in zip(orbits, params):
-        weights[orbit] = v
-    pat = pattern_from_weights(run.geometry, weights)
+    pat = _orbit_pattern(run.geometry, orbits, params)
     for sym in run.constraint_group:
         if not check_symmetry(pat, sym):
             raise RuntimeError(f"internal error: pattern violates {sym.name}")
@@ -463,11 +461,8 @@ def probe_2x2(n_ratios: int = 200, n_times: int = 2000) -> Probe2x2Result:
     rows = []
     sup, bratio, btime = -1.0, lo, 0.0
     for r in ratios:
-        weights = np.empty(4)
-        for orbit, v in zip(orbits, (1.0, float(r))):
-            weights[orbit] = v
-        pat = pattern_from_weights(g, weights)
-        tmax = _time_horizon(weights)
+        pat = _orbit_pattern(g, orbits, (1.0, float(r)))
+        tmax = _time_horizon(pat.edge_weights())
         ts = tmax * np.arange(1, n_times + 1) / n_times
         mins = np.ones(n_times)
         for k in (1, 2, 3):

@@ -3,22 +3,23 @@
 Occupation bitmasks use bit p for flat site p; the vacuum is mask 0. The
 exchange Hamiltonian never changes a mask's popcount, so each weight-k sector
 evolves independently. One hop rule, _hops_out, serves the sector matrices
-(through _sector_structure) and the matrix-free products in dynamics (through
-_hop_structure). Both structures are weight-free: they depend only on the
-masks and the endpoints of the nonzero edges, so a bounded process-wide cache
-keeps those of recent supports and sectors, and each call fills in 2w for the
-current weights. A Propagator evaluates fixed entries of exp(-iHt) over whole
-time grids.
+(through _sector_structure) and the matrix-free products (through
+_hop_structure): _Hops.apply is the one scatter of H on a mask index, used
+by dynamics.apply_hamiltonian and by _HopOperator, the growing-index
+operator behind evolve_sparse. The structures are weight-free: they depend
+only on the masks and the endpoints of the nonzero edges. Three builders
+keep their recent results in functools.lru_cache caches of HOP_CACHE_SIZE
+entries each (support hops, sector CSR structures, and the rank maps behind
+dynamics.permuted_ranks), and each call fills in 2w for the current weights.
+A Propagator evaluates fixed entries of exp(-iHt) over whole time grids.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 import scipy.sparse as sp
@@ -150,39 +151,10 @@ class Propagator:
         )
 
 
-# weight-free structures kept by _STRUCTURES, least recent evicted first. A loop
+# entries each structure cache keeps, least recently used evicted first. A loop
 # that runs witness checks beside coupling searches (the sparse-sweep benchmark)
-# touches 19 keys per pass; the bound keeps all of them.
+# touches at most 7 keys of any one kind per pass; the bound keeps all of them.
 HOP_CACHE_SIZE = 32
-
-
-class _BoundedCache:
-    """At most `size` entries; a hit makes an entry the most recent, a miss
-    builds it and evicts the least recent. Entries must never be written to.
-    A lock guards the entries, so threads may share the cache."""
-
-    def __init__(self, size: int):
-        self.size = size
-        self.entries: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key, build: Callable[[], object]):
-        with self._lock:
-            value = self.entries.get(key)
-            if value is not None:
-                self.entries.move_to_end(key)
-                return value
-        value = build()
-        with self._lock:
-            self.entries[key] = value
-            while len(self.entries) > self.size:
-                self.entries.popitem(last=False)
-        return value
-
-
-# keyed on the site count, the live edge endpoints and a support or sector;
-# holds index arrays only, never weights or amplitudes
-_STRUCTURES = _BoundedCache(HOP_CACHE_SIZE)
 
 
 def _live_edges(graph: ExchangeGraph) -> tuple[tuple[tuple[int, int], ...], np.ndarray]:
@@ -222,6 +194,17 @@ class _Hops:
         """True when no two hops land on the same mask."""
         return bool(np.bincount(self.targets, minlength=1).max() <= 1)
 
+    def apply(self, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """H x over grown, for x over the index; targets hit more than once sum in hop order."""
+        src = x[self.rows] * self.fill(weights)
+        out = np.zeros(len(self.grown), np.complex128)
+        if self.distinct:
+            out[self.targets] = src
+        else:
+            out.real = np.bincount(self.targets, src.real, len(out))
+            out.imag = np.bincount(self.targets, src.imag, len(out))
+        return out
+
 
 def _hops_out(endpoints, masks: np.ndarray):
     """The hop rule: (source rows, hops per live edge, landed masks) out of masks."""
@@ -249,12 +232,18 @@ def _hop_structure(endpoints, masks: np.ndarray) -> _Hops:
     return _Hops(*_readonly(rows.astype(idx), counts.astype(idx), pos[n:], grown, pos[:n]))
 
 
-def _support_hops(site_count: int, endpoints, masks: np.ndarray) -> _Hops:
-    """_hop_structure of a support, through the cache."""
-    key = ("support", site_count, endpoints, masks.tobytes())
-    return _STRUCTURES.get(key, lambda: _hop_structure(endpoints, masks))
+@functools.lru_cache(maxsize=HOP_CACHE_SIZE)
+def _support_structure(endpoints, support: bytes) -> _Hops:
+    """_hop_structure of a support, given as the bytes of its int64 masks."""
+    return _hop_structure(endpoints, np.frombuffer(support, dtype=np.int64))
 
 
+def _support_hops(endpoints, masks: np.ndarray) -> _Hops:
+    """_hop_structure of a support, through the cache keyed on its mask bytes."""
+    return _support_structure(endpoints, masks.tobytes())
+
+
+@functools.lru_cache(maxsize=HOP_CACHE_SIZE)
 def _sector_structure(site_count: int, endpoints, k: int):
     """(basis, CSR indices, indptr, live edge of each stored entry) of a sector.
 
@@ -284,14 +273,64 @@ def build_sector_hamiltonian(graph, k: int) -> SectorHamiltonian:
     """
     graph = _as_graph(graph)
     endpoints, weights = _live_edges(graph)
-    basis, indices, indptr, edge = _STRUCTURES.get(
-        ("sector", graph.site_count, endpoints, k),
-        lambda: _sector_structure(graph.site_count, endpoints, k),
-    )
+    basis, indices, indptr, edge = _sector_structure(graph.site_count, endpoints, k)
     mat = sp.csr_matrix(((2.0 * weights)[edge], indices.copy(), indptr.copy()),
                         shape=(basis.dim, basis.dim))
     mat.has_sorted_indices = True
     return SectorHamiltonian(basis, mat)
+
+
+@functools.lru_cache(maxsize=HOP_CACHE_SIZE)
+def _rank_structure(site_count: int, k: int, perm: tuple[int, ...]) -> np.ndarray:
+    """rank(perm(mask)) for every mask of the weight-k sector, in rank order."""
+    masks = enumerate_sector_basis(site_count, k).masks
+    new = permute_masks(masks, perm)
+    rows = np.searchsorted(masks, new)
+    if np.any(rows >= len(masks)) or np.any(masks[rows] != new):
+        raise ValueError("permutation does not preserve the sector")
+    return _readonly(rows)[0]
+
+
+class _HopOperator:
+    """H on vectors over a sorted mask index that grows to its hop closure.
+
+    matvec takes a vector over the current index and returns H x over
+    index | hops(index), which then becomes the current index. The first
+    growth step, out of the caller's support, reads its weight-free hops from
+    the support cache; later steps build theirs uncached, since their indices
+    rarely repeat. Both go through _Hops.apply. Once an index is closed under
+    hops, its CSR matrix is built once and serves every later matvec. lift
+    carries the stored Krylov vectors from the index before the last growth
+    step onto the current one; since a space is never rebuilt, it is never
+    more than one growth step behind.
+    """
+
+    def __init__(self, graph: ExchangeGraph, masks: np.ndarray):
+        self.endpoints, self.weights = _live_edges(graph)
+        self.masks = masks
+        self._index_pos = None  # the previous index's positions in the current one
+        self._csr = None
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        if self._csr is not None:
+            return self._csr @ x
+        if self._index_pos is None:
+            hops = _support_hops(self.endpoints, self.masks)
+        else:
+            hops = _hop_structure(self.endpoints, self.masks)
+        n = len(self.masks)
+        if len(hops.grown) == n:
+            self._csr = sp.csr_matrix((hops.fill(self.weights), (hops.targets, hops.rows)),
+                                      shape=(n, n))
+            return self._csr @ x
+        self._index_pos, self.masks = hops.index_pos, hops.grown
+        return hops.apply(x, self.weights)
+
+    def lift(self, V: np.ndarray, rows: int) -> np.ndarray:
+        """V's first rows, held over the previous index, over the current one; same capacity."""
+        out = np.zeros((len(V), len(self.masks)), np.complex128)
+        out[:rows, self._index_pos] = V[:rows]
+        return out
 
 
 @dataclass(frozen=True)
@@ -374,9 +413,6 @@ class SparseState:
     @classmethod
     def unit(cls, site_count: int, mask: int) -> "SparseState":
         return cls(site_count, np.array([mask], dtype=np.int64), np.ones(1, np.complex128))
-
-    def items(self) -> Iterable[tuple[int, complex]]:
-        return zip((int(m) for m in self.masks), (complex(a) for a in self.amps))
 
     def amplitude(self, mask: int) -> complex:
         i = np.searchsorted(self.masks, mask)

@@ -63,8 +63,7 @@ def restrict_to_sector(H, site_count, k):
 def dense_vector(state):
     """SparseState -> full 2^M complex vector."""
     v = np.zeros(2**state.site_count, dtype=np.complex128)
-    for m, a in state.items():
-        v[m] = a
+    v[state.masks] = state.amps
     return v
 
 

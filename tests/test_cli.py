@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from spinmirror import __version__, dynamics, jsonio
 from spinmirror.cli import build_parser, main
@@ -223,6 +224,28 @@ def test_witness_odd_distance_round_trip(tmp_path):
     assert run("witness", "--odd-distance", str(bad_path)) == 2
 
 
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        (("mirror", "--t", "1", "--pattern-file"), {"kind": "square"}, "lacks the key(s) ['n', 'J', 'K']"),
+        (("classify", "--k", "1", "--pattern-file"), {"kind": "rect", "rows": 2, "cols": 2},
+         "lacks the key(s) ['J', 'K']"),
+        (("mirror", "--t", "1", "--pattern-file"), {"n": 3}, "lacks the key(s) ['kind']"),
+        (("mirror", "--t", "1", "--pattern-file"), [1, 2], "pattern document must hold a JSON object"),
+        (("witness", "--odd-distance"), {"sites": 4}, "graph document lacks the key(s) ['edges']"),
+        (("witness", "--odd-distance"), "graph", "graph document must hold a JSON object"),
+    ],
+    ids=["square-no-n", "rect-no-couplings", "no-kind", "list", "graph-no-edges", "graph-string"],
+)
+def test_incomplete_pattern_or_graph_document_exits_2_naming_the_key(tmp_path, capsys, command,
+                                                                      doc, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert run(*command, str(path)) == 2
+    out, err = capsys.readouterr()
+    assert message in err and out == ""
+
+
 @pytest.mark.parametrize("flags, flag", [(("--n", "0"), "--n"), (("--seeds", "1,,2"), "--seeds")])
 def test_witness_bad_side_or_seed_list_exits_2_naming_the_flag(capsys, flags, flag):
     assert run("witness", *flags) == 2
@@ -396,6 +419,93 @@ def test_readme_cli_quickstart_parses():
             parser.parse_args(shlex.split(line)[1:])
         except SystemExit:
             pytest.fail(f"README example does not parse: {line}")
+
+
+# sha256 of the stdout and of each .json/.csv output of the fast README
+# examples, run in one process with one BLAS thread on the versions below. The
+# slow presets (rx-3x3-witness, chain-4-pst) and the k=5 mirror report are
+# left out: together they take about 20 s.
+README_DIGEST_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1", "OpenBLAS": "0.3.31"}
+README_DIGESTS = {
+    "spinmirror chain --n 8 --chain christandl": {
+        "stdout": "a3050e1e60a0d7d94fda1f40bc5821d671de7325900329ded8a8760ece30e926",
+    },
+    "spinmirror chain --n 6 --chain uniform --tmax 200 --points 20000": {
+        "stdout": "12d7b07bd648cb2a7dfe8b5c70ffc956d12665fd36059883f87915639cf2eba2",
+    },
+    "spinmirror mirror --pattern parallel-chains --n 4 --k 2": {
+        "stdout": "b8ca62a1aa3531a6c0a39b0d544c6871ee484b9761ebda94953942ba28934967",
+    },
+    "spinmirror witness --n 3 --pattern random-rx --seeds 0,1,2,3,4 --out certs": {
+        "stdout": "a5a964c87a272f18bd81af8b58c70068fa790aa7daa6547ee324840ddd954235",
+        "certs.json": "d9bcdb9751af5133a666ad0b00a7ad4673a3a49633bef9d73e6f4ed79f47b9df",
+        "certs.csv": "e764c91727bd9359044bfd4129ad71a70108a4704561623d88d0e2000b305ac5",
+    },
+    "spinmirror classify --parallel-chains 4 --k 2 --sym vertical_axis": {
+        "stdout": "e17f99766b8e2fb52113edd72078562473756f7694149800ae166613f30581c9",
+    },
+    "spinmirror optimize --preset rodot-2x2-probe --out probe": {
+        "stdout": "18489bcee7206dc653857c828272e5ae8be5e07bf11dddae28a1a35209ab0288",
+        "probe.json": "d833410cb657d083165af49ce0729b5f0e8bce7f75ffa984f02c6b857246a7c3",
+        "probe.csv": "cb5dfd0e1ad7695570b3c97ab8693c7381df2cd52472ca09a52481c8ab72f29f",
+    },
+    "spinmirror scan --pattern christandl-chain --n 5 --source 1,1 --target 1,5": {
+        "stdout": "d71cf0caa4b5e9e2ccaa7be8db641381c7175340f305778763c3049f53cabd24",
+    },
+}
+
+# runs each README line through cli.main in one process; prints, per line, the
+# exit code and the sha256 of its stdout and of each .json/.csv it wrote
+README_CHILD = """
+import contextlib, hashlib, io, json, shlex, sys
+from spinmirror.cli import main
+
+def sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+found = {}
+for line in json.loads(sys.argv[1]):
+    argv, out = shlex.split(line)[1:], io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    found[line] = {"exit": code, "stdout": sha(out.getvalue().encode())}
+    if "--out" in argv:
+        prefix = argv[argv.index("--out") + 1]
+        for name in (prefix + ".json", prefix + ".csv"):
+            with open(name, "rb") as f:
+                found[line][name] = sha(f.read())
+print(json.dumps(found))
+"""
+
+
+def installed_versions():
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 has no dict form
+        blas = {"name": "unknown", "version": "unknown"}
+    return {"numpy": np.__version__, "scipy": scipy.__version__,
+            "OpenBLAS": blas["version"] if "openblas" in blas["name"].lower() else blas["name"]}
+
+
+def test_fast_readme_examples_give_their_recorded_bytes(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI quickstart", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    assert set(README_DIGESTS) <= {line.split("#")[0].strip() for line in block.splitlines()}
+    versions = installed_versions()
+    differ = [f"{name} {versions[name]} (recorded with {want})"
+              for name, want in README_DIGEST_VERSIONS.items()
+              if not versions[name].startswith(want)]
+    if differ:
+        pytest.skip("README digests were recorded on other versions: " + ", ".join(differ))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", README_CHILD, json.dumps(list(README_DIGESTS))],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    found = json.loads(proc.stdout)
+    for line, digests in README_DIGESTS.items():
+        assert found[line] == {"exit": 0, **digests}, line
 
 
 def test_optimize_probe_grid(tmp_path):

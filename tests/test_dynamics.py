@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from spinmirror import dynamics
+from spinmirror import dynamics, sectors
 from spinmirror.chains import (
     chain_pattern,
     christandl_chain,
@@ -248,7 +248,7 @@ MASK_4X4_K5 = 0b1001000100101  # sites 0, 2, 5, 8, 12
 
 def oracle_vector(masks, state):
     """state's amplitudes over the oracle's masks; support outside them fails."""
-    got = dict(state.items())
+    got = dict(zip(state.masks.tolist(), state.amps.tolist()))
     assert set(got) <= set(int(m) for m in masks)
     return np.array([got.get(int(m), 0j) for m in masks])
 
@@ -406,11 +406,25 @@ def same_bytes(a, b):
 
 @pytest.mark.parametrize("case", sorted(HOP_CASES))
 def test_hop_products_are_byte_identical_to_the_per_call_hop_path(case):
-    dynamics._STRUCTURES.entries.clear()
+    sectors._support_structure.cache_clear()
     for seed in (10, 11):  # a cold structure, then a cached one under new weights
         graph, psi = HOP_CASES[case](seed)
         assert same_bytes(apply_hamiltonian(graph, psi), apply_hamiltonian_reference(graph, psi))
         assert same_bytes(evolve_sparse(graph, psi, 0.9), evolve_sparse_reference(graph, psi, 0.9))
+
+
+# the supports of the other cases are closed under hops: no growth step
+OPEN_HOP_CASES = sorted(set(HOP_CASES) - {"vacuum", "full", "whole-sector"})
+
+
+@pytest.mark.parametrize("case", OPEN_HOP_CASES)
+def test_apply_hamiltonian_and_the_first_growth_step_scatter_alike(case):
+    graph, psi = HOP_CASES[case](10)
+    op = dynamics._HopOperator(graph, psi.masks)
+    grown = op.matvec(psi.amps)
+    assert len(op.masks) > len(psi.masks)
+    # the same canonicalization apply_hamiltonian applies: exact zeros dropped
+    assert same_bytes(apply_hamiltonian(graph, psi), SparseState(psi.site_count, op.masks, grown))
 
 
 def test_writing_into_returned_states_leaves_the_next_product_unchanged():

@@ -18,7 +18,6 @@ ROOT = Path(__file__).resolve().parents[1]
             ["--n-max", "2"],
             ["christandl-02", "uniform-02"],
         ),
-        ("probe_2x2.py", ["--ratios", "2", "--times", "2"], ["probe-2x2"]),
         ("witness_certificates.py", ["--n-max", "2", "--seeds", "0"], ["witness-n2"]),
     ],
 )

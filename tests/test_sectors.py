@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinmirror.chains import chain_pattern, christandl_chain, uniform_chain
+from spinmirror.dynamics import apply_hamiltonian, permuted_ranks
 from spinmirror.lattice import (
     ExchangeGraph,
     build_chain,
@@ -266,7 +267,7 @@ def lattice_graph(n, seed, zero_edge=None):
 )
 def test_csr_build_is_byte_identical_to_a_coo_reference(n, k, zero_edge):
     # cold, then from the cached structure under other weights of one topology
-    sectors._STRUCTURES.entries.clear()
+    sectors._sector_structure.cache_clear()
     for seed in (n + k, 100 + n + k):
         graph = lattice_graph(n, seed, zero_edge)
         got = build_sector_hamiltonian(graph, k).mat
@@ -274,40 +275,79 @@ def test_csr_build_is_byte_identical_to_a_coo_reference(n, k, zero_edge):
         assert csr_bytes(got) == csr_bytes(ref)
         assert csr_bytes(got) == csr_bytes(sector_hamiltonian_reference(graph, k))
         assert got.has_sorted_indices
-    assert len(sectors._STRUCTURES.entries) == 1
+    info = sectors._sector_structure.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
 
 def test_new_weights_on_a_cached_topology_give_fresh_values():
     first, second = lattice_graph(3, 1), lattice_graph(3, 2)
-    sectors._STRUCTURES.entries.clear()
+    sectors._sector_structure.cache_clear()
     old = build_sector_hamiltonian(first, 3).mat
     warm = build_sector_hamiltonian(second, 3).mat
-    sectors._STRUCTURES.entries.clear()
+    assert sectors._sector_structure.cache_info().hits == 1
+    sectors._sector_structure.cache_clear()
     cold = build_sector_hamiltonian(second, 3).mat
     assert csr_bytes(warm) == csr_bytes(cold)
     assert not np.array_equal(warm.data, old.data)
 
 
 def test_zero_weight_edge_changes_the_key_and_stores_nothing():
-    sectors._STRUCTURES.entries.clear()
+    sectors._sector_structure.cache_clear()
     full = build_sector_hamiltonian(lattice_graph(3, 4), 4).mat
     graph = lattice_graph(3, 4, zero_edge=6)
     cut = build_sector_hamiltonian(graph, 4).mat
-    assert len(sectors._STRUCTURES.entries) == 2
+    info = sectors._sector_structure.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 2, 2)
     assert cut.nnz < full.nnz and np.all(cut.data != 0.0)
     assert csr_bytes(cut) == csr_bytes(_coo_reference(graph, 4))
 
 
+def chain_graphs(count):
+    return [chain_pattern(uniform_chain(n, 0.5 + n)).to_graph() for n in range(2, count + 2)]
+
+
+def mirror_ranks(graph):
+    n = graph.site_count
+    return permuted_ranks(enumerate_sector_basis(n, 1), symmetry_map(build_chain(n), "vertical_axis"))
+
+
+# each cache with a call that reads one entry of it per chain graph
+STRUCTURE_CACHES = {
+    "sector": (sectors._sector_structure, lambda g: build_sector_hamiltonian(g, 1)),
+    "support": (sectors._support_structure,
+                lambda g: apply_hamiltonian(g, SparseState.unit(g.site_count, 1))),
+    "ranks": (sectors._rank_structure, mirror_ranks),
+}
+
+
 def test_structure_cache_holds_at_most_its_bound():
-    sectors._STRUCTURES.entries.clear()
-    graphs = [chain_pattern(uniform_chain(n)).to_graph() for n in range(2, HOP_CACHE_SIZE + 6)]
-    for graph in graphs:
-        build_sector_hamiltonian(graph, 1)
-        assert len(sectors._STRUCTURES.entries) <= HOP_CACHE_SIZE
-    assert len(sectors._STRUCTURES.entries) == HOP_CACHE_SIZE
-    # the least recently used entries went first
-    sites = [key[1] for key in sectors._STRUCTURES.entries]
-    assert sites == [g.site_count for g in graphs[-HOP_CACHE_SIZE:]]
+    # and evicts the least recently used entry first, in each of the three caches
+    graphs = chain_graphs(HOP_CACHE_SIZE + 4)
+    kept = graphs[-HOP_CACHE_SIZE:]
+    for kind, (cache, touch) in STRUCTURE_CACHES.items():
+        cache.cache_clear()
+        for graph in graphs:
+            touch(graph)
+            assert cache.cache_info().currsize <= HOP_CACHE_SIZE, kind
+        assert cache.cache_info() == (0, len(graphs), HOP_CACHE_SIZE, HOP_CACHE_SIZE), kind
+        touch(kept[0])  # a hit: the least recent entry becomes the most recent
+        touch(graphs[0])  # a miss: it went first, and now kept[1] goes
+        touch(kept[0])  # a hit
+        touch(kept[1])  # a miss
+        info = cache.cache_info()
+        assert (info.hits, info.misses) == (2, len(graphs) + 2), kind
+
+
+def test_cached_structures_are_read_only():
+    graph = lattice_graph(3, 5)
+    endpoints = tuple((a, b) for a, b, _ in graph.edges)
+    support = np.array([0b111, 0b10101], dtype=np.int64)
+    basis, *sector = sectors._sector_structure(9, endpoints, 3)
+    hops = sectors._support_structure(endpoints, support.tobytes())
+    ranks = sectors._rank_structure(9, 3, symmetry_map(build_square_lattice(3), "rotation_pi").perm)
+    arrays = [basis.masks, *sector, ranks, hops.rows, hops.counts, hops.targets, hops.grown,
+              hops.index_pos]
+    assert not any(a.flags.writeable for a in arrays)
 
 
 def test_writing_into_a_built_matrix_leaves_the_next_build_unchanged():
@@ -349,18 +389,17 @@ def test_propagator_derivatives_match_central_differences(kind, seed):
         assert np.all(np.abs(d2a - (hi2 - 2 * mid + lo2) / h2**2) <= tol2)
 
 
-def test_threads_share_the_structure_cache(monkeypatch):
+def test_threads_share_the_structure_cache():
     # more threads than cores cycling more keys than the bound, switching often;
     # tiny sectors keep the threads inside the cache's bookkeeping
-    monkeypatch.setattr(sectors._STRUCTURES, "size", 2)
-    graphs = [chain_pattern(uniform_chain(n, 0.5 + n)).to_graph() for n in (2, 3, 4)]
+    graphs = chain_graphs(HOP_CACHE_SIZE + 3)
     expected = [csr_bytes(_coo_reference(g, 1)) for g in graphs]
     failures = []
 
     def work(offset):
         try:
             for step in range(1000):
-                i = (offset + step) % 3
+                i = (offset + step) % len(graphs)
                 if csr_bytes(build_sector_hamiltonian(graphs[i], 1).mat) != expected[i]:
                     failures.append(i)
         except Exception as e:  # a lost update surfaces as an exception here
@@ -378,4 +417,4 @@ def test_threads_share_the_structure_cache(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert failures == []
-    assert len(sectors._STRUCTURES.entries) <= 2
+    assert sectors._sector_structure.cache_info().currsize <= HOP_CACHE_SIZE
