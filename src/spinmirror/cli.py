@@ -85,9 +85,13 @@ def _write_outputs(args, obj, csv=None, meta=None):
 
 
 def _build_chain(args):
-    if args.chain == "christandl":
-        return christandl_chain(args.n, scale=args.scale)
-    return uniform_chain(args.n, strength=args.strength)
+    """The chosen chain; the flag that only the other kind reads exits 2."""
+    reads, other = ("scale", "strength") if args.chain == "christandl" else ("strength", "scale")
+    if getattr(args, other) is not None:
+        raise ValueError(f"--{other} does not apply to --chain {args.chain}, which reads --{reads}")
+    value = getattr(args, reads)
+    build = christandl_chain if args.chain == "christandl" else uniform_chain
+    return build(args.n, 1.0 if value is None else value)
 
 
 def _time_grid(tmax, points):
@@ -445,11 +449,19 @@ def build_parser():
         subparsers[name] = p
         return p
 
+    def add_pattern_flags(p):
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--pattern", choices=_PATTERN_PRESETS)
+        source.add_argument("--pattern-file")
+        p.add_argument("--n", type=int, default=4)
+        p.add_argument("--k", type=int, default=1)
+        p.add_argument("--mirror", choices=SYMMETRY_NAMES)
+
     p = add("chain", cmd_chain, "scan end-to-end transfer of a coupling sequence")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--chain", choices=("christandl", "uniform"), default="christandl")
-    p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--strength", type=float, default=1.0)
+    p.add_argument("--scale", type=float, help="christandl chains only (default 1)")
+    p.add_argument("--strength", type=float, help="uniform chains only (default 1)")
     p.add_argument("--tmax", type=float, default=50.0)
     p.add_argument("--points", type=int, default=2000)
     p.add_argument("--require-peak", type=float, default=None,
@@ -457,11 +469,7 @@ def build_parser():
                         "when a nominal transfer time exists)")
 
     p = add("mirror", cmd_mirror, "mirrored-modulus report for one sector at one time")
-    p.add_argument("--pattern", choices=_PATTERN_PRESETS)
-    p.add_argument("--pattern-file")
-    p.add_argument("--n", type=int, default=4)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--mirror", choices=SYMMETRY_NAMES)
+    add_pattern_flags(p)
     p.add_argument("--t", type=float, default=None)
     p.add_argument("--require-min", type=float, default=None)
 
@@ -475,9 +483,10 @@ def build_parser():
                    help="graph JSON; verify the witness against long odd-distance edges")
 
     p = add("classify", cmd_classify, "degeneracy groups labelled by mirror symmetry")
-    p.add_argument("--parallel-chains", type=int, default=None,
-                   help="two uncoupled engineered chains of this length")
-    p.add_argument("--pattern-file")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--parallel-chains", type=int, default=None,
+                        help="two uncoupled engineered chains of this length")
+    source.add_argument("--pattern-file")
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--sym", default="vertical_axis", choices=SYMMETRY_NAMES)
     p.add_argument("--degeneracy-tol", type=float, default=None)
@@ -492,11 +501,7 @@ def build_parser():
     p.add_argument("--times", type=int, help="time grid size (default 2000; probe only)")
 
     p = add("scan", cmd_scan, "fidelity curves over a time grid")
-    p.add_argument("--pattern", choices=_PATTERN_PRESETS)
-    p.add_argument("--pattern-file")
-    p.add_argument("--n", type=int, default=4)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--mirror", choices=SYMMETRY_NAMES)
+    add_pattern_flags(p)
     p.add_argument("--tmax", type=float, default=None)
     p.add_argument("--points", type=int, default=500)
     p.add_argument("--source", default=None, help="flat site or i,j (transfer mode)")
@@ -506,23 +511,28 @@ def build_parser():
 
 
 def _apply_config(parser, subparsers, argv):
-    """Fold --config JSON values in as subcommand defaults."""
+    """Parse argv with the --config entries read as flags right after the command.
+
+    Explicit flags come later and win; config values are checked as flags are,
+    and a null keeps the default. Keys must name a flag exactly.
+    """
     probe = parser.parse_args(argv)
-    if not getattr(probe, "config", None):
+    if not probe.config:
         return probe
     cfg = jsonio.read_json(probe.config)
     if not isinstance(cfg, dict):
         raise ValueError("config file must hold a JSON object")
-    sub = subparsers[probe.command]
-    dests = {a.dest for a in sub._actions}
-    mapped = {}
+    flags = {a.dest: a.option_strings[-1] for a in subparsers[probe.command]._actions
+             if a.dest not in ("help", "config")}
+    tokens = []
     for key, value in cfg.items():
         dest = key.replace("-", "_")
-        if dest not in dests or dest in ("help", "config"):
+        if dest not in flags:
             raise ValueError(f"unknown config key {key!r} for command {probe.command!r}")
-        mapped[dest] = value
-    sub.set_defaults(**mapped)
-    return parser.parse_args(argv)
+        if value is not None:
+            tokens.append(f"{flags[dest]}={value}")
+    at = argv.index(probe.command) + 1
+    return parser.parse_args(argv[:at] + tokens + argv[at:])
 
 
 def main(argv=None) -> int:

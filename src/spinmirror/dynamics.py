@@ -33,7 +33,7 @@ from .sectors import (
     _HopOperator,
     _live_edges,
     _rank_structure,
-    _support_hops,
+    _support_structure,
     build_sector_hamiltonian,
 )
 
@@ -57,7 +57,7 @@ def apply_hamiltonian(graph, psi: SparseState) -> SparseState:
     if graph.site_count != psi.site_count:
         raise ValueError("graph and state have different site counts")
     endpoints, weights = _live_edges(graph)
-    hops = _support_hops(endpoints, psi.masks)
+    hops = _support_structure(endpoints, psi.masks.tobytes())
     return SparseState(psi.site_count, hops.grown, hops.apply(psi.amps, weights))
 
 

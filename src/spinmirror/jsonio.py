@@ -3,7 +3,9 @@
 Floats are written with Python's shortest round-trip repr, so parsing the
 emitted text recovers every value bit for bit. All writers sort keys and use
 fixed separators, which makes repeated runs byte-identical; timestamps live
-only in sidecar .meta.json files.
+only in sidecar .meta.json files. Numpy values reach the encoder's default
+hook, which writes their tolist(). The readers want JSON integers for sizes
+and edge endpoints and raise a ValueError naming any key they refuse.
 """
 
 from __future__ import annotations
@@ -28,25 +30,16 @@ from .lattice import (
 SCHEMA_VERSION = "1"
 
 
-def _py(x):
-    """Convert numpy scalars and containers to plain Python types."""
-    if isinstance(x, (bool, np.bool_)):  # before int: bool subclasses int
-        return bool(x)
-    if isinstance(x, (np.floating, float)):
-        return float(x)
-    if isinstance(x, (np.integer, int)):
-        return int(x)
-    if isinstance(x, np.ndarray):
-        return [_py(v) for v in x.tolist()]
-    if isinstance(x, (list, tuple)):
-        return [_py(v) for v in x]
-    if isinstance(x, dict):
-        return {k: _py(v) for k, v in x.items()}
-    return x
+def _numpy_value(x):
+    """The encoder's default hook; np.float64 never comes here, being a float."""
+    if isinstance(x, (np.ndarray, np.generic)):
+        return x.tolist()
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
 def canonical_dumps(obj) -> str:
-    return json.dumps(_py(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False,
+                      default=_numpy_value) + "\n"
 
 
 def write_json(path, obj) -> None:
@@ -88,7 +81,7 @@ def write_meta(path, argv: Sequence[str], extra: dict | None = None) -> None:
         "argv": list(argv),
     }
     if extra:
-        meta.update(_py(extra))
+        meta.update(extra)
     write_json(path, meta)
 
 
@@ -102,13 +95,13 @@ def pattern_to_obj(pattern: CouplingPattern) -> dict:
             "schema_version": SCHEMA_VERSION,
             "kind": "chain",
             "n": g.cols,
-            "couplings": _py(pattern.chain_couplings),
+            "couplings": pattern.chain_couplings.tolist(),
         }
     obj = {
         "schema_version": SCHEMA_VERSION,
         "kind": g.kind,
-        "J": _py(pattern.J),
-        "K": _py(pattern.K),
+        "J": pattern.J.tolist(),
+        "K": pattern.K.tolist(),
     }
     if g.kind == "square":
         obj["n"] = g.cols
@@ -135,22 +128,30 @@ _PATTERN_KEYS = {"chain": ("n", "couplings"), "square": ("n", "J", "K"),
 _PATTERN_KNOWN = {"schema_version", "kind", "n", "rows", "cols", "J", "K", "couplings"}
 
 
+def _number(value, what: str, kind=(int, float)):
+    """value, if it is a JSON number of this kind (never a boolean); else a ValueError naming what."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        noun = "integer" if kind is int else "number"
+        raise ValueError(f"{what} must be a JSON {noun}, got {value!r}")
+    return value
+
+
 def pattern_from_obj(obj: dict) -> CouplingPattern:
     _check_keys(obj, "pattern", _PATTERN_KNOWN, ("kind",))
     kind = obj["kind"]
     if not isinstance(kind, str) or kind not in _PATTERN_KEYS:
         raise ValueError(f"unknown pattern kind {kind!r}")
     _check_keys(obj, "pattern", _PATTERN_KNOWN, _PATTERN_KEYS[kind])
+    size = {key: _number(obj[key], f"pattern key {key!r}", int)
+            for key in ("n", "rows", "cols") if key in _PATTERN_KEYS[kind]}
+    # CouplingPattern casts and shapes the couplings itself
     if kind == "chain":
-        n = int(obj["n"])
-        c = np.asarray(obj["couplings"], dtype=float)
-        g = build_chain(n)
-        return CouplingPattern(g, np.zeros((0, n)), c.reshape(1, -1))
+        return CouplingPattern(build_chain(size["n"]), [], obj["couplings"])
     if kind == "square":
-        g = build_square_lattice(int(obj["n"]))
+        g = build_square_lattice(size["n"])
     else:
-        g = build_rect_lattice(int(obj["rows"]), int(obj["cols"]))
-    return CouplingPattern(g, np.asarray(obj["J"], dtype=float), np.asarray(obj["K"], dtype=float))
+        g = build_rect_lattice(size["rows"], size["cols"])
+    return CouplingPattern(g, obj["J"], obj["K"])
 
 
 def pattern_digest(pattern: CouplingPattern) -> str:
@@ -167,15 +168,20 @@ def graph_to_obj(graph: ExchangeGraph) -> dict:
 
 def graph_from_obj(obj: dict) -> ExchangeGraph:
     _check_keys(obj, "graph", {"schema_version", "sites", "edges"}, ("sites", "edges"))
+    edges = obj["edges"]
+    if not isinstance(edges, list) or any(not isinstance(e, list) or len(e) != 3 for e in edges):
+        raise ValueError("graph key 'edges' must be a list of [a, b, strength] triples")
+    endpoint, strength = "an endpoint in graph key 'edges'", "a strength in graph key 'edges'"
     return ExchangeGraph(
-        int(obj["sites"]),
-        tuple((int(a), int(b), float(w)) for a, b, w in obj["edges"]),
+        _number(obj["sites"], "graph key 'sites'", int),
+        tuple((_number(a, endpoint, int), _number(b, endpoint, int), float(_number(w, strength)))
+              for a, b, w in edges),
     )
 
 
 def chain_to_obj(chain: ChainCouplings) -> dict:
     return {
         "n": chain.n,
-        "couplings": _py(list(chain.couplings)),
+        "couplings": list(chain.couplings),
         "transfer_time": None if chain.nominal_transfer_time is None else float(chain.nominal_transfer_time),
     }

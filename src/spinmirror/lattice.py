@@ -242,31 +242,26 @@ class SymmetryMap:
 def symmetry_map(geometry: Geometry, name: str) -> SymmetryMap:
     """One of main_diagonal, anti_diagonal, rotation_pi, vertical_axis, horizontal_axis.
 
-    The diagonal reflections require a square geometry. For a chain,
-    vertical_axis (and rotation_pi) is the site-reversal map.
+    Each is read off the site grid [[flat(i, j)]]: main_diagonal transposes
+    it, rotation_pi reverses both axes, vertical_axis and horizontal_axis one,
+    and anti_diagonal transposes the rotated grid. The diagonal reflections
+    require a square geometry. For a chain, vertical_axis (and rotation_pi) is
+    the site-reversal map.
     """
     if name not in SYMMETRY_NAMES:
         raise ValueError(f"unknown symmetry {name!r}; choose from {SYMMETRY_NAMES}")
     R, C = geometry.rows, geometry.cols
     if name in ("main_diagonal", "anti_diagonal") and R != C:
         raise ValueError(f"{name} requires a square geometry")
-
-    def image(i, j):
-        if name == "main_diagonal":
-            return j, i
-        if name == "anti_diagonal":
-            return C + 1 - j, R + 1 - i
-        if name == "rotation_pi":
-            return R + 1 - i, C + 1 - j
-        if name == "vertical_axis":
-            return i, C + 1 - j
-        return R + 1 - i, j
-
-    perm = [0] * geometry.site_count
-    for i in range(1, R + 1):
-        for j in range(1, C + 1):
-            perm[geometry.flat(i, j)] = geometry.flat(*image(i, j))
-    return SymmetryMap(name, tuple(perm))
+    grid = np.arange(geometry.site_count).reshape(R, C)
+    image = {
+        "main_diagonal": grid.T,
+        "anti_diagonal": grid[::-1, ::-1].T,
+        "rotation_pi": grid[::-1, ::-1],
+        "vertical_axis": grid[:, ::-1],
+        "horizontal_axis": grid[::-1, :],
+    }[name]
+    return SymmetryMap(name, tuple(image.ravel().tolist()))
 
 
 def group_closure(maps: Iterable[SymmetryMap]) -> list[tuple[int, ...]]:

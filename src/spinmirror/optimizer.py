@@ -94,11 +94,8 @@ def _objective_propagator(graph, objective: Objective) -> Propagator:
         H = build_sector_hamiltonian(graph, k)
         evals, vecs = H.eig()
         psi_k = comp.to_sector_state(H.basis).amplitudes
-        tau_k = (
-            tsplit[k].to_sector_state(H.basis).amplitudes
-            if k in tsplit
-            else np.zeros(H.dim, np.complex128)
-        )
+        # the mirror permutes sites, so the target has exactly the state's sectors
+        tau_k = tsplit[k].to_sector_state(H.basis).amplitudes
         lams.append(evals)
         ws.append(np.conj(vecs.T @ tau_k) * (vecs.T @ psi_k))
     return Propagator(
@@ -404,13 +401,11 @@ def witness_ceiling(pattern: CouplingPattern, objective: Objective) -> float:
     if not check_symmetry(pattern, symmetry_map(g, "main_diagonal")):
         raise ValueError("pattern is not main-diagonal symmetric")
     psi0 = objective.state
-    proj = None
-    for w in witness_subspace_basis(g.n):
-        coeff = w.inner(psi0)
-        if coeff != 0:
-            piece = w.scaled(coeff)
-            proj = piece if proj is None else proj.add(piece)
-    c = proj.norm() if proj is not None else 0.0
+    # the witnesses have disjoint supports: the projection is their pieces side by side
+    pieces = [w.scaled(w.inner(psi0)) for w in witness_subspace_basis(g.n)]
+    proj = SparseState(psi0.site_count, np.concatenate([p.masks for p in pieces]),
+                       np.concatenate([p.amps for p in pieces]))
+    c = proj.norm()
     if c < 1e-12:
         return 1.0
     psi_w = proj.scaled(1.0 / c)

@@ -238,11 +238,6 @@ def _support_structure(endpoints, support: bytes) -> _Hops:
     return _hop_structure(endpoints, np.frombuffer(support, dtype=np.int64))
 
 
-def _support_hops(endpoints, masks: np.ndarray) -> _Hops:
-    """_hop_structure of a support, through the cache keyed on its mask bytes."""
-    return _support_structure(endpoints, masks.tobytes())
-
-
 @functools.lru_cache(maxsize=HOP_CACHE_SIZE)
 def _sector_structure(site_count: int, endpoints, k: int):
     """(basis, CSR indices, indptr, live edge of each stored entry) of a sector.
@@ -315,7 +310,7 @@ class _HopOperator:
         if self._csr is not None:
             return self._csr @ x
         if self._index_pos is None:
-            hops = _support_hops(self.endpoints, self.masks)
+            hops = _support_structure(self.endpoints, self.masks.tobytes())
         else:
             hops = _hop_structure(self.endpoints, self.masks)
         n = len(self.masks)

@@ -10,6 +10,7 @@ a witness component therefore cannot be mirrored perfectly.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -189,16 +190,8 @@ def impossibility_certificate(
 def certificate_to_obj(cert: Certificate) -> dict:
     from . import __version__
 
-    return {
-        "schema_version": jsonio.SCHEMA_VERSION,
-        "tool_version": __version__,
-        "pattern_hash": cert.pattern_hash,
-        "residual": cert.residual,
-        "initial_target_overlap": cert.initial_target_overlap,
-        "conclusion": cert.conclusion,
-        "reason": cert.reason,
-        "r_cross_symmetric": cert.r_cross_symmetric,
-    }
+    return dict(dataclasses.asdict(cert), schema_version=jsonio.SCHEMA_VERSION,
+                tool_version=__version__)
 
 
 def diagonal_basis_state(n: int, bits: str) -> SparseState:

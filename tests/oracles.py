@@ -4,7 +4,8 @@ The Pauli oracles work on the full 2^M-dimensional space with explicit tensor
 products; the uniform-chain amplitude is a closed form; the sector propagator
 enumerates its basis with itertools and exponentiates with scipy; the
 spectrum classifier projects a dense mirror permutation onto each degeneracy
-group of the full sector. None shares code with the package internals; the
+group of the full sector; the lattice mirrors map each (i, j) by its
+coordinate formula. None shares code with the package internals; the
 references of the replaced per-call hop path at the end of this file say what
 they share. Site p occupies bit p of the basis index (least significant bit
 first), the same labeling the package uses.
@@ -135,6 +136,23 @@ def permutation_operator(masks, perm):
         image = sum(1 << perm[p] for p in range(len(perm)) if m >> p & 1)
         P[index[image], i] = 1.0
     return P
+
+
+def symmetry_perm(rows, cols, name):
+    """A lattice mirror's site permutation, from the image of each 1-based (i, j)."""
+    image = {
+        "main_diagonal": lambda i, j: (j, i),
+        "anti_diagonal": lambda i, j: (cols + 1 - j, rows + 1 - i),
+        "rotation_pi": lambda i, j: (rows + 1 - i, cols + 1 - j),
+        "vertical_axis": lambda i, j: (i, cols + 1 - j),
+        "horizontal_axis": lambda i, j: (rows + 1 - i, j),
+    }[name]
+    perm = [None] * (rows * cols)
+    for i in range(1, rows + 1):
+        for j in range(1, cols + 1):
+            a, b = image(i, j)
+            perm[(i - 1) * cols + (j - 1)] = (a - 1) * cols + (b - 1)
+    return tuple(perm)
 
 
 def classify_groups(site_count, edges, k, perm, tol=None):

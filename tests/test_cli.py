@@ -16,10 +16,13 @@ import scipy
 
 from spinmirror import __version__, dynamics, jsonio
 from spinmirror.cli import build_parser, main
+from spinmirror.chains import chain_pattern, christandl_chain
 from spinmirror.lattice import (
     SYMMETRY_NAMES,
     ExchangeGraph,
     build_square_lattice,
+    manhattan_distance,
+    symmetry_map,
     uniform_pattern,
 )
 
@@ -234,8 +237,31 @@ def test_witness_odd_distance_round_trip(tmp_path):
         (("mirror", "--t", "1", "--pattern-file"), [1, 2], "pattern document must hold a JSON object"),
         (("witness", "--odd-distance"), {"sites": 4}, "graph document lacks the key(s) ['edges']"),
         (("witness", "--odd-distance"), "graph", "graph document must hold a JSON object"),
+        (("witness", "--odd-distance"), {"sites": 4, "edges": 5},
+         "graph key 'edges' must be a list of [a, b, strength] triples"),
+        (("witness", "--odd-distance"), {"sites": 4, "edges": [[0, 1]]},
+         "graph key 'edges' must be a list of [a, b, strength] triples"),
+        (("witness", "--odd-distance"), {"sites": 4, "edges": [[0, 1.5, 1.0]]},
+         "an endpoint in graph key 'edges' must be a JSON integer, got 1.5"),
+        (("witness", "--odd-distance"), {"sites": 4, "edges": [[0, 1, "1"]]},
+         "a strength in graph key 'edges' must be a JSON number, got '1'"),
+        (("witness", "--odd-distance"), {"sites": 4.0, "edges": []},
+         "graph key 'sites' must be a JSON integer, got 4.0"),
+        (("mirror", "--t", "1", "--pattern-file"), {"kind": "square", "n": None, "J": [], "K": []},
+         "pattern key 'n' must be a JSON integer, got None"),
+        (("classify", "--k", "1", "--pattern-file"),
+         {"kind": "square", "n": 2.7, "J": [[1, 1]], "K": [[1], [1]]},
+         "pattern key 'n' must be a JSON integer, got 2.7"),
+        (("mirror", "--t", "1", "--pattern-file"), {"kind": "chain", "n": True, "couplings": []},
+         "pattern key 'n' must be a JSON integer, got True"),
+        (("classify", "--k", "1", "--pattern-file"),
+         {"kind": "rect", "rows": 1, "cols": "3", "J": [], "K": [[1, 1]]},
+         "pattern key 'cols' must be a JSON integer, got '3'"),
     ],
-    ids=["square-no-n", "rect-no-couplings", "no-kind", "list", "graph-no-edges", "graph-string"],
+    ids=["square-no-n", "rect-no-couplings", "no-kind", "list", "graph-no-edges", "graph-string",
+         "graph-edges-number", "graph-edge-pair", "graph-float-endpoint", "graph-string-strength",
+         "graph-float-sites", "square-null-n", "square-float-n", "chain-bool-n",
+         "rect-string-cols"],
 )
 def test_incomplete_pattern_or_graph_document_exits_2_naming_the_key(tmp_path, capsys, command,
                                                                       doc, message):
@@ -487,10 +513,8 @@ def installed_versions():
             "OpenBLAS": blas["version"] if "openblas" in blas["name"].lower() else blas["name"]}
 
 
-def test_fast_readme_examples_give_their_recorded_bytes(tmp_path):
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = readme.split("## CLI quickstart", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
-    assert set(README_DIGESTS) <= {line.split("#")[0].strip() for line in block.splitlines()}
+def run_child(cwd, lines):
+    """README_CHILD's findings for lines, run in cwd; skips on other versions than the digests'."""
     versions = installed_versions()
     differ = [f"{name} {versions[name]} (recorded with {want})"
               for name, want in README_DIGEST_VERSIONS.items()
@@ -500,11 +524,73 @@ def test_fast_readme_examples_give_their_recorded_bytes(tmp_path):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", README_CHILD, json.dumps(list(README_DIGESTS))],
-                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, "-c", README_CHILD, json.dumps(list(lines))],
+                          cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    found = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_fast_readme_examples_give_their_recorded_bytes(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI quickstart", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    assert set(README_DIGESTS) <= {line.split("#")[0].strip() for line in block.splitlines()}
+    found = run_child(tmp_path, README_DIGESTS)
     for line, digests in README_DIGESTS.items():
+        assert found[line] == {"exit": 0, **digests}, line
+
+
+# the same digests for commands that read a document (a chain and a rect
+# pattern, a seeded odd-distance graph, a config file), as write_file_inputs
+# writes them; recorded on README_DIGEST_VERSIONS
+FILE_INPUT_DIGESTS = {
+    "spinmirror mirror --pattern-file chain.json --k 2 --t 1.5707963267948966 --out chain": {
+        "stdout": "42ef2f1a4c9abe9d5b64ba963d6dc5eedabb924e4905724ee3f47ea094fbd34e",
+        "chain.json": "dcc7dbfe2b969a347da78576457eb78c8d91c12fed4cd5cccd196f28d3fcf62b",
+        "chain.csv": "bc7890251b357a9074b08e3735d865649f78b2b78367307c59d2525d12c88ba3",
+    },
+    "spinmirror classify --pattern-file rect.json --k 2 --sym vertical_axis --out rect": {
+        "stdout": "aa580a67d79d77afad62150101216224151d0bcf756d7f6550d42ff005233b21",
+        "rect.json": "43f166746030ba775e5eb6a5b9a51ad0f42b1de7655e5b2f407e071f441faebe",
+        "rect.csv": "6779896fb274179deffcccba81cf807878e9cbdefee696899b0049f74881ba38",
+    },
+    "spinmirror witness --odd-distance graph.json": {
+        "stdout": "05d4e013851ee94c40f0cef68688fbeaf69f496af5457260ed9575024efb97e2",
+    },
+    "spinmirror witness --config config.json --out cfg": {
+        "stdout": "5989b56763d09e04eecfd8a4a850e24322fa3baeab5c1ee0fdb51ef9f8895912",
+        "cfg.json": "9be2693f624cf8ae6338efd3a3edcc79897eae9e7b4b3e8510744d72f8d5822b",
+        "cfg.csv": "b2f2ed6050e68436ee9439a08d0593816d5055ba2fa2e78b362c6c126a04257b",
+    },
+}
+
+
+def write_file_inputs(directory):
+    jsonio.write_json(str(directory / "chain.json"),
+                      jsonio.pattern_to_obj(chain_pattern(christandl_chain(5))))
+    (directory / "rect.json").write_text(json.dumps(
+        {"kind": "rect", "rows": 2, "cols": 3, "J": [[1.25, 0.5, 1.25]],
+         "K": [[0.75, 0.75], [1.5, 1.5]]}))
+    # every odd-distance pair of the 3x3 lattice, one seeded strength per
+    # main-diagonal orbit
+    g = build_square_lattice(3)
+    main = symmetry_map(g, "main_diagonal")
+    rng = np.random.default_rng(7)
+    strengths = {}
+    for a in range(9):
+        for b in range(a + 1, 9):
+            if manhattan_distance(g, a, b) % 2:
+                image = tuple(sorted((main(a), main(b))))
+                strengths[a, b] = strengths.get(image) or float(rng.uniform(0.2, 2.0))
+    graph = ExchangeGraph(9, tuple((a, b, w) for (a, b), w in strengths.items()))
+    jsonio.write_json(str(directory / "graph.json"), jsonio.graph_to_obj(graph))
+    (directory / "config.json").write_text(json.dumps(
+        {"n": 2, "pattern": "random-rx", "seeds": "3,4", "diag": "01"}))
+
+
+def test_file_inputs_give_their_recorded_bytes(tmp_path):
+    write_file_inputs(tmp_path)
+    found = run_child(tmp_path, FILE_INPUT_DIGESTS)
+    for line, digests in FILE_INPUT_DIGESTS.items():
         assert found[line] == {"exit": 0, **digests}, line
 
 
@@ -593,7 +679,61 @@ def test_config_supplies_defaults_but_flags_win(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["n"] == 2
 
 
+@pytest.mark.parametrize("config, code, expect", [
+    ({"n": 2.5}, 2, "argument --n: invalid int value: '2.5'"),
+    ({"pattern": "bogus"}, 2, "argument --pattern: invalid choice: 'bogus'"),
+    ({"seeds": 5}, 0, {"seeds": [5], "n": 3}),
+    ({"n": None, "seed": 4}, 0, {"seeds": [4], "n": 3}),
+], ids=["float-n", "bad-choice", "int-seeds", "null-keeps-default"])
+def test_config_values_are_parsed_as_flags(tmp_path, capsys, config, code, expect):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run("witness", "--config", str(cfg)) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert expect in err and out == ""
+    else:
+        doc = json.loads(out)
+        assert {"seeds": [c["seed"] for c in doc["certificates"]], "n": doc["n"]} == expect
+
+
 def test_config_rejects_unknown_keys(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"bogus": 1}))
     assert run("witness", "--config", str(cfg)) == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("mirror", "--pattern", "christandl-chain", "--pattern-file", "{doc}", "--k", "2"),
+     "argument --pattern-file: not allowed with argument --pattern"),
+    (("mirror", "--config", "{config}", "--pattern-file", "{doc}", "--k", "2"),
+     "argument --pattern-file: not allowed with argument --pattern"),
+    (("scan", "--pattern-file", "{doc}", "--pattern", "christandl-chain", "--tmax", "1"),
+     "argument --pattern: not allowed with argument --pattern-file"),
+    (("classify", "--parallel-chains", "4", "--pattern-file", "/nonexistent.json", "--k", "2"),
+     "argument --pattern-file: not allowed with argument --parallel-chains"),
+    (("chain", "--n", "3", "--chain", "uniform", "--scale", "3"),
+     "--scale does not apply to --chain uniform, which reads --strength"),
+    (("chain", "--n", "3", "--chain", "christandl", "--strength", "2"),
+     "--strength does not apply to --chain christandl, which reads --scale"),
+], ids=["mirror-two-patterns", "mirror-config-and-flag", "scan-two-patterns",
+        "classify-two-sources", "uniform-scale", "christandl-strength"])
+def test_a_second_source_for_one_input_exits_2_naming_it(tmp_path, capsys, argv, message):
+    doc, config = tmp_path / "chain.json", tmp_path / "config.json"
+    jsonio.write_json(str(doc), jsonio.pattern_to_obj(chain_pattern(christandl_chain(5))))
+    config.write_text(json.dumps({"pattern": "christandl-chain"}))
+    argv = [a.format(doc=doc, config=config) for a in argv]
+    assert run(*argv) == 2
+    out, err = capsys.readouterr()
+    assert message in err and out == ""
+
+
+def test_chain_pattern_file_reads_as_its_preset(tmp_path, capsys):
+    doc = tmp_path / "chain.json"
+    chain = christandl_chain(5)
+    jsonio.write_json(str(doc), jsonio.pattern_to_obj(chain_pattern(chain)))
+    assert run("mirror", "--pattern-file", str(doc), "--k", "2",
+               "--t", repr(chain.nominal_transfer_time)) == 0
+    from_file = capsys.readouterr().out
+    assert run("mirror", "--pattern", "christandl-chain", "--n", "5", "--k", "2") == 0
+    assert capsys.readouterr().out == from_file

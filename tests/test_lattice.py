@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinmirror import jsonio
+from spinmirror.chains import chain_pattern, christandl_chain, parallel_chain_pattern
 from spinmirror.lattice import (
     CouplingPattern,
     ExchangeGraph,
@@ -21,6 +24,7 @@ from spinmirror.lattice import (
     symmetry_map,
     uniform_pattern,
 )
+from oracles import symmetry_perm
 
 ALL_NAMES = ("main_diagonal", "anti_diagonal", "rotation_pi", "vertical_axis", "horizontal_axis")
 
@@ -69,15 +73,18 @@ def test_exchange_graph_validation():
 
 def test_pattern_round_trips():
     g = build_square_lattice(3)
-    pat = random_symmetric_pattern(g, (symmetry_map(g, "main_diagonal"),), seed=7)
-    back = pattern_from_graph(pat.to_graph(), g)
-    assert np.array_equal(back.J, pat.J) and np.array_equal(back.K, pat.K)
-    # serialization keeps every bit: repr floats parse back exactly
-    import json
-
-    text = jsonio.canonical_dumps(jsonio.pattern_to_obj(pat))
-    again = jsonio.pattern_from_obj(json.loads(text))
-    assert np.array_equal(again.J, pat.J) and np.array_equal(again.K, pat.K)
+    square = random_symmetric_pattern(g, (symmetry_map(g, "main_diagonal"),), seed=7)
+    # a chain document and a rect one (two parallel chains)
+    for pat in (square, chain_pattern(christandl_chain(5)),
+                parallel_chain_pattern(christandl_chain(4), 2)):
+        g = pat.geometry
+        back = pattern_from_graph(pat.to_graph(), g)
+        assert np.array_equal(back.J, pat.J) and np.array_equal(back.K, pat.K)
+        # serialization keeps every bit: repr floats parse back exactly
+        text = jsonio.canonical_dumps(jsonio.pattern_to_obj(pat))
+        again = jsonio.pattern_from_obj(json.loads(text))
+        assert again.geometry == g
+        assert np.array_equal(again.J, pat.J) and np.array_equal(again.K, pat.K)
 
 
 def test_pattern_from_graph_rejects_long_edges():
@@ -97,6 +104,20 @@ def test_symmetry_maps_are_involutions():
         assert all(m(m(s)) == s for s in range(g.site_count))
     with pytest.raises(ValueError, match="square"):
         symmetry_map(g, "main_diagonal")
+
+
+def test_symmetry_maps_match_the_coordinate_formulas():
+    geometries = [build_chain(n) for n in range(1, 7)]
+    geometries += [build_square_lattice(n) for n in range(1, 7)]
+    geometries += [build_rect_lattice(r, c) for r in range(1, 5) for c in range(1, 5)]
+    for g in geometries:
+        for name in ALL_NAMES:
+            if name in ("main_diagonal", "anti_diagonal") and g.rows != g.cols:
+                with pytest.raises(ValueError, match="requires a square geometry"):
+                    symmetry_map(g, name)
+                continue
+            want = symmetry_perm(g.rows, g.cols, name)
+            assert symmetry_map(g, name).perm == want, (g, name)
 
 
 def test_rotation_is_composition_of_diagonals():
