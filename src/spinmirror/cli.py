@@ -84,14 +84,33 @@ def _write_outputs(args, obj, csv=None, meta=None):
         sys.stdout.write(jsonio.canonical_dumps(obj))
 
 
+def _flag(dest):
+    return "--" + dest.replace("_", "-")
+
+
+def _read_flags(args, reads, ignored=(), chosen=""):
+    """Fill in the defaults of the flags the chosen input reads.
+
+    reads maps each flag it reads to its default; any flag of ignored that was
+    given (is not None) exits 2, naming itself and what the chosen input reads.
+    """
+    for dest in ignored:
+        if getattr(args, dest) is not None:
+            which = f", which reads {', '.join(map(_flag, reads))}" if reads else ""
+            raise ValueError(f"{_flag(dest)} does not apply to {chosen}{which}")
+    for dest, default in reads.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+
+
 def _build_chain(args):
     """The chosen chain; the flag that only the other kind reads exits 2."""
+    if args.n is None:
+        raise ValueError("need --n")
     reads, other = ("scale", "strength") if args.chain == "christandl" else ("strength", "scale")
-    if getattr(args, other) is not None:
-        raise ValueError(f"--{other} does not apply to --chain {args.chain}, which reads --{reads}")
-    value = getattr(args, reads)
+    _read_flags(args, {reads: 1.0}, (other,), f"--chain {args.chain}")
     build = christandl_chain if args.chain == "christandl" else uniform_chain
-    return build(args.n, 1.0 if value is None else value)
+    return build(args.n, getattr(args, reads))
 
 
 def _time_grid(tmax, points):
@@ -141,14 +160,16 @@ _PATTERN_PRESETS = (
 
 def _resolve_pattern(args):
     """Pattern, its nominal time (or None), and a sensible default mirror."""
-    if getattr(args, "pattern_file", None):
+    if args.pattern_file:
+        _read_flags(args, {}, ("n",), "--pattern-file")
         pat = jsonio.pattern_from_obj(jsonio.read_json(args.pattern_file))
         mirror = "vertical_axis" if pat.geometry.kind == "chain" else "rotation_pi"
         return pat, None, mirror
     name = args.pattern
-    n = args.n
     if name is None:
         raise ValueError("need --pattern or --pattern-file")
+    _read_flags(args, {"n": 4})
+    n = args.n
     if name == "christandl-chain":
         c = christandl_chain(n)
         return chain_pattern(c), c.nominal_transfer_time, "vertical_axis"
@@ -168,6 +189,7 @@ def _resolve_pattern(args):
 
 def cmd_mirror(args):
     pat, nominal, default_mirror = _resolve_pattern(args)
+    _read_flags(args, {"k": 1})
     sym = symmetry_map(pat.geometry, args.mirror or default_mirror)
     t = args.t if args.t is not None else nominal
     if t is None:
@@ -221,6 +243,7 @@ def _witness_pattern(args, n, seed):
 
 def cmd_witness(args):
     if args.odd_distance:
+        _read_flags(args, {"diag": None}, ("n", "pattern", "seed", "seeds"), "--odd-distance")
         graph = jsonio.graph_from_obj(jsonio.read_json(args.odd_distance))
         n = math.isqrt(graph.site_count)
         diag = diagonal_basis_state(n, args.diag or "1" + "0" * (n - 1))
@@ -233,6 +256,7 @@ def cmd_witness(args):
         }
         _write_outputs(args, obj)
         return
+    _read_flags(args, {"n": 3, "pattern": "uniform", "seed": 0})
     n = args.n
     if n < 1:
         raise ValueError(f"--n must be at least 1, got {n}")
@@ -310,25 +334,14 @@ _SEARCH_FLAGS = {"seed": 0, "restarts": 8, "max_iters": 8}
 _PROBE_FLAGS = {"ratios": 200, "times": 2000}
 
 
-def _preset_flags(args):
-    """Fill in the defaults of the flags the preset reads; refuse any other."""
-    if args.preset not in PRESET_NAMES:
-        raise ValueError(f"unknown preset {args.preset!r}; choose from {PRESET_NAMES}")
-    reads = _PROBE_FLAGS if args.preset == "rodot-2x2-probe" else _SEARCH_FLAGS
-    for dest in (*_SEARCH_FLAGS, *_PROBE_FLAGS):
-        value = getattr(args, dest)
-        if dest in reads:
-            setattr(args, dest, reads[dest] if value is None else value)
-        elif value is not None:
-            flags = ", ".join("--" + d.replace("_", "-") for d in reads)
-            raise ValueError(f"--{dest.replace('_', '-')} does not apply to preset "
-                             f"{args.preset}, which reads {flags}")
-
-
 def cmd_optimize(args):
-    _preset_flags(args)
     preset = args.preset
-    if preset == "rodot-2x2-probe":
+    if preset is None:
+        raise ValueError(f"need --preset; choose from {PRESET_NAMES}")
+    probe = preset == "rodot-2x2-probe"
+    reads, ignored = (_PROBE_FLAGS, _SEARCH_FLAGS) if probe else (_SEARCH_FLAGS, _PROBE_FLAGS)
+    _read_flags(args, reads, ignored, f"preset {preset}")
+    if probe:
         res = probe_2x2(n_ratios=args.ratios, n_times=args.times)
         obj = {
             "preset": preset,
@@ -396,6 +409,7 @@ def cmd_scan(args):
         tmax = 2 * nominal
     ts = _time_grid(tmax, args.points)
     if args.source is not None or args.target is not None:
+        _read_flags(args, {"source": None, "target": None}, ("k", "mirror"), "a transfer scan")
         if args.source is None or args.target is None:
             raise ValueError("transfer scans need both --source and --target")
         src = _parse_site(args.source)
@@ -413,6 +427,7 @@ def cmd_scan(args):
         }
         _write_outputs(args, obj, csv=(["t", "fidelity"], zip(ts, vals)))
         return
+    _read_flags(args, {"k": 1})
     sym = symmetry_map(pat.geometry, args.mirror or default_mirror)
     amps = np.abs(mirror_propagator(pat, args.k, sym).amplitudes(ts))
     mins = amps.min(axis=0)
@@ -453,12 +468,12 @@ def build_parser():
         source = p.add_mutually_exclusive_group()
         source.add_argument("--pattern", choices=_PATTERN_PRESETS)
         source.add_argument("--pattern-file")
-        p.add_argument("--n", type=int, default=4)
-        p.add_argument("--k", type=int, default=1)
+        p.add_argument("--n", type=int, help="preset size (default 4; presets only)")
+        p.add_argument("--k", type=int, help="excitation number (default 1)")
         p.add_argument("--mirror", choices=SYMMETRY_NAMES)
 
     p = add("chain", cmd_chain, "scan end-to-end transfer of a coupling sequence")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, help="chain length (required)")
     p.add_argument("--chain", choices=("christandl", "uniform"), default="christandl")
     p.add_argument("--scale", type=float, help="christandl chains only (default 1)")
     p.add_argument("--strength", type=float, help="uniform chains only (default 1)")
@@ -474,11 +489,12 @@ def build_parser():
     p.add_argument("--require-min", type=float, default=None)
 
     p = add("witness", cmd_witness, "stationary-witness residuals and certificates")
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--pattern", choices=("uniform", "random-rx"), default="uniform")
+    p.add_argument("--n", type=int, help="lattice side (default 3)")
+    p.add_argument("--pattern", choices=("uniform", "random-rx"), help="default uniform")
     p.add_argument("--diag", default=None, help="diagonal bitstring, default 10...0")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--seeds", default=None, help="comma list for a batch of patterns")
+    seeds = p.add_mutually_exclusive_group()
+    seeds.add_argument("--seed", type=int, help="pattern seed (default 0)")
+    seeds.add_argument("--seeds", default=None, help="comma list for a batch of patterns")
     p.add_argument("--odd-distance", default=None,
                    help="graph JSON; verify the witness against long odd-distance edges")
 
@@ -492,7 +508,7 @@ def build_parser():
     p.add_argument("--degeneracy-tol", type=float, default=None)
 
     p = add("optimize", cmd_optimize, "preset coupling searches and grid probes")
-    p.add_argument("--preset", choices=PRESET_NAMES, required=True)
+    p.add_argument("--preset", choices=PRESET_NAMES, help="required")
     p.add_argument("--seed", type=int, help="search seed (default 0; searches only)")
     p.add_argument("--restarts", type=int, help="search restarts (default 8; searches only)")
     p.add_argument("--max-iters", type=int,

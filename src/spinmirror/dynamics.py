@@ -7,9 +7,9 @@ The Lanczos core works on plain complex arrays. Every SparseState, on one
 sector or several, evolves matrix-free (evolve_sparse, evolve_state) through
 sectors._HopOperator, over one sorted mask index that starts as the state's
 support and grows to its hop closure as H is applied; once the index is
-closed, a CSR matrix built once applies H. It never enumerates a sector
-basis. apply_hamiltonian and the operator share one scatter, _Hops.apply,
-and every cached structure lives in sectors.
+closed, the CSR matrix of _Hops.matrix, which assembles every sector matrix,
+applies H. It never enumerates a sector basis. apply_hamiltonian and the
+operator share one scatter, _Hops.apply; every cached structure is in sectors.
 Curves of fixed propagator entries over a time grid diagonalize once and go
 through sectors.Propagator: one product per curve, not one eigh per point.
 Mirroring reports and spectrum classification share one mirror-parity split
@@ -31,6 +31,7 @@ from .sectors import (
     SectorState,
     SparseState,
     _HopOperator,
+    _available_bytes,
     _live_edges,
     _rank_structure,
     _support_structure,
@@ -156,13 +157,13 @@ def evolve_sparse(graph, psi: SparseState, t: float) -> SparseState:
 
     The Krylov vectors are plain arrays over one sorted mask index. It starts
     as psi's support and grows to index | hops(index) with every product by
-    H until it is closed under hops; from then on a CSR matrix built once
-    applies H. No sector basis is ever enumerated, so lattices whose sectors
-    are far beyond the dense limit work as long as the support stays bounded
-    (a stationary state breaks the Lanczos loop down after one product). H
-    conserves the excitation number, so a state on several sectors evolves
-    in one Krylov space. The result is canonicalized once, dropping exact
-    zeros.
+    H until it is closed under hops; from then on its CSR matrix, assembled
+    once as a sector matrix is, applies H. No sector basis is ever
+    enumerated, so lattices whose sectors are far beyond the dense limit work
+    as long as the support stays bounded (a stationary state breaks the
+    Lanczos loop down after one product). H conserves the excitation number,
+    so a state on several sectors evolves in one Krylov space. The result is
+    canonicalized once, dropping exact zeros.
     """
     return _evolve_sparse(graph, psi, t)
 
@@ -234,15 +235,6 @@ def mirror_propagator(pattern, k: int, sym: SymmetryMap) -> Propagator:
 # block, eigh's copy, workspace and output, and the column chunks. Single-block
 # reports measured 5.23 at d = 1820 and 5.08 at d = 4368 (OpenBLAS, one thread).
 _BLOCK_PEAK_FACTOR = 5.3
-
-
-def _available_bytes() -> int | None:
-    """MemAvailable as the OS reports it, or None where it reports none."""
-    try:
-        with open("/proc/meminfo") as f:
-            return next(int(ln.split()[1]) * 1024 for ln in f if ln.startswith("MemAvailable:"))
-    except (OSError, StopIteration):
-        return None
 
 
 def _check_block_memory(d: int) -> None:

@@ -2,22 +2,23 @@
 
 Occupation bitmasks use bit p for flat site p; the vacuum is mask 0. The
 exchange Hamiltonian never changes a mask's popcount, so each weight-k sector
-evolves independently. One hop rule, _hops_out, serves the sector matrices
-(through _sector_structure) and the matrix-free products (through
-_hop_structure): _Hops.apply is the one scatter of H on a mask index, used
-by dynamics.apply_hamiltonian and by _HopOperator, the growing-index
-operator behind evolve_sparse. The structures are weight-free: they depend
-only on the masks and the endpoints of the nonzero edges. Three builders
-keep their recent results in functools.lru_cache caches of HOP_CACHE_SIZE
-entries each (support hops, sector CSR structures, and the rank maps behind
-dynamics.permuted_ranks), and each call fills in 2w for the current weights.
+evolves independently. One hop rule, _hops_out, gives the weight-free hops of
+any sorted mask index (_hop_structure), and a whole sector is a support that
+no hop leaves. _Hops.apply is the one scatter of H on an index, _Hops.matrix
+the one CSR assembly of H on a closed index; build_sector_hamiltonian,
+dynamics.apply_hamiltonian and _HopOperator, the growing-index operator
+behind evolve_sparse, share them. Two functools.lru_cache caches of
+HOP_CACHE_SIZE entries keep the hops of supports and sectors and the rank
+maps of dynamics.permuted_ranks; each call fills in 2w for its weights.
 A Propagator evaluates fixed entries of exp(-iHt) over whole time grids.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import resource
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -153,7 +154,8 @@ class Propagator:
 
 # entries each structure cache keeps, least recently used evicted first. A loop
 # that runs witness checks beside coupling searches (the sparse-sweep benchmark)
-# touches at most 7 keys of any one kind per pass; the bound keeps all of them.
+# puts 13 keys in the support cache per pass (7 supports, 6 whole sectors) and
+# fewer in the rank cache; the bound keeps all of them.
 HOP_CACHE_SIZE = 32
 
 
@@ -194,6 +196,27 @@ class _Hops:
         """True when no two hops land on the same mask."""
         return bool(np.bincount(self.targets, minlength=1).max() <= 1)
 
+    @functools.cached_property
+    def csr_layout(self) -> tuple[np.ndarray, np.ndarray]:
+        """(order, indptr): hop order[i] is CSR entry i, by source, then target.
+
+        Column indices, targets[order], are gathered per matrix, not cached.
+        """
+        n = len(self.grown)
+        keys = self.rows * np.int64(n) + self.targets  # distinct: any sort will do
+        indptr = np.zeros(n + 1, self.targets.dtype)
+        np.cumsum(np.bincount(self.rows, minlength=n), out=indptr[1:])
+        return _readonly(np.argsort(keys).astype(self.targets.dtype), indptr)
+
+    def matrix(self, weights: np.ndarray) -> sp.csr_matrix:
+        """H as a CSR matrix over an index closed under hops, which owns its arrays."""
+        order, indptr = self.csr_layout
+        n = len(self.grown)
+        mat = sp.csr_matrix((self.fill(weights)[order], self.targets[order], indptr.copy()),
+                            shape=(n, n))
+        mat.has_sorted_indices = True
+        return mat
+
     def apply(self, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """H x over grown, for x over the index; targets hit more than once sum in hop order."""
         src = x[self.rows] * self.fill(weights)
@@ -221,8 +244,37 @@ def _index_dtype(size: int):
     return np.int32 if size <= np.iinfo(np.int32).max else np.int64
 
 
+def _proc_bytes(path: str, key: str) -> int:
+    with open(path) as f:
+        return next(int(ln.split()[1]) * 1024 for ln in f if ln.startswith(key))
+
+
+def _available_bytes() -> int | None:
+    """MemAvailable as the OS reports it, or what the address-space limit
+    (ulimit -v) leaves if that is less; None where neither is reported.
+    """
+    found = []
+    with contextlib.suppress(OSError, StopIteration):
+        found.append(_proc_bytes("/proc/meminfo", "MemAvailable:"))
+    cap = resource.getrlimit(resource.RLIMIT_AS)[0]
+    if cap != resource.RLIM_INFINITY:
+        with contextlib.suppress(OSError, StopIteration):
+            found.append(cap - _proc_bytes("/proc/self/status", "VmSize:"))
+    return min(found, default=None)
+
+
 def _hop_structure(endpoints, masks: np.ndarray) -> _Hops:
-    """Build the hops of a strictly ascending mask index by one stable sort."""
+    """Build the hops of a strictly ascending mask index by one stable sort.
+
+    Raises ValueError first when its estimated peak does not fit in memory.
+    """
+    # peak RSS over what was held before, per (mask, live edge), one BLAS thread:
+    # 28 and 31.5 bytes for the n = 5 and 6 uniform witnesses (1024 and 32,768
+    # masks), 17.8 for the uniform 5x5 lattice at k = 4, matrix included
+    need, available = 32 * len(masks) * len(endpoints), _available_bytes()
+    if available is not None and need > available:
+        raise ValueError(f"the hops of {len(masks)} masks across {len(endpoints)} edges need "
+                         f"about {need} bytes at peak; {available} bytes of memory are available")
     rows, counts, landed = _hops_out(endpoints, masks)
     order, grown, run = _sort_runs(np.concatenate([masks, landed]))
     idx = _index_dtype(len(run))
@@ -233,46 +285,25 @@ def _hop_structure(endpoints, masks: np.ndarray) -> _Hops:
 
 
 @functools.lru_cache(maxsize=HOP_CACHE_SIZE)
-def _support_structure(endpoints, support: bytes) -> _Hops:
-    """_hop_structure of a support, given as the bytes of its int64 masks."""
+def _support_structure(endpoints, support) -> _Hops:
+    """_hop_structure of a support: the bytes of its int64 masks, or (M, k) for a sector."""
+    if isinstance(support, tuple):
+        return _hop_structure(endpoints, enumerate_sector_basis(*support).masks)
     return _hop_structure(endpoints, np.frombuffer(support, dtype=np.int64))
-
-
-@functools.lru_cache(maxsize=HOP_CACHE_SIZE)
-def _sector_structure(site_count: int, endpoints, k: int):
-    """(basis, CSR indices, indptr, live edge of each stored entry) of a sector.
-
-    A sector's hops stay inside it, so each lands on a basis position found
-    by binary search. Entries are stored by row (the source), then by column
-    (the target).
-    """
-    basis = enumerate_sector_basis(site_count, k)
-    rows, counts, landed = _hops_out(endpoints, basis.masks)
-    cols = np.searchsorted(basis.masks, landed)
-    order = np.argsort(rows * basis.dim + cols)  # keys are distinct: any sort will do
-    idx = _index_dtype(max(len(rows), basis.dim))
-    indptr = np.zeros(basis.dim + 1, dtype=idx)
-    np.cumsum(np.bincount(rows, minlength=basis.dim), out=indptr[1:])
-    edge = np.repeat(np.arange(len(endpoints), dtype=idx), counts)[order]
-    return (basis, *_readonly(cols[order].astype(idx), indptr, edge))
 
 
 def build_sector_hamiltonian(graph, k: int) -> SectorHamiltonian:
     """Assemble H_k: off-diagonal 2w between masks differing by one hop.
 
     XX+YY has no diagonal part in the occupation basis, so the diagonal is 0.
-    Zero-strength edges store nothing. The basis and the weight-free CSR
-    structure come from a bounded cache keyed on (site count, endpoints of
-    the nonzero edges, k); every call fills in fresh data, and the matrix
-    owns copies of the index arrays.
+    Zero-strength edges store nothing. A sector is a support no hop leaves:
+    its hops come from the support cache under the key (site count, k), and
+    _Hops.matrix fills in fresh data on every call.
     """
     graph = _as_graph(graph)
     endpoints, weights = _live_edges(graph)
-    basis, indices, indptr, edge = _sector_structure(graph.site_count, endpoints, k)
-    mat = sp.csr_matrix(((2.0 * weights)[edge], indices.copy(), indptr.copy()),
-                        shape=(basis.dim, basis.dim))
-    mat.has_sorted_indices = True
-    return SectorHamiltonian(basis, mat)
+    hops = _support_structure(endpoints, (graph.site_count, k))
+    return SectorHamiltonian(SectorBasis(graph.site_count, k, hops.grown), hops.matrix(weights))
 
 
 @functools.lru_cache(maxsize=HOP_CACHE_SIZE)
@@ -294,10 +325,10 @@ class _HopOperator:
     growth step, out of the caller's support, reads its weight-free hops from
     the support cache; later steps build theirs uncached, since their indices
     rarely repeat. Both go through _Hops.apply. Once an index is closed under
-    hops, its CSR matrix is built once and serves every later matvec. lift
-    carries the stored Krylov vectors from the index before the last growth
-    step onto the current one; since a space is never rebuilt, it is never
-    more than one growth step behind.
+    hops, _Hops.matrix builds its CSR once, and that serves every later
+    matvec. lift carries the stored Krylov vectors from the index before the
+    last growth step onto the current one; since a space is never rebuilt,
+    it is never more than one growth step behind.
     """
 
     def __init__(self, graph: ExchangeGraph, masks: np.ndarray):
@@ -313,10 +344,8 @@ class _HopOperator:
             hops = _support_structure(self.endpoints, self.masks.tobytes())
         else:
             hops = _hop_structure(self.endpoints, self.masks)
-        n = len(self.masks)
-        if len(hops.grown) == n:
-            self._csr = sp.csr_matrix((hops.fill(self.weights), (hops.targets, hops.rows)),
-                                      shape=(n, n))
+        if len(hops.grown) == len(self.masks):
+            self._csr = hops.matrix(self.weights)
             return self._csr @ x
         self._index_pos, self.masks = hops.index_pos, hops.grown
         return hops.apply(x, self.weights)

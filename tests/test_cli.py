@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import scipy
 
-from spinmirror import __version__, dynamics, jsonio
+from spinmirror import __version__, dynamics, jsonio, sectors
 from spinmirror.cli import build_parser, main
 from spinmirror.chains import chain_pattern, christandl_chain
 from spinmirror.lattice import (
@@ -279,21 +279,44 @@ def test_witness_bad_side_or_seed_list_exits_2_naming_the_flag(capsys, flags, fl
     assert flag in err and out == ""
 
 
-def test_witness_past_the_site_limit_exits_2_before_allocating():
-    # an 8x8 witness would need 2^28-entry products; under a 1 GB address-space
-    # cap the check must come first, so a missed check fails here, not the host
+def run_under_1gb_cap(*argv):
+    """The CLI in a child process under a 1 GB address-space cap."""
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "spinmirror.cli", "witness", "--n", "8"],
+    return subprocess.run(
+        [sys.executable, "-m", "spinmirror.cli", *argv],
         capture_output=True, text=True, preexec_fn=cap, timeout=120, env=env,
     )
+
+
+def test_witness_past_the_site_limit_exits_2_before_allocating():
+    # an 8x8 witness would need 2^28-entry products; under a 1 GB address-space
+    # cap the check must come first, so a missed check fails here, not the host
+    proc = run_under_1gb_cap("witness", "--n", "8")
     assert proc.returncode == 2, proc.stderr
     assert "64 sites" in proc.stderr and "at most 63" in proc.stderr
+
+
+def test_witness_hops_past_the_address_space_cap_exit_2_before_they_are_built():
+    # the 7x7 witness has 2^21 masks and 84 live edges: about 5.6 GB at peak
+    proc = run_under_1gb_cap("witness", "--n", "7")
+    assert proc.returncode == 2, proc.stderr
+    assert "the hops of 2097152 masks across 84 edges need about 5637144576 bytes" in proc.stderr
+
+
+def test_witness_past_available_memory_exits_2_before_building_hops(monkeypatch, capsys):
+    # the 5x5 witness has 1024 masks and 40 live edges: 32 bytes each at peak
+    monkeypatch.setattr(sectors, "_available_bytes", lambda: 1000)
+    sectors._support_structure.cache_clear()
+    assert run("witness", "--n", "5") == 2
+    out, err = capsys.readouterr()
+    assert "the hops of 1024 masks across 40 edges need about 1310720 bytes at peak" in err
+    assert "1000 bytes of memory are available" in err and out == ""
+    assert sectors._support_structure.cache_info().currsize == 0
 
 
 def test_classify_parallel_chains(tmp_path):
@@ -697,6 +720,20 @@ def test_config_values_are_parsed_as_flags(tmp_path, capsys, config, code, expec
         assert {"seeds": [c["seed"] for c in doc["certificates"]], "n": doc["n"]} == expect
 
 
+@pytest.mark.parametrize("config, flags", [
+    ({"n": 5}, ("chain", "--n", "5")),
+    ({"preset": "chain-4-pst", "restarts": 1, "max_iters": 1},
+     ("optimize", "--preset", "chain-4-pst", "--restarts", "1", "--max-iters", "1")),
+], ids=["chain-n", "optimize-preset"])
+def test_config_supplies_a_required_flag(tmp_path, capsys, config, flags):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run(flags[0], "--config", str(cfg)) == 0
+    from_config = capsys.readouterr().out
+    assert run(*flags) == 0
+    assert capsys.readouterr().out == from_config
+
+
 def test_config_rejects_unknown_keys(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"bogus": 1}))
@@ -716,13 +753,26 @@ def test_config_rejects_unknown_keys(tmp_path):
      "--scale does not apply to --chain uniform, which reads --strength"),
     (("chain", "--n", "3", "--chain", "christandl", "--strength", "2"),
      "--strength does not apply to --chain christandl, which reads --scale"),
+    (("mirror", "--pattern-file", "{doc}", "--n", "9", "--k", "2", "--t", "1"),
+     "--n does not apply to --pattern-file"),
+    (("witness", "--n", "2", "--seed", "3", "--seeds", "1,2"),
+     "argument --seeds: not allowed with argument --seed"),
+    (("witness", "--odd-distance", "{graph}", "--n", "5", "--pattern", "random-rx",
+      "--seeds", "1,2"), "--n does not apply to --odd-distance, which reads --diag"),
+    (("scan", "--pattern", "christandl-chain", "--n", "5", "--source", "1,1", "--target", "1,5",
+      "--k", "3", "--mirror", "horizontal_axis"),
+     "--k does not apply to a transfer scan, which reads --source, --target"),
 ], ids=["mirror-two-patterns", "mirror-config-and-flag", "scan-two-patterns",
-        "classify-two-sources", "uniform-scale", "christandl-strength"])
+        "classify-two-sources", "uniform-scale", "christandl-strength", "mirror-file-n",
+        "witness-seed-and-seeds", "witness-odd-distance-lattice-flags", "scan-transfer-k-mirror"])
 def test_a_second_source_for_one_input_exits_2_naming_it(tmp_path, capsys, argv, message):
     doc, config = tmp_path / "chain.json", tmp_path / "config.json"
+    graph = tmp_path / "graph.json"
     jsonio.write_json(str(doc), jsonio.pattern_to_obj(chain_pattern(christandl_chain(5))))
+    jsonio.write_json(str(graph), jsonio.graph_to_obj(uniform_pattern(build_square_lattice(3))
+                                                     .to_graph()))
     config.write_text(json.dumps({"pattern": "christandl-chain"}))
-    argv = [a.format(doc=doc, config=config) for a in argv]
+    argv = [a.format(doc=doc, config=config, graph=graph) for a in argv]
     assert run(*argv) == 2
     out, err = capsys.readouterr()
     assert message in err and out == ""

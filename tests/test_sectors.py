@@ -9,7 +9,13 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinmirror.chains import chain_pattern, christandl_chain, uniform_chain
+from spinmirror.chains import (
+    chain_pattern,
+    christandl_chain,
+    parallel_chain_pattern,
+    product_lattice_couplings,
+    uniform_chain,
+)
 from spinmirror.dynamics import apply_hamiltonian, permuted_ranks
 from spinmirror.lattice import (
     ExchangeGraph,
@@ -17,6 +23,7 @@ from spinmirror.lattice import (
     build_square_lattice,
     pattern_from_weights,
     symmetry_map,
+    uniform_pattern,
 )
 from spinmirror.optimizer import Objective, _objective_propagator
 from spinmirror import sectors
@@ -230,11 +237,12 @@ def test_basis_state_and_sector_state_validation():
         SectorState(basis, np.zeros(2))
 
 
-def _coo_reference(graph, k):
-    """H_k assembled entry by entry from itertools combinations, through COO."""
-    masks = sorted(
-        sum(1 << p for p in occ) for occ in itertools.combinations(range(graph.site_count), k)
-    )
+def _coo_reference(graph, k, masks=None):
+    """H over the sorted masks (default: H_k from itertools combinations), through COO."""
+    if masks is None:
+        masks = sorted(
+            sum(1 << p for p in occ) for occ in itertools.combinations(range(graph.site_count), k)
+        )
     rank = {m: i for i, m in enumerate(masks)}
     rows, cols, vals = [], [], []
     for m in masks:
@@ -267,7 +275,7 @@ def lattice_graph(n, seed, zero_edge=None):
 )
 def test_csr_build_is_byte_identical_to_a_coo_reference(n, k, zero_edge):
     # cold, then from the cached structure under other weights of one topology
-    sectors._sector_structure.cache_clear()
+    sectors._support_structure.cache_clear()
     for seed in (n + k, 100 + n + k):
         graph = lattice_graph(n, seed, zero_edge)
         got = build_sector_hamiltonian(graph, k).mat
@@ -275,31 +283,69 @@ def test_csr_build_is_byte_identical_to_a_coo_reference(n, k, zero_edge):
         assert csr_bytes(got) == csr_bytes(ref)
         assert csr_bytes(got) == csr_bytes(sector_hamiltonian_reference(graph, k))
         assert got.has_sorted_indices
-    info = sectors._sector_structure.cache_info()
+    info = sectors._support_structure.cache_info()
     assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
 
 def test_new_weights_on_a_cached_topology_give_fresh_values():
     first, second = lattice_graph(3, 1), lattice_graph(3, 2)
-    sectors._sector_structure.cache_clear()
+    sectors._support_structure.cache_clear()
     old = build_sector_hamiltonian(first, 3).mat
     warm = build_sector_hamiltonian(second, 3).mat
-    assert sectors._sector_structure.cache_info().hits == 1
-    sectors._sector_structure.cache_clear()
+    assert sectors._support_structure.cache_info().hits == 1
+    sectors._support_structure.cache_clear()
     cold = build_sector_hamiltonian(second, 3).mat
     assert csr_bytes(warm) == csr_bytes(cold)
     assert not np.array_equal(warm.data, old.data)
 
 
 def test_zero_weight_edge_changes_the_key_and_stores_nothing():
-    sectors._sector_structure.cache_clear()
+    sectors._support_structure.cache_clear()
     full = build_sector_hamiltonian(lattice_graph(3, 4), 4).mat
     graph = lattice_graph(3, 4, zero_edge=6)
     cut = build_sector_hamiltonian(graph, 4).mat
-    info = sectors._sector_structure.cache_info()
+    info = sectors._support_structure.cache_info()
     assert (info.hits, info.misses, info.currsize) == (0, 2, 2)
     assert cut.nnz < full.nnz and np.all(cut.data != 0.0)
     assert csr_bytes(cut) == csr_bytes(_coo_reference(graph, 4))
+
+
+def grown_to_closure(graph, mask):
+    """The operator of a unit state after H was applied until its index closed."""
+    op = sectors._HopOperator(graph, np.array([mask], dtype=np.int64))
+    x = np.ones(1, np.complex128)
+    while op._csr is None:
+        x = op.matvec(x)
+    return op
+
+
+PRODUCT_4X4 = product_lattice_couplings(christandl_chain(4), christandl_chain(4)).to_graph()
+
+
+@pytest.mark.parametrize("graph, k", [(uniform_pattern(build_square_lattice(3)).to_graph(), 4),
+                                      (PRODUCT_4X4, 3)], ids=["uniform-3x3-k4", "product-4x4-k3"])
+def test_a_closed_growth_index_gives_the_sector_matrix(graph, k):
+    op = grown_to_closure(graph, (1 << k) - 1)
+    H = build_sector_hamiltonian(graph, k)
+    assert op.masks.tobytes() == H.basis.masks.tobytes()
+    assert csr_bytes(op._csr) == csr_bytes(H.mat)
+
+
+def test_a_closed_index_inside_a_sector_matches_a_coo_reference():
+    # the rungs of two parallel chains have strength 0: one excitation per chain stays so
+    graph = parallel_chain_pattern(christandl_chain(4), 2).to_graph()
+    op = grown_to_closure(graph, 0b10001)
+    assert len(op.masks) == 16 < math.comb(8, 2)
+    assert csr_bytes(op._csr) == csr_bytes(_coo_reference(graph, 2, list(op.masks)))
+
+
+@pytest.mark.parametrize("k", [0, 1, 9])
+def test_a_graph_of_zero_strengths_gives_an_empty_sector_matrix(k):
+    geo = build_square_lattice(3)
+    graph = pattern_from_weights(geo, np.zeros(len(geo.edges()))).to_graph()
+    mat = build_sector_hamiltonian(graph, k).mat
+    assert mat.shape == (math.comb(9, k),) * 2 and mat.nnz == 0
+    assert csr_bytes(mat) == csr_bytes(_coo_reference(graph, k))
 
 
 def chain_graphs(count):
@@ -313,7 +359,7 @@ def mirror_ranks(graph):
 
 # each cache with a call that reads one entry of it per chain graph
 STRUCTURE_CACHES = {
-    "sector": (sectors._sector_structure, lambda g: build_sector_hamiltonian(g, 1)),
+    "sector": (sectors._support_structure, lambda g: build_sector_hamiltonian(g, 1)),
     "support": (sectors._support_structure,
                 lambda g: apply_hamiltonian(g, SparseState.unit(g.site_count, 1))),
     "ranks": (sectors._rank_structure, mirror_ranks),
@@ -342,11 +388,12 @@ def test_cached_structures_are_read_only():
     graph = lattice_graph(3, 5)
     endpoints = tuple((a, b) for a, b, _ in graph.edges)
     support = np.array([0b111, 0b10101], dtype=np.int64)
-    basis, *sector = sectors._sector_structure(9, endpoints, 3)
+    sector = sectors._support_structure(endpoints, (9, 3))
     hops = sectors._support_structure(endpoints, support.tobytes())
     ranks = sectors._rank_structure(9, 3, symmetry_map(build_square_lattice(3), "rotation_pi").perm)
-    arrays = [basis.masks, *sector, ranks, hops.rows, hops.counts, hops.targets, hops.grown,
-              hops.index_pos]
+    arrays = [*sector.csr_layout, ranks]
+    for h in (sector, hops):
+        arrays += [h.rows, h.counts, h.targets, h.grown, h.index_pos]
     assert not any(a.flags.writeable for a in arrays)
 
 
@@ -417,4 +464,4 @@ def test_threads_share_the_structure_cache():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert failures == []
-    assert sectors._sector_structure.cache_info().currsize <= HOP_CACHE_SIZE
+    assert sectors._support_structure.cache_info().currsize <= HOP_CACHE_SIZE
