@@ -256,7 +256,11 @@ def cmd_witness(args):
         }
         _write_outputs(args, obj)
         return
-    _read_flags(args, {"n": 3, "pattern": "uniform", "seed": 0})
+    _read_flags(args, {"n": 3, "pattern": "uniform"})
+    if args.pattern == "uniform":
+        # one pattern for every seed: a seed flag would only relabel it
+        _read_flags(args, {}, ("seed", "seeds"), "--pattern uniform")
+    _read_flags(args, {"seed": 0})
     n = args.n
     if n < 1:
         raise ValueError(f"--n must be at least 1, got {n}")
@@ -381,6 +385,7 @@ def cmd_optimize(args):
     meta = {
         "wall_clock_s": sum(r.wall_clock for r in runs),
         "evaluations": sum(r.evaluations for r in runs),
+        "stationary_sectors": sum(r.stationary_sectors for r in runs),
         "time_polish": {
             key: sum(getattr(r.time_polish, key) for r in runs)
             for key in vars(runs[0].time_polish)

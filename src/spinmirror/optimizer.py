@@ -5,8 +5,9 @@ group, so every evaluated pattern is symmetric by construction. The coupling
 search is derivative-free: coordinate descent with a golden-section line search
 by default, or Nelder-Mead over the orbit parameters. Each evaluation maximizes
 over time on a grid refined three times, then polishes the peak by Newton steps
-on closed-form time derivatives of the Propagator. Nothing here proves
-anything; reports are numerical evidence only.
+on closed-form time derivatives of the Propagator. A stationary sector of a
+single-state objective is one spectral point, read without diagonalizing.
+Nothing here proves anything; reports are numerical evidence only.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .lattice import (
     symmetry_map,
 )
 from .sectors import Propagator, SparseState, build_sector_hamiltonian
-from .dynamics import mirror_propagator
+from .dynamics import KRYLOV_BREAKDOWN, mirror_propagator
 from .witness import (
     WitnessSpec,
     build_witness,
@@ -79,9 +80,20 @@ def _time_horizon(weights) -> float:
     return t1
 
 
-def _objective_propagator(graph, objective: Objective) -> Propagator:
+def _objective_propagator(graph, objective: Objective, run=None) -> Propagator:
     """The mirror amplitudes an objective reads: U[perm(x), x] for every x of
-    a sector, or one overlap <mirror(state)| U |state> over the state's sectors."""
+    a sector, or one overlap <mirror(state)| U |state> over the state's sectors.
+
+    A sector whose piece psi_k of the state is stationary adds one spectral
+    point and no eigendecomposition: one product h = H_k psi_k gives the
+    Rayleigh quotient E = <psi_k|h> / <psi_k|psi_k>, and when the residual
+    r = h - E psi_k has ||r|| <= KRYLOV_BREAKDOWN ||psi_k|| (the Lanczos
+    breakdown rule of dynamics: the Krylov space of psi_k ends after one
+    vector) the sector contributes E with weight <tau_k|psi_k>, tau_k the
+    mirrored piece. Its amplitude is then off by at most ||r|| t ||tau_k||
+    at time t. Any other sector is diagonalized. run, if given, counts the
+    stationary sectors in run.stationary_sectors.
+    """
     if objective.kind == "sector_average":
         return mirror_propagator(graph, objective.k, objective.mirror)
     state = objective.state
@@ -92,10 +104,19 @@ def _objective_propagator(graph, objective: Objective) -> Propagator:
     tsplit = target.sector_split()
     for k, comp in state.sector_split().items():
         H = build_sector_hamiltonian(graph, k)
-        evals, vecs = H.eig()
         psi_k = comp.to_sector_state(H.basis).amplitudes
         # the mirror permutes sites, so the target has exactly the state's sectors
         tau_k = tsplit[k].to_sector_state(H.basis).amplitudes
+        h = H.mat @ psi_k
+        norm = np.linalg.norm(psi_k)
+        energy = np.vdot(psi_k, h).real / norm**2
+        if np.linalg.norm(h - energy * psi_k) <= KRYLOV_BREAKDOWN * norm:
+            lams.append([energy])
+            ws.append([np.vdot(tau_k, psi_k)])
+            if run is not None:
+                run.stationary_sectors += 1
+            continue
+        evals, vecs = H.eig()
         lams.append(evals)
         ws.append(np.conj(vecs.T @ tau_k) * (vecs.T @ psi_k))
     return Propagator(
@@ -202,16 +223,29 @@ def evaluate_objective(
     by a safeguarded Newton iteration on the time derivative of the mean
     modulus, from the closed-form derivatives of the Propagator. The grid
     incumbent stands when the polish finds no better point; counts, if given,
-    tallies the polish. Deterministic for fixed inputs.
+    tallies the polish. A single-state objective reads each sector whose
+    piece of the state H maps onto a multiple of itself, to within the
+    Lanczos breakdown residual, as one spectral point and diagonalizes no
+    such sector. When all its points share one energy, every modulus is
+    constant in time: the value is read at t = 0, the grid point t = 0
+    stands, and counts tallies it as kept. Deterministic for fixed inputs.
     """
     graph = _as_graph(pattern)
-    prop = _objective_propagator(graph, objective)
+    return _best_time(_objective_propagator(graph, objective), graph, counts)
+
+
+def _best_time(prop: Propagator, graph, counts: PolishCounts | None) -> tuple[float, float]:
+    """evaluate_objective's grid, refinements and polish over the amplitudes of prop."""
     counts = PolishCounts() if counts is None else counts
 
     def values(ts):
         # mean over the mirrored entries; a single-state objective has one
         return np.abs(np.atleast_2d(prop.amplitudes(ts))).mean(axis=0)
 
+    if np.ptp(prop.evals) == 0:
+        # one energy: every |a(t)| is |a(0)|, so the window's first time stands
+        counts.kept_incumbent += 1
+        return float(values([0.0])[0]), 0.0
     t1 = _time_horizon([w for _, _, w in graph.edges])
     ts = np.linspace(0.0, t1, TIME_GRID_POINTS)
     vals = values(ts)
@@ -253,6 +287,8 @@ class OptimizationRun:
     time_polish: PolishCounts = field(default_factory=PolishCounts)
     wall_clock: float = 0.0
     completed: bool = False
+    # sector evaluations that one spectral point answered (see _objective_propagator)
+    stationary_sectors: int = field(default=0, init=False)
 
 
 def _orbits_of(run: OptimizationRun) -> list[list[int]]:
@@ -296,7 +332,8 @@ def optimize(run: OptimizationRun, objective: Objective) -> OptimizationRun:
 
     def measure(p):
         run.evaluations += 1
-        return evaluate_objective(_pattern_of(run, orbits, p), objective, run.time_polish)
+        graph = _pattern_of(run, orbits, p).to_graph()
+        return _best_time(_objective_propagator(graph, objective, run), graph, run.time_polish)
 
     best_v, best_t = measure(params)
     iteration = 0
@@ -484,9 +521,10 @@ PRESET_NAMES = ("rx-3x3-witness", "chain-4-pst", "rodot-2x2-probe")
 def preset_rx_3x3_witness(seed: int = 0, n_restarts: int = 8, max_iters: int = 8):
     """R_x-constrained 3x3 search for mirroring the witness on diagonal |100>.
 
-    Returns (report dict, runs). The witness component freezes the objective
-    at its overlap with the mirrored witness, so every restart should sit at
-    (numerical) zero, below the analytic ceiling.
+    Returns (report dict, runs). The witness is stationary under every
+    pattern of the group, so each evaluation reads it as one spectral point
+    whose weight, its overlap with the mirrored witness, is exactly zero:
+    every restart sits at 0, below the analytic ceiling.
     """
     g = build_square_lattice(3)
     group = (symmetry_map(g, "main_diagonal"), symmetry_map(g, "anti_diagonal"))

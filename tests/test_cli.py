@@ -279,6 +279,20 @@ def test_witness_bad_side_or_seed_list_exits_2_naming_the_flag(capsys, flags, fl
     assert flag in err and out == ""
 
 
+@pytest.mark.parametrize("flags, flag", [(("--seeds", "1,2"), "--seeds"), (("--seed", "1"), "--seed")])
+def test_uniform_witness_refuses_seed_flags(capsys, flags, flag):
+    # the uniform pattern reads no seed: a seed would only relabel one certificate
+    assert run("witness", "--n", "2", *flags) == 2
+    out, err = capsys.readouterr()
+    assert f"{flag} does not apply to --pattern uniform" in err and out == ""
+
+
+def test_random_witness_refuses_a_bad_seed_list(capsys):
+    assert run("witness", "--pattern", "random-rx", "--seeds", "1,,2") == 2
+    out, err = capsys.readouterr()
+    assert "--seeds must be a comma list of integers" in err and out == ""
+
+
 def run_under_1gb_cap(*argv):
     """The CLI in a child process under a 1 GB address-space cap."""
     def cap():
@@ -651,6 +665,18 @@ def test_optimize_sidecar_counts_the_time_polish(tmp_path, preset):
     assert [(tmp_path / ("opt" + ext)).read_bytes() for ext in (".json", ".csv")] == first
 
 
+@pytest.mark.parametrize("preset", ["chain-4-pst", "rx-3x3-witness"])
+def test_optimize_sidecar_counts_stationary_sectors(tmp_path, preset):
+    # the witness is stationary and lies in one sector: every evaluation reads
+    # it as one spectral point; a sector average never does
+    prefix = tmp_path / "opt"
+    assert run("optimize", "--preset", preset, "--restarts", "1", "--max-iters", "1",
+               "--out", str(prefix)) == 0
+    meta = json.loads((tmp_path / "opt.meta.json").read_text())
+    expected = meta["evaluations"] if preset == "rx-3x3-witness" else 0
+    assert meta["evaluations"] > 0 and meta["stationary_sectors"] == expected
+
+
 @pytest.mark.parametrize("argv, flag", [
     (("--preset", "chain-4-pst", "--restarts", "0"), "--restarts"),
     (("--preset", "rx-3x3-witness", "--restarts", "0"), "--restarts"),
@@ -705,8 +731,8 @@ def test_config_supplies_defaults_but_flags_win(tmp_path, capsys):
 @pytest.mark.parametrize("config, code, expect", [
     ({"n": 2.5}, 2, "argument --n: invalid int value: '2.5'"),
     ({"pattern": "bogus"}, 2, "argument --pattern: invalid choice: 'bogus'"),
-    ({"seeds": 5}, 0, {"seeds": [5], "n": 3}),
-    ({"n": None, "seed": 4}, 0, {"seeds": [4], "n": 3}),
+    ({"seeds": 5, "pattern": "random-rx"}, 0, {"seeds": [5], "n": 3}),
+    ({"n": None, "seed": 4, "pattern": "random-rx"}, 0, {"seeds": [4], "n": 3}),
 ], ids=["float-n", "bad-choice", "int-seeds", "null-keeps-default"])
 def test_config_values_are_parsed_as_flags(tmp_path, capsys, config, code, expect):
     cfg = tmp_path / "cfg.json"

@@ -3,7 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from oracles import permutation_operator, sector_matrix, sector_propagation, symmetry_perm
 from spinmirror.chains import chain_pattern, christandl_chain
 from spinmirror.lattice import (
     build_chain,
@@ -14,6 +16,7 @@ from spinmirror.lattice import (
     symmetry_map,
     uniform_pattern,
 )
+from spinmirror.dynamics import KRYLOV_BREAKDOWN
 from spinmirror.optimizer import (
     COUPLING_BOX,
     TIME_GRID_POINTS,
@@ -23,6 +26,7 @@ from spinmirror.optimizer import (
     _golden_max,
     _newton_max,
     _objective_propagator,
+    _time_horizon,
     evaluate_objective,
     optimize,
     probe_2x2,
@@ -73,8 +77,9 @@ def test_zero_pattern_average_counts_fixed_masks():
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_witness_objective_keeps_its_grid_incumbent(seed):
-    # the R_x-constrained 3x3 witness objective reads about 1e-14: a mirrored
-    # overlap that is zero up to rounding, with no maximum to polish
+    # the R_x-constrained 3x3 witness is stationary, so its objective is one
+    # spectral point whose weight, the mirrored overlap, is exactly zero: there
+    # is no maximum to polish
     g = build_square_lattice(3)
     group = (symmetry_map(g, "main_diagonal"), symmetry_map(g, "anti_diagonal"))
     psi = build_witness(WitnessSpec(3, diagonal_basis_state(3, "100")))
@@ -84,6 +89,7 @@ def test_witness_objective_keeps_its_grid_incumbent(seed):
         warnings.simplefilter("error")
         v, _ = evaluate_objective(random_symmetric_pattern(g, group, seed), obj, counts)
     assert np.isfinite(v) and v < 1e-12
+    assert v == 0.0
     assert counts == PolishCounts(kept_incumbent=1)
 
 
@@ -292,3 +298,68 @@ def test_probe_2x2_is_deterministic():
     assert a.rows[-1][0] == pytest.approx(COUPLING_BOX[1], rel=1e-12)
     with pytest.raises(ValueError):
         probe_2x2(n_ratios=1)
+
+
+def rotation_eigenpair(n, k):
+    """A rotation-symmetric n x n pattern, its sector-k oracle and its most isolated eigenpair.
+
+    Returns (pattern, masks, H, P, evals, vecs, i): H and the mirror P come
+    from the oracles and the eigenpairs from scipy, none from package code.
+    """
+    g = build_square_lattice(n)
+    pat = random_symmetric_pattern(g, (symmetry_map(g, "rotation_pi"),), seed=n + k)
+    graph = pat.to_graph()
+    masks, H = sector_matrix(graph.site_count, graph.edges, k)
+    P = permutation_operator(masks, symmetry_perm(n, n, "rotation_pi"))
+    evals, vecs = scipy.linalg.eigh(H.toarray())
+    gaps = np.minimum(np.diff(evals, prepend=-np.inf), np.diff(evals, append=np.inf))
+    i = int(np.argmax(gaps))
+    assert gaps[i] > 1e-3  # nondegenerate
+    return pat, masks, H, P, evals, vecs, i
+
+
+@pytest.mark.parametrize("n, k", [(2, 2), (3, 4)])
+def test_a_stationary_sector_is_one_spectral_point(n, k):
+    pat, masks, _, P, _, vecs, i = rotation_eigenpair(n, k)
+    v = vecs[:, i]
+    obj = single_state_objective(pat.geometry, SparseState(n * n, masks, v))
+    assert len(_objective_propagator(pat.to_graph(), obj).evals) == 1
+    value, t = evaluate_objective(pat, obj)
+    assert value == pytest.approx(abs(np.vdot(P @ v, v)), abs=1e-12)
+    assert t == 0.0
+
+
+@pytest.mark.parametrize("n, k", [(2, 2), (3, 4)])
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_the_stationary_switch_on_both_sides_of_the_breakdown_rule(n, k, factor):
+    # psi = v + eps u with u another eigenvector has the relative residual
+    # ||H psi - E psi|| / ||psi|| = eps |lambda_u - lambda_v| / (1 + eps^2)
+    pat, masks, H, P, evals, vecs, i = rotation_eigenpair(n, k)
+    j = (i + 1) % len(evals)
+    eps = factor * KRYLOV_BREAKDOWN / abs(evals[j] - evals[i])
+    psi = vecs[:, i] + eps * vecs[:, j]
+    h = H @ psi
+    energy = np.vdot(psi, h).real / np.vdot(psi, psi).real
+    residual = np.linalg.norm(h - energy * psi) / np.linalg.norm(psi)
+    assert residual == pytest.approx(factor * KRYLOV_BREAKDOWN, rel=0.1)
+    graph = pat.to_graph()
+    obj = single_state_objective(pat.geometry, SparseState(n * n, masks, psi))
+    prop = _objective_propagator(graph, obj)
+    assert len(prop.evals) == (1 if factor < 1 else len(masks))
+    value, t = evaluate_objective(pat, obj)
+    start = dict(zip(masks, psi))
+
+    def oracle(time):
+        return np.vdot(P @ psi, sector_propagation(n * n, graph.edges, k, start, time)[1])
+
+    assert abs(value - abs(oracle(t))) < 1e-11
+    # the window's end, where the bound ||r|| t ||tau|| of one spectral point is widest
+    t_end = _time_horizon([w for _, _, w in graph.edges])
+    assert abs(prop.amplitudes(t_end) - oracle(t_end)) < 1e-11
+
+
+def test_a_basis_state_is_diagonalized():
+    g = build_square_lattice(3)
+    pat = random_symmetric_pattern(g, (symmetry_map(g, "rotation_pi"),), seed=0)
+    obj = single_state_objective(g, SparseState.unit(9, 0b000010111))
+    assert len(_objective_propagator(pat.to_graph(), obj).evals) == 126  # C(9, 4)
