@@ -385,10 +385,10 @@ def cmd_optimize(args):
     meta = {
         "wall_clock_s": sum(r.wall_clock for r in runs),
         "evaluations": sum(r.evaluations for r in runs),
-        "stationary_sectors": sum(r.stationary_sectors for r in runs),
+        "stationary_sectors": sum(r.time_polish.stationary_sectors for r in runs),
         "time_polish": {
             key: sum(getattr(r.time_polish, key) for r in runs)
-            for key in vars(runs[0].time_polish)
+            for key in ("newton_steps", "bisections", "kept_incumbent")
         },
     }
     _write_outputs(

@@ -80,19 +80,24 @@ def _time_horizon(weights) -> float:
     return t1
 
 
-def _objective_propagator(graph, objective: Objective, run=None) -> Propagator:
+def _objective_propagator(
+    graph, objective: Objective, counts: PolishCounts | None = None
+) -> Propagator:
     """The mirror amplitudes an objective reads: U[perm(x), x] for every x of
     a sector, or one overlap <mirror(state)| U |state> over the state's sectors.
 
     A sector whose piece psi_k of the state is stationary adds one spectral
-    point and no eigendecomposition: one product h = H_k psi_k gives the
-    Rayleigh quotient E = <psi_k|h> / <psi_k|psi_k>, and when the residual
-    r = h - E psi_k has ||r|| <= KRYLOV_BREAKDOWN ||psi_k|| (the Lanczos
-    breakdown rule of dynamics: the Krylov space of psi_k ends after one
-    vector) the sector contributes E with weight <tau_k|psi_k>, tau_k the
-    mirrored piece. Its amplitude is then off by at most ||r|| t ||tau_k||
-    at time t. Any other sector is diagonalized. run, if given, counts the
-    stationary sectors in run.stationary_sectors.
+    point and no eigendecomposition. One product h = H_k u with
+    u = psi_k / ||psi_k|| gives the Rayleigh quotient E = <u|h>. The test is
+    the Lanczos breakdown rule of dynamics (the Krylov space of psi_k ends
+    after one vector) in units of the couplings: the residual r = h - E u
+    must have ||r|| <= KRYLOV_BREAKDOWN mean |w|. Such a sector contributes
+    E with weight <tau_k|psi_k>, tau_k the mirrored piece. Its amplitude is
+    off by at most ||r|| t ||psi_k|| ||tau_k|| at time t, so by at most
+    8 pi KRYLOV_BREAKDOWN ||psi_k|| ||tau_k|| over the time window, whatever
+    the scale of the couplings. Any other sector, and one whose norm
+    underflows to 0, is diagonalized. counts, if given, tallies the
+    stationary sectors.
     """
     if objective.kind == "sector_average":
         return mirror_propagator(graph, objective.k, objective.mirror)
@@ -100,6 +105,8 @@ def _objective_propagator(graph, objective: Objective, run=None) -> Propagator:
     if state.site_count != graph.site_count:
         raise ValueError("objective state site count does not match pattern")
     target = state.map_sites(objective.mirror)
+    weights = [w for _, _, w in graph.edges]
+    tol = KRYLOV_BREAKDOWN * (float(np.mean(np.abs(weights))) if weights else 0.0)
     lams, ws = [], []
     tsplit = target.sector_split()
     for k, comp in state.sector_split().items():
@@ -107,15 +114,17 @@ def _objective_propagator(graph, objective: Objective, run=None) -> Propagator:
         psi_k = comp.to_sector_state(H.basis).amplitudes
         # the mirror permutes sites, so the target has exactly the state's sectors
         tau_k = tsplit[k].to_sector_state(H.basis).amplitudes
-        h = H.mat @ psi_k
         norm = np.linalg.norm(psi_k)
-        energy = np.vdot(psi_k, h).real / norm**2
-        if np.linalg.norm(h - energy * psi_k) <= KRYLOV_BREAKDOWN * norm:
-            lams.append([energy])
-            ws.append([np.vdot(tau_k, psi_k)])
-            if run is not None:
-                run.stationary_sectors += 1
-            continue
+        if norm > 0:
+            u = psi_k / norm
+            h = H.mat @ u
+            energy = np.vdot(u, h).real
+            if np.linalg.norm(h - energy * u) <= tol:
+                lams.append([energy])
+                ws.append([np.vdot(tau_k, psi_k)])
+                if counts is not None:
+                    counts.stationary_sectors += 1
+                continue
         evals, vecs = H.eig()
         lams.append(evals)
         ws.append(np.conj(vecs.T @ tau_k) * (vecs.T @ psi_k))
@@ -145,11 +154,17 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
 
 @dataclass
 class PolishCounts:
-    """What the time polish did, summed over objective evaluations."""
+    """What the time polish did, summed over objective evaluations.
+
+    stationary_sectors counts the sectors of single-state objectives that
+    one spectral point answered (see _objective_propagator). It is neither a
+    constructor parameter nor part of equality, which compares the polish.
+    """
 
     newton_steps: int = 0
     bisections: int = 0
     kept_incumbent: int = 0
+    stationary_sectors: int = field(default=0, init=False, compare=False)
 
 
 def _mean_modulus(prop: Propagator, t: float) -> tuple[float, float, float] | None:
@@ -223,20 +238,16 @@ def evaluate_objective(
     by a safeguarded Newton iteration on the time derivative of the mean
     modulus, from the closed-form derivatives of the Propagator. The grid
     incumbent stands when the polish finds no better point; counts, if given,
-    tallies the polish. A single-state objective reads each sector whose
-    piece of the state H maps onto a multiple of itself, to within the
-    Lanczos breakdown residual, as one spectral point and diagonalizes no
-    such sector. When all its points share one energy, every modulus is
+    tallies the polish and the stationary sectors. A single-state objective
+    reads each sector whose piece of the state H maps onto a multiple of
+    itself, to within the Lanczos breakdown residual in units of the mean
+    coupling, as one spectral point and diagonalizes no such sector. When all its points share one energy, every modulus is
     constant in time: the value is read at t = 0, the grid point t = 0
     stands, and counts tallies it as kept. Deterministic for fixed inputs.
     """
     graph = _as_graph(pattern)
-    return _best_time(_objective_propagator(graph, objective), graph, counts)
-
-
-def _best_time(prop: Propagator, graph, counts: PolishCounts | None) -> tuple[float, float]:
-    """evaluate_objective's grid, refinements and polish over the amplitudes of prop."""
     counts = PolishCounts() if counts is None else counts
+    prop = _objective_propagator(graph, objective, counts)
 
     def values(ts):
         # mean over the mirrored entries; a single-state objective has one
@@ -287,8 +298,6 @@ class OptimizationRun:
     time_polish: PolishCounts = field(default_factory=PolishCounts)
     wall_clock: float = 0.0
     completed: bool = False
-    # sector evaluations that one spectral point answered (see _objective_propagator)
-    stationary_sectors: int = field(default=0, init=False)
 
 
 def _orbits_of(run: OptimizationRun) -> list[list[int]]:
@@ -332,8 +341,7 @@ def optimize(run: OptimizationRun, objective: Objective) -> OptimizationRun:
 
     def measure(p):
         run.evaluations += 1
-        graph = _pattern_of(run, orbits, p).to_graph()
-        return _best_time(_objective_propagator(graph, objective, run), graph, run.time_polish)
+        return evaluate_objective(_pattern_of(run, orbits, p), objective, run.time_polish)
 
     best_v, best_t = measure(params)
     iteration = 0

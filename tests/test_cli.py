@@ -657,7 +657,7 @@ def test_optimize_sidecar_counts_the_time_polish(tmp_path, preset):
     if preset == "chain-4-pst":
         assert polish["newton_steps"] > 0
     else:
-        # the witness objective is zero up to rounding: nothing to polish
+        # the witness objective is exactly 0.0, one spectral point: nothing to polish
         assert polish == {"bisections": 0, "kept_incumbent": meta["evaluations"],
                           "newton_steps": 0}
     first = [(tmp_path / ("opt" + ext)).read_bytes() for ext in (".json", ".csv")]

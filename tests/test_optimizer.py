@@ -91,6 +91,7 @@ def test_witness_objective_keeps_its_grid_incumbent(seed):
     assert np.isfinite(v) and v < 1e-12
     assert v == 0.0
     assert counts == PolishCounts(kept_incumbent=1)
+    assert counts.stationary_sectors == 1
 
 
 def _golden_polished(pattern, objective):
@@ -333,19 +334,24 @@ def test_a_stationary_sector_is_one_spectral_point(n, k):
 @pytest.mark.parametrize("factor", [0.5, 2.0])
 def test_the_stationary_switch_on_both_sides_of_the_breakdown_rule(n, k, factor):
     # psi = v + eps u with u another eigenvector has the relative residual
-    # ||H psi - E psi|| / ||psi|| = eps |lambda_u - lambda_v| / (1 + eps^2)
+    # ||H psi - E psi|| / ||psi|| = eps |lambda_u - lambda_v| / (1 + eps^2),
+    # which the switch reads in units of the mean coupling
     pat, masks, H, P, evals, vecs, i = rotation_eigenpair(n, k)
+    graph = pat.to_graph()
+    scale = np.mean([abs(w) for _, _, w in graph.edges])
     j = (i + 1) % len(evals)
-    eps = factor * KRYLOV_BREAKDOWN / abs(evals[j] - evals[i])
+    eps = factor * KRYLOV_BREAKDOWN * scale / abs(evals[j] - evals[i])
     psi = vecs[:, i] + eps * vecs[:, j]
     h = H @ psi
     energy = np.vdot(psi, h).real / np.vdot(psi, psi).real
-    residual = np.linalg.norm(h - energy * psi) / np.linalg.norm(psi)
+    residual = np.linalg.norm(h - energy * psi) / np.linalg.norm(psi) / scale
     assert residual == pytest.approx(factor * KRYLOV_BREAKDOWN, rel=0.1)
-    graph = pat.to_graph()
     obj = single_state_objective(pat.geometry, SparseState(n * n, masks, psi))
-    prop = _objective_propagator(graph, obj)
-    assert len(prop.evals) == (1 if factor < 1 else len(masks))
+    counts = PolishCounts()
+    prop = _objective_propagator(graph, obj, counts)
+    stationary = factor < 1
+    assert counts.stationary_sectors == int(stationary)
+    assert len(prop.evals) == (1 if stationary else len(masks))
     value, t = evaluate_objective(pat, obj)
     start = dict(zip(masks, psi))
 
@@ -358,8 +364,52 @@ def test_the_stationary_switch_on_both_sides_of_the_breakdown_rule(n, k, factor)
     assert abs(prop.amplitudes(t_end) - oracle(t_end)) < 1e-11
 
 
+def scaled(pattern, s):
+    return pattern_from_weights(pattern.geometry, s * pattern.edge_weights())
+
+
+@pytest.mark.parametrize("case", ["chain-2", "eigenvector-3x3"])
+def test_the_stationary_switch_does_not_depend_on_the_coupling_scale(case):
+    # 1e-14 couplings stretch the window to 8 pi / 1e-14: the switch, the
+    # value and the time in units of the window must not move
+    if case == "chain-2":
+        g = build_chain(2)
+        pat = pattern_from_weights(g, [1.0])
+        obj = Objective(kind="single_state", mirror=symmetry_map(g, "vertical_axis"),
+                        state=SparseState.unit(2, 0b01))
+    else:
+        pat, masks, _, _, _, vecs, i = rotation_eigenpair(3, 4)
+        obj = single_state_objective(pat.geometry, SparseState(9, masks, vecs[:, i]))
+    runs = []
+    for s in (1.0, 1e-14):
+        counts = PolishCounts()
+        value, t = evaluate_objective(scaled(pat, s), obj, counts)
+        runs.append((value, t * s, counts.stationary_sectors))
+    (v1, t1, n1), (v2, t2, n2) = runs
+    assert n1 == n2 == (0 if case == "chain-2" else 1)
+    assert v2 == pytest.approx(v1, abs=1e-12)
+    assert t2 == pytest.approx(t1, rel=1e-9, abs=1e-12)
+    if case == "chain-2":
+        # |<10| e^{-iHt} |01>| = |sin(w t)| reaches 1 inside the window
+        assert v2 == pytest.approx(1.0, abs=1e-9)
+
+
+def test_an_underflowing_sector_is_diagonalized_without_warnings():
+    # amplitudes of 1e-170 square to 0, so the sector norm underflows
+    pat, masks, _, _, _, vecs, i = rotation_eigenpair(3, 4)
+    obj = single_state_objective(pat.geometry, SparseState(9, masks, 1e-170 * vecs[:, i]))
+    counts = PolishCounts()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, _ = evaluate_objective(pat, obj, counts)
+    assert counts.stationary_sectors == 0
+    assert value == 0.0
+
+
 def test_a_basis_state_is_diagonalized():
     g = build_square_lattice(3)
     pat = random_symmetric_pattern(g, (symmetry_map(g, "rotation_pi"),), seed=0)
     obj = single_state_objective(g, SparseState.unit(9, 0b000010111))
-    assert len(_objective_propagator(pat.to_graph(), obj).evals) == 126  # C(9, 4)
+    counts = PolishCounts()
+    assert len(_objective_propagator(pat.to_graph(), obj, counts).evals) == 126  # C(9, 4)
+    assert counts.stationary_sectors == 0
