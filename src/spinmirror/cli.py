@@ -398,11 +398,14 @@ def cmd_optimize(args):
         raise ToleranceError(message)
 
 
-def _parse_site(text):
-    if "," in text:
-        i, j = text.split(",")
-        return (int(i), int(j))
-    return int(text)
+def _parse_site(text, flag):
+    try:
+        site = tuple(int(part) for part in text.split(","))
+    except ValueError:
+        site = ()
+    if len(site) not in (1, 2):
+        raise ValueError(f"{flag} must be a flat site or i,j, got {text!r}")
+    return site if len(site) == 2 else site[0]
 
 
 def cmd_scan(args):
@@ -417,8 +420,8 @@ def cmd_scan(args):
         _read_flags(args, {"source": None, "target": None}, ("k", "mirror"), "a transfer scan")
         if args.source is None or args.target is None:
             raise ValueError("transfer scans need both --source and --target")
-        src = _parse_site(args.source)
-        dst = _parse_site(args.target)
+        src = _parse_site(args.source, "--source")
+        dst = _parse_site(args.target, "--target")
         vals = transfer_fidelity(pat, src, dst, ts)
         i = int(np.argmax(vals))
         obj = {

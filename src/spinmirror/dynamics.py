@@ -31,7 +31,7 @@ from .sectors import (
     SectorState,
     SparseState,
     _HopOperator,
-    _available_bytes,
+    _check_block_memory,
     _live_edges,
     _rank_structure,
     _support_structure,
@@ -230,20 +230,6 @@ def mirror_propagator(pattern, k: int, sym: SymmetryMap) -> Propagator:
 
 
 # -- the mirror-parity split ---------------------------------------------------
-
-# Peak bytes of a dense d x d block over what was held before it, per 8 d^2: the
-# block, eigh's copy, workspace and output, and the column chunks. Single-block
-# reports measured 5.23 at d = 1820 and 5.08 at d = 4368 (OpenBLAS, one thread).
-_BLOCK_PEAK_FACTOR = 5.3
-
-
-def _check_block_memory(d: int) -> None:
-    """Raise before forming a dense d x d block whose estimated peak does not fit."""
-    need, available = int(_BLOCK_PEAK_FACTOR * 8 * d * d), _available_bytes()
-    if available is not None and need > available:
-        raise ValueError(f"a dense block of dimension {d} needs about {need} bytes at peak; "
-                         f"{available} bytes of memory are available")
-
 
 def _parity_split(H: SectorHamiltonian, sym: SymmetryMap):
     """(perm_rows, exact): the mirror P on H's basis; exact if P^2 = 1 and P H P = H to the bit."""

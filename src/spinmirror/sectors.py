@@ -122,8 +122,9 @@ class SectorHamiltonian:
         return self.basis.dim
 
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cached dense eigendecomposition (eigenvalues, eigenvectors)."""
+        """Cached dense eigendecomposition (eigenvalues, eigenvectors); ValueError past memory."""
         if self._eig is None:
+            _check_block_memory(self.dim)
             evals, vecs = np.linalg.eigh(self.mat.toarray())
             self._eig = (evals, vecs)
         return self._eig
@@ -263,6 +264,28 @@ def _available_bytes() -> int | None:
     return min(found, default=None)
 
 
+# Peak bytes of a dense d x d block over what was held before it, per 8 d^2: the
+# block, eigh's copy, workspace and output, and the column chunks. Single-block
+# reports measured 5.23 at d = 1820 and 5.08 at d = 4368 (OpenBLAS, one thread).
+_BLOCK_PEAK_FACTOR = 5.3
+# Estimates up to this many bytes skip the memory probe, which costs about as much
+# as the eigh of a dim-4 block; 64 KiB covers dense blocks up to dimension 39.
+_PROBE_FLOOR = 64 * 1024
+
+
+def _check_memory(need: int, what: str) -> None:
+    """ValueError when need bytes, the estimated peak of what, exceed available memory."""
+    available = _available_bytes() if need > _PROBE_FLOOR else None
+    if available is not None and need > available:
+        raise ValueError(f"{what} about {need} bytes at peak; "
+                         f"{available} bytes of memory are available")
+
+
+def _check_block_memory(d: int) -> None:
+    """Raise before forming a dense d x d block whose estimated peak does not fit."""
+    _check_memory(int(_BLOCK_PEAK_FACTOR * 8 * d * d), f"a dense block of dimension {d} needs")
+
+
 def _hop_structure(endpoints, masks: np.ndarray) -> _Hops:
     """Build the hops of a strictly ascending mask index by one stable sort.
 
@@ -271,10 +294,8 @@ def _hop_structure(endpoints, masks: np.ndarray) -> _Hops:
     # peak RSS over what was held before, per (mask, live edge), one BLAS thread:
     # 28 and 31.5 bytes for the n = 5 and 6 uniform witnesses (1024 and 32,768
     # masks), 17.8 for the uniform 5x5 lattice at k = 4, matrix included
-    need, available = 32 * len(masks) * len(endpoints), _available_bytes()
-    if available is not None and need > available:
-        raise ValueError(f"the hops of {len(masks)} masks across {len(endpoints)} edges need "
-                         f"about {need} bytes at peak; {available} bytes of memory are available")
+    _check_memory(32 * len(masks) * len(endpoints),
+                  f"the hops of {len(masks)} masks across {len(endpoints)} edges need")
     rows, counts, landed = _hops_out(endpoints, masks)
     order, grown, run = _sort_runs(np.concatenate([masks, landed]))
     idx = _index_dtype(len(run))

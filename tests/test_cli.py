@@ -171,8 +171,8 @@ def asymmetric_3x3_file(tmp_path):
 def test_mirror_refuses_a_block_past_available_memory(tmp_path, monkeypatch, capsys,
                                                       source, block, shift):
     # one byte short of the largest block's estimated peak refuses; exactly it runs
-    need = int(dynamics._BLOCK_PEAK_FACTOR * 8 * block * block)
-    monkeypatch.setattr(dynamics, "_available_bytes", lambda: need + shift)
+    need = int(sectors._BLOCK_PEAK_FACTOR * 8 * block * block)
+    monkeypatch.setattr(sectors, "_available_bytes", lambda: need + shift)
     if source == "asymmetric":
         source = ("--pattern-file", asymmetric_3x3_file(tmp_path))
     code = run("mirror", *source, "--k", "4", "--t", "0.7")
@@ -184,6 +184,36 @@ def test_mirror_refuses_a_block_past_available_memory(tmp_path, monkeypatch, cap
     else:
         assert code == 0
         assert json.loads(out)["min_modulus"] > 0
+
+
+def nearly_rotation_symmetric_3x3_file(tmp_path):
+    # rotation by pi maps J[i, j] to J[1 - i, 2 - j]; one coupling is a bit off
+    J, K = [[1.0, 1.5, 0.75], [0.75, 1.5, 1.0]], [[0.5, 1.25], [2.0, 2.0], [1.25, 0.5]]
+    J[0][0] = float(np.nextafter(1.0, 2.0))
+    pattern = tmp_path / "nearly.json"
+    pattern.write_text(json.dumps({"schema_version": "1", "kind": "square", "n": 3,
+                                   "J": J, "K": K}))
+    return str(pattern)
+
+
+@pytest.mark.parametrize("command", ["scan", "classify"])
+def test_a_dense_sector_past_available_memory_exits_2(tmp_path, monkeypatch, capsys, command):
+    # both diagonalize the whole k=4 sector of the 3x3 lattice, dimension 126:
+    # scan in mirror mode for its curve, classify because the mirror commutes
+    # with H only to within rounding
+    need = int(sectors._BLOCK_PEAK_FACTOR * 8 * 126 * 126)
+    monkeypatch.setattr(sectors, "_available_bytes", lambda: need - 1)
+    if command == "scan":
+        argv = ("scan", "--pattern", "uniform-lattice", "--n", "3", "--k", "4",
+                "--tmax", "1", "--points", "3")
+    else:
+        argv = ("classify", "--pattern-file", nearly_rotation_symmetric_3x3_file(tmp_path),
+                "--k", "4", "--sym", "rotation_pi")
+    assert run(*argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"a dense block of dimension 126 needs about {need} bytes at peak" in err
+    assert f"{need - 1} bytes of memory are available" in err
 
 
 def test_mirror_require_min_exits_3(tmp_path):
@@ -421,6 +451,16 @@ def test_scan_rejects_flat_sites_outside_the_lattice(source, target, capsys):
     assert "outside 0..4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,site", [("--source", "a"), ("--source", "1,x"),
+                                       ("--source", "1,2,3"), ("--target", "1,2,3")])
+def test_scan_names_the_flag_of_a_malformed_site(flag, site, capsys):
+    sites = {"--source": "1,1", "--target": "1,5", flag: site}
+    code = run("scan", "--pattern", "christandl-chain", "--n", "5",
+               "--source", sites["--source"], "--target", sites["--target"])
+    assert code == 2
+    assert f"{flag} must be a flat site or i,j, got {site!r}" in capsys.readouterr().err
+
+
 _CHAIN4 = ("chain", "--n", "4")
 _SCAN4 = ("scan", "--pattern", "christandl-chain", "--n", "4", "--source", "0", "--target", "3")
 _MIRROR3 = ("mirror", "--pattern", "christandl-chain", "--n", "3")
@@ -484,10 +524,9 @@ def test_readme_cli_quickstart_parses():
             pytest.fail(f"README example does not parse: {line}")
 
 
-# sha256 of the stdout and of each .json/.csv output of the fast README
-# examples, run in one process with one BLAS thread on the versions below. The
-# slow presets (rx-3x3-witness, chain-4-pst) and the k=5 mirror report are
-# left out: together they take about 20 s.
+# sha256 of the stdout and of each .json/.csv output of the README examples,
+# run in one process with one BLAS thread on the versions below. The k=5
+# mirror report is left out: it takes about 26 s alone.
 README_DIGEST_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1", "OpenBLAS": "0.3.31"}
 README_DIGESTS = {
     "spinmirror chain --n 8 --chain christandl": {
@@ -506,6 +545,14 @@ README_DIGESTS = {
     },
     "spinmirror classify --parallel-chains 4 --k 2 --sym vertical_axis": {
         "stdout": "e17f99766b8e2fb52113edd72078562473756f7694149800ae166613f30581c9",
+    },
+    "spinmirror optimize --preset rx-3x3-witness --out rx3": {
+        "stdout": "49844242411459b700fb0e7fdbd6287dff926b6835dc38a5895f2d045176993c",
+        "rx3.json": "b8b32685cdeb6a62acd3a16533f2ec96a168e37549c2f5dd24ad479e00202698",
+        "rx3.csv": "476e69b0c9892eac12d3f0e1910e7e2a6eb4551c232d0d56992f43b1c281ddc3",
+    },
+    "spinmirror optimize --preset chain-4-pst --restarts 1 --max-iters 40": {
+        "stdout": "05124eafbd0bd27ebd59730502c90843df2b0fd811b9954a8ce71dc481795ab8",
     },
     "spinmirror optimize --preset rodot-2x2-probe --out probe": {
         "stdout": "18489bcee7206dc653857c828272e5ae8be5e07bf11dddae28a1a35209ab0288",

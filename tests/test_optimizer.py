@@ -7,10 +7,13 @@ import scipy.linalg
 
 from oracles import permutation_operator, sector_matrix, sector_propagation, symmetry_perm
 from spinmirror.chains import chain_pattern, christandl_chain
+from spinmirror import optimizer
 from spinmirror.lattice import (
+    _orbit_pattern,
     build_chain,
     build_square_lattice,
     check_symmetry,
+    edge_orbits,
     pattern_from_weights,
     random_symmetric_pattern,
     symmetry_map,
@@ -29,6 +32,7 @@ from spinmirror.optimizer import (
     _time_horizon,
     evaluate_objective,
     optimize,
+    preset_rx_3x3_witness,
     probe_2x2,
     witness_ceiling,
 )
@@ -244,6 +248,54 @@ def test_nelder_mead_keeps_an_exact_start():
     assert out.best_value >= 1 - 1e-9
 
 
+def mirror_chain_search(method, seed):
+    """A search over the two mirror-symmetric couplings of a 4-chain, with its objective."""
+    g = build_chain(4)
+    mirror = symmetry_map(g, "vertical_axis")
+    run = OptimizationRun(geometry=g, constraint_group=(mirror,), method=method,
+                          max_iters=3 if method == "coordinate_descent" else 10, seed=seed)
+    return run, Objective(kind="sector_average", mirror=mirror, k=1)
+
+
+# seeds at which each method records several trace rows
+SEARCHES = [("coordinate_descent", 0), ("nelder_mead_on_free_parameters", 3)]
+
+
+@pytest.mark.parametrize("method,seed", SEARCHES)
+def test_each_trace_row_holds_what_its_point_measured(method, seed):
+    run, obj = mirror_chain_search(method, seed)
+    out = optimize(run, obj)
+    assert len(out.trace) >= 4
+    orbits = edge_orbits(run.geometry, run.constraint_group)
+    for _, value, t, params in out.trace:
+        assert evaluate_objective(_orbit_pattern(run.geometry, orbits, params), obj) == (value, t)
+    _, value, t, params = out.trace[-1]
+    assert (out.best_value, out.best_time) == (value, t)
+    best = _orbit_pattern(run.geometry, orbits, params)
+    assert np.array_equal(out.best_pattern.edge_weights(), best.edge_weights())
+
+
+@pytest.mark.parametrize("method,seed", SEARCHES)
+def test_no_point_is_recorded_twice(method, seed):
+    out = optimize(*mirror_chain_search(method, seed))
+    assert len({row[3] for row in out.trace}) == len(out.trace)
+
+
+@pytest.mark.parametrize("method,seed", SEARCHES)
+def test_each_point_is_evaluated_once_on_a_symmetric_pattern(method, seed, monkeypatch):
+    seen = []
+
+    def spy(pattern, objective, counts=None):
+        seen.append(pattern)
+        return evaluate_objective(pattern, objective, counts)
+
+    monkeypatch.setattr(optimizer, "evaluate_objective", spy)
+    run, obj = mirror_chain_search(method, seed)
+    out = optimize(run, obj)
+    assert len(seen) == out.evaluations
+    assert all(check_symmetry(pattern, sym) for pattern in seen for sym in run.constraint_group)
+
+
 def single_state_objective(g, state):
     return Objective(kind="single_state", mirror=symmetry_map(g, "rotation_pi"), state=state)
 
@@ -274,6 +326,17 @@ def test_ceiling_of_an_even_mixture_and_dominance():
         pat = random_symmetric_pattern(g, group, seed)
         best, _ = evaluate_objective(pat, obj)
         assert best <= witness_ceiling(pat, obj) + 1e-9
+
+
+def test_a_best_value_above_the_ceiling_is_reported(monkeypatch):
+    # a ceiling one step below the best value it bounds: no slack forgives it
+    def just_below(pattern, objective):
+        return float(np.nextafter(evaluate_objective(pattern, objective)[0], -np.inf))
+
+    monkeypatch.setattr(optimizer, "witness_ceiling", just_below)
+    report, _ = preset_rx_3x3_witness(n_restarts=1, max_iters=1)
+    assert report["ceiling"] < report["best_value"]
+    assert report["ceiling_respected"] is False
 
 
 def test_ceiling_preconditions():
