@@ -8,8 +8,10 @@ sector or several, evolves matrix-free (evolve_sparse, evolve_state) through
 sectors._HopOperator, over one sorted mask index that starts as the state's
 support and grows to its hop closure as H is applied; once the index is
 closed, the CSR matrix of _Hops.matrix, which assembles every sector matrix,
-applies H. It never enumerates a sector basis. apply_hamiltonian and the
-operator share one scatter, _Hops.apply; every cached structure is in sectors.
+applies H, and an index that fills its whole sector takes the cached
+sector's. apply_hamiltonian and the operator share _Hops.apply: H x as one
+CSR product over the hops in hop order by target, which sums each target in
+hop order. Every cached structure is in sectors.
 Curves of fixed propagator entries over a time grid diagonalize once and go
 through sectors.Propagator: one product per curve, not one eigh per point.
 Mirroring reports and spectrum classification share one mirror-parity split

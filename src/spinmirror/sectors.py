@@ -3,13 +3,15 @@
 Occupation bitmasks use bit p for flat site p; the vacuum is mask 0. The
 exchange Hamiltonian never changes a mask's popcount, so each weight-k sector
 evolves independently. One hop rule, _hops_out, gives the weight-free hops of
-any sorted mask index (_hop_structure), and a whole sector is a support that
-no hop leaves. _Hops.apply is the one scatter of H on an index, _Hops.matrix
-the one CSR assembly of H on a closed index; build_sector_hamiltonian,
-dynamics.apply_hamiltonian and _HopOperator, the growing-index operator
-behind evolve_sparse, share them. Two functools.lru_cache caches of
-HOP_CACHE_SIZE entries keep the hops of supports and sectors and the rank
-maps of dynamics.permuted_ranks; each call fills in 2w for its weights.
+any sorted mask index (_hop_structure), laid out by target in hop order, and
+a whole sector is a support that no hop leaves. _Hops.apply computes H x on
+an index as one CSR product over that layout, _Hops.matrix assembles the CSR
+of H on a closed index; build_sector_hamiltonian, dynamics.apply_hamiltonian
+and _HopOperator, the growing-index operator behind evolve_sparse, share
+them, and a growing index that fills its sector reads the cached sector's
+hops. Two functools.lru_cache caches of HOP_CACHE_SIZE entries keep the hops
+of supports and sectors and the rank maps of dynamics.permuted_ranks; each
+call fills in 2w for its weights.
 A Propagator evaluates fixed entries of exp(-iHt) over whole time grids.
 """
 
@@ -155,8 +157,8 @@ class Propagator:
 
 # entries each structure cache keeps, least recently used evicted first. A loop
 # that runs witness checks beside coupling searches (the sparse-sweep benchmark)
-# puts 13 keys in the support cache per pass (7 supports, 6 whole sectors) and
-# fewer in the rank cache; the bound keeps all of them.
+# puts 16 keys in the support cache per pass (7 supports, 9 whole sectors) and
+# 3 in the rank cache; the bound keeps all of them.
 HOP_CACHE_SIZE = 32
 
 
@@ -176,58 +178,60 @@ def _readonly(*arrays):
 class _Hops:
     """Every hop out of a sorted mask index across the live edges, without weights.
 
-    Hops are grouped by live edge in edge order, counts[e] of them for edge
-    e. Hop h moves an excitation out of index[rows[h]] and lands on
-    grown[targets[h]], where grown is index | hop targets, ascending;
-    index_pos are the index's own positions in grown.
+    grown is index | hop targets, ascending; index_pos are the index's own
+    positions in it. The hops are laid out by target: entries indptr[t] to
+    indptr[t + 1] land on grown[t], in hop order (by live edge in edge order,
+    then by source), and entry i moves an excitation out of index[cols[i]]
+    along live edge edges[i].
     """
 
-    rows: np.ndarray
-    counts: np.ndarray
-    targets: np.ndarray
     grown: np.ndarray
     index_pos: np.ndarray
+    indptr: np.ndarray
+    cols: np.ndarray
+    edges: np.ndarray
 
-    def fill(self, weights: np.ndarray) -> np.ndarray:
-        """The matrix element 2w of every hop, for live-edge weights w."""
-        return np.repeat(2.0 * weights, self.counts)
+    @property
+    def targets(self) -> np.ndarray:
+        """The target position in grown of every entry."""
+        return np.repeat(np.arange(len(self.grown), dtype=self.cols.dtype), np.diff(self.indptr))
 
     @functools.cached_property
     def distinct(self) -> bool:
         """True when no two hops land on the same mask."""
-        return bool(np.bincount(self.targets, minlength=1).max() <= 1)
+        return bool(np.diff(self.indptr).max(initial=0) <= 1)
 
     @functools.cached_property
-    def csr_layout(self) -> tuple[np.ndarray, np.ndarray]:
-        """(order, indptr): hop order[i] is CSR entry i, by source, then target.
-
-        Column indices, targets[order], are gathered per matrix, not cached.
+    def csr_order(self) -> np.ndarray:
+        """The entries by target, then source: on a closed index, where H is
+        symmetric, the layout in this order is the CSR of H.
         """
-        n = len(self.grown)
-        keys = self.rows * np.int64(n) + self.targets  # distinct: any sort will do
-        indptr = np.zeros(n + 1, self.targets.dtype)
-        np.cumsum(np.bincount(self.rows, minlength=n), out=indptr[1:])
-        return _readonly(np.argsort(keys).astype(self.targets.dtype), indptr)
+        keys = self.targets * np.int64(len(self.grown)) + self.cols  # distinct
+        return _readonly(np.argsort(keys).astype(self.cols.dtype))[0]
 
     def matrix(self, weights: np.ndarray) -> sp.csr_matrix:
         """H as a CSR matrix over an index closed under hops, which owns its arrays."""
-        order, indptr = self.csr_layout
-        n = len(self.grown)
-        mat = sp.csr_matrix((self.fill(weights)[order], self.targets[order], indptr.copy()),
-                            shape=(n, n))
+        order, n = self.csr_order, len(self.grown)
+        mat = sp.csr_matrix((np.take(2.0 * weights, self.edges[order]), self.cols[order],
+                             self.indptr.copy()), shape=(n, n))
         mat.has_sorted_indices = True
         return mat
 
     def apply(self, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """H x over grown, for x over the index; targets hit more than once sum in hop order."""
-        src = x[self.rows] * self.fill(weights)
-        out = np.zeros(len(self.grown), np.complex128)
+        """H x over grown, for x over the index; targets hit more than once sum in hop order.
+
+        The sums are one CSR product, grown x index, on the (real, imag) columns
+        of x: each row starts from +0.0 and adds in hop order. When no two hops
+        share a target, each takes its product directly, so a negative-zero
+        part survives.
+        """
+        fill = np.take(2.0 * weights, self.edges)
         if self.distinct:
-            out[self.targets] = src
-        else:
-            out.real = np.bincount(self.targets, src.real, len(out))
-            out.imag = np.bincount(self.targets, src.imag, len(out))
-        return out
+            out = np.zeros(len(self.grown), np.complex128)
+            out[self.targets] = x[self.cols] * fill
+            return out
+        hop = sp.csr_matrix((fill, self.cols, self.indptr), shape=(len(self.grown), len(x)))
+        return (hop @ x.view(np.float64).reshape(-1, 2)).view(np.complex128).ravel()
 
 
 def _hops_out(endpoints, masks: np.ndarray):
@@ -291,18 +295,22 @@ def _hop_structure(endpoints, masks: np.ndarray) -> _Hops:
 
     Raises ValueError first when its estimated peak does not fit in memory.
     """
-    # peak RSS over what was held before, per (mask, live edge), one BLAS thread:
-    # 28 and 31.5 bytes for the n = 5 and 6 uniform witnesses (1024 and 32,768
-    # masks), 17.8 for the uniform 5x5 lattice at k = 4, matrix included
+    # peak RSS over what was held before, per (mask, live edge), one BLAS thread,
+    # over the build and the first apply or matrix: 17-21 and 31.5 bytes for the
+    # n = 5 and 6 uniform witnesses (1024 and 32,768 masks), 17.0-17.6 for the
+    # uniform 5x5 lattice at k = 4. The peak is the sort, not the layout after it
     _check_memory(32 * len(masks) * len(endpoints),
                   f"the hops of {len(masks)} masks across {len(endpoints)} edges need")
     rows, counts, landed = _hops_out(endpoints, masks)
     order, grown, run = _sort_runs(np.concatenate([masks, landed]))
-    idx = _index_dtype(len(run))
-    pos = np.empty(len(run), idx)
-    pos[order] = run
-    n = len(masks)
-    return _Hops(*_readonly(rows.astype(idx), counts.astype(idx), pos[n:], grown, pos[:n]))
+    idx, n = _index_dtype(len(run)), len(masks)
+    hop = order >= n  # the stable sort keeps hop order within each target
+    by_target = order[hop] - n
+    indptr = np.zeros(len(grown) + 1, idx)
+    np.cumsum(np.bincount(run[hop], minlength=len(grown)), out=indptr[1:])
+    edges = np.repeat(np.arange(len(counts), dtype=np.min_scalar_type(len(counts))), counts)
+    return _Hops(*_readonly(grown, run[~hop].astype(idx), indptr,
+                            rows.astype(idx)[by_target], edges[by_target]))
 
 
 @functools.lru_cache(maxsize=HOP_CACHE_SIZE)
@@ -345,20 +353,27 @@ class _HopOperator:
     index | hops(index), which then becomes the current index. The first
     growth step, out of the caller's support, reads its weight-free hops from
     the support cache; later steps build theirs uncached, since their indices
-    rarely repeat. Both go through _Hops.apply. Once an index is closed under
-    hops, _Hops.matrix builds its CSR once, and that serves every later
-    matvec. lift carries the stored Krylov vectors from the index before the
-    last growth step onto the current one; since a space is never rebuilt,
-    it is never more than one growth step behind.
+    rarely repeat. Both go through _Hops.apply, one CSR product in hop order
+    by target. Once an index is closed under hops, _Hops.matrix builds its
+    CSR once, and that serves every later matvec. An index on one sector is
+    closed once it holds all C(M, k) masks; it is then the sector's basis,
+    so its CSR comes from the cached sector hops, with no sort. lift carries
+    the stored Krylov vectors from the index before the last growth step
+    onto the current one; since a space is never rebuilt, it is never more
+    than one growth step behind.
     """
 
     def __init__(self, graph: ExchangeGraph, masks: np.ndarray):
         self.endpoints, self.weights = _live_edges(graph)
         self.masks = masks
+        ks = np.unique(popcount(masks))
+        self._sector = (graph.site_count, int(ks[0])) if len(ks) == 1 else None
         self._index_pos = None  # the previous index's positions in the current one
         self._csr = None
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
+        if self._csr is None and self._sector and len(self.masks) == math.comb(*self._sector):
+            self._csr = _support_structure(self.endpoints, self._sector).matrix(self.weights)
         if self._csr is not None:
             return self._csr @ x
         if self._index_pos is None:

@@ -383,6 +383,11 @@ def zero_edge_graph(seed):
     return graph, random_support_state(16, (4,), 12, seed)
 
 
+def colliding_state(*amps):
+    """amps on the single excitations at sites 1, 4 and 9 of the 4x4 lattice."""
+    return SparseState(16, np.array([1 << 1, 1 << 4, 1 << 9]), np.array(amps, np.complex128))
+
+
 HOP_CASES = {
     # (graph under two weight draws of one topology, state)
     "witness-4x4": lambda s: (main_symmetric_graph(4, s), random_witness(4, 1)),
@@ -397,6 +402,14 @@ HOP_CASES = {
     # -1 - 0j times 2w has a negative-zero imaginary part, which must survive
     "negative-zero": lambda s: (main_symmetric_graph(4, s),
                                 SparseState(16, np.array([0b1011]), np.array([complex(-1, -0.0)]))),
+    # sites 1, 4 and 9 all hop onto site 5; the edges 1-5 and 4-5 are mirror
+    # images, so their +-1e16 terms cancel exactly. In hop order (by edge:
+    # 1-5, 5-9, 4-5) the 9-5 term is lost to rounding; in source order it is not
+    "summation-order": lambda s: (main_symmetric_graph(4, s), colliding_state(1e16, -1e16, 1.0)),
+    # the same sums on the imaginary parts, under -0.0 real parts, which sum to
+    # +0.0 wherever targets collide, and so also where one hop lands alone
+    "negative-zero-sum": lambda s: (main_symmetric_graph(4, s), colliding_state(
+        complex(-0.0, 1e16), complex(-0.0, -1e16), complex(-0.0, 1.0))),
 }
 
 
@@ -425,6 +438,24 @@ def test_apply_hamiltonian_and_the_first_growth_step_scatter_alike(case):
     assert len(op.masks) > len(psi.masks)
     # the same canonicalization apply_hamiltonian applies: exact zeros dropped
     assert same_bytes(apply_hamiltonian(graph, psi), SparseState(psi.site_count, op.masks, grown))
+
+
+def test_a_closed_single_sector_index_reads_the_cached_sector(monkeypatch):
+    graph, psi = main_symmetric_graph(4, 10), SparseState.unit(16, 0b1000010000100000)
+    dim = math.comb(16, 3)
+    build_sector_hamiltonian(graph, 3)  # the sector's hops are cached
+    sizes = []
+    hop_structure = sectors._hop_structure
+
+    def spy(endpoints, masks):
+        sizes.append(len(masks))
+        return hop_structure(endpoints, masks)
+
+    monkeypatch.setattr(sectors, "_hop_structure", spy)
+    out = evolve_sparse(graph, psi, 0.9)
+    assert len(out.masks) == dim  # the index grew to the whole sector
+    assert sizes and max(sizes) < dim
+    assert same_bytes(out, evolve_sparse_reference(graph, psi, 0.9))
 
 
 def test_writing_into_returned_states_leaves_the_next_product_unchanged():

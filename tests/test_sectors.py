@@ -391,9 +391,9 @@ def test_cached_structures_are_read_only():
     sector = sectors._support_structure(endpoints, (9, 3))
     hops = sectors._support_structure(endpoints, support.tobytes())
     ranks = sectors._rank_structure(9, 3, symmetry_map(build_square_lattice(3), "rotation_pi").perm)
-    arrays = [*sector.csr_layout, ranks]
+    arrays = [sector.csr_order, ranks]
     for h in (sector, hops):
-        arrays += [h.rows, h.counts, h.targets, h.grown, h.index_pos]
+        arrays += [h.grown, h.index_pos, h.indptr, h.cols, h.edges]
     assert not any(a.flags.writeable for a in arrays)
 
 
