@@ -404,10 +404,12 @@ HOP_CASES = {
                                 SparseState(16, np.array([0b1011]), np.array([complex(-1, -0.0)]))),
     # sites 1, 4 and 9 all hop onto site 5; the edges 1-5 and 4-5 are mirror
     # images, so their +-1e16 terms cancel exactly. In hop order (by edge:
-    # 1-5, 5-9, 4-5) the 9-5 term is lost to rounding; in source order it is not
+    # 1-5, 5-9, 4-5) the 9-5 term is rounded to the float spacing near 1e16;
+    # in source order it is added after the cancellation, exactly
     "summation-order": lambda s: (main_symmetric_graph(4, s), colliding_state(1e16, -1e16, 1.0)),
-    # the same sums on the imaginary parts, under -0.0 real parts, which sum to
-    # +0.0 wherever targets collide, and so also where one hop lands alone
+    # the same sums on the imaginary parts, under -0.0 real parts: once any
+    # targets collide every sum starts at +0.0, so a -0.0 part becomes +0.0,
+    # also where one hop lands alone
     "negative-zero-sum": lambda s: (main_symmetric_graph(4, s), colliding_state(
         complex(-0.0, 1e16), complex(-0.0, -1e16), complex(-0.0, 1.0))),
 }
