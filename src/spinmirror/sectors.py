@@ -206,7 +206,7 @@ class _Hops:
         """The entries by target, then source: on a closed index, where H is
         symmetric, the layout in this order is the CSR of H.
         """
-        keys = self.targets * np.int64(len(self.grown)) + self.cols  # distinct
+        keys = self.targets * np.int64(len(self.grown)) + self.cols  # distinct: any sort will do
         return _readonly(np.argsort(keys).astype(self.cols.dtype))[0]
 
     def matrix(self, weights: np.ndarray) -> sp.csr_matrix:
