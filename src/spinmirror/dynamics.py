@@ -224,11 +224,19 @@ def permuted_ranks(basis: SectorBasis, sym: SymmetryMap) -> np.ndarray:
     return _rank_structure(basis.site_count, basis.k, tuple(sym.perm))
 
 
+def _mirror_spectrum(hops, weights, ranks: np.ndarray) -> Propagator:
+    """U[perm(x), x] over a closed index from one eigh of its dense H; ranks[x] is perm(x)."""
+    evals, vecs = np.linalg.eigh(hops.dense(weights))
+    return Propagator(evals, vecs[ranks, :] * vecs)
+
+
 def mirror_propagator(pattern, k: int, sym: SymmetryMap) -> Propagator:
     """U[perm(x), x] of exp(-iH_k t) for every sector basis state x, in rank order."""
-    H = build_sector_hamiltonian(pattern, k)
-    evals, vecs = H.eig()
-    return Propagator(evals, vecs[permuted_ranks(H.basis, sym), :] * vecs)
+    graph = _as_graph(pattern)
+    endpoints, weights = _live_edges(graph)
+    hops = _support_structure(endpoints, (graph.site_count, k))
+    ranks = permuted_ranks(SectorBasis(graph.site_count, k, hops.grown), sym)
+    return _mirror_spectrum(hops, weights, ranks)
 
 
 # -- the mirror-parity split ---------------------------------------------------

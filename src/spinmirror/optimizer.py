@@ -1,13 +1,13 @@
 """Symmetry-constrained coupling search for mirroring fidelity.
 
 Patterns are parameterized by one value per edge orbit of the constraint
-group, so every evaluated pattern is symmetric by construction. The coupling
-search is derivative-free: coordinate descent with a golden-section line search
-by default, or Nelder-Mead over the orbit parameters. Each evaluation maximizes
-over time on a grid refined three times, then polishes the peak by Newton steps
-on closed-form time derivatives of the Propagator. A stationary sector of a
-single-state objective is one spectral point, read without diagonalizing.
-Nothing here proves anything; reports are numerical evidence only.
+group, so every evaluated pattern is symmetric by construction. A search
+(coordinate descent with golden-section line searches, or Nelder-Mead) binds
+its objective to the topology once; each evaluation fills the weights into
+the cached sector hops, runs one eigh per sector and maximizes over time on
+a grid refined three times, then by Newton steps on the Propagator's
+closed-form time derivatives. A stationary sector of a single-state
+objective is one spectral point. Reports are numerical evidence, not proofs.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import numpy as np
 from .chains import christandl_chain
 from .lattice import (
     CouplingPattern,
+    ExchangeGraph,
     Geometry,
     SymmetryMap,
     _as_graph,
@@ -32,8 +33,8 @@ from .lattice import (
     pattern_from_weights,
     symmetry_map,
 )
-from .sectors import Propagator, SparseState, build_sector_hamiltonian
-from .dynamics import KRYLOV_BREAKDOWN, mirror_propagator
+from .sectors import Propagator, SectorBasis, SparseState, _live_edges, _support_structure
+from .dynamics import KRYLOV_BREAKDOWN, _mirror_spectrum, permuted_ranks
 from .witness import (
     WitnessSpec,
     build_witness,
@@ -80,60 +81,6 @@ def _time_horizon(weights) -> float:
     return t1
 
 
-def _objective_propagator(
-    graph, objective: Objective, counts: PolishCounts | None = None
-) -> Propagator:
-    """The mirror amplitudes an objective reads: U[perm(x), x] for every x of
-    a sector, or one overlap <mirror(state)| U |state> over the state's sectors.
-
-    A sector whose piece psi_k of the state is stationary adds one spectral
-    point and no eigendecomposition. One product h = H_k u with
-    u = psi_k / ||psi_k|| gives the Rayleigh quotient E = <u|h>. The test is
-    the Lanczos breakdown rule of dynamics (the Krylov space of psi_k ends
-    after one vector) in units of the couplings: the residual r = h - E u
-    must have ||r|| <= KRYLOV_BREAKDOWN mean |w|. Such a sector contributes
-    E with weight <tau_k|psi_k>, tau_k the mirrored piece. Its amplitude is
-    off by at most ||r|| t ||psi_k|| ||tau_k|| at time t, so by at most
-    8 pi KRYLOV_BREAKDOWN ||psi_k|| ||tau_k|| over the time window, whatever
-    the scale of the couplings. Any other sector, and one whose norm
-    underflows to 0, is diagonalized. counts, if given, tallies the
-    stationary sectors.
-    """
-    if objective.kind == "sector_average":
-        return mirror_propagator(graph, objective.k, objective.mirror)
-    state = objective.state
-    if state.site_count != graph.site_count:
-        raise ValueError("objective state site count does not match pattern")
-    target = state.map_sites(objective.mirror)
-    weights = [w for _, _, w in graph.edges]
-    tol = KRYLOV_BREAKDOWN * (float(np.mean(np.abs(weights))) if weights else 0.0)
-    lams, ws = [], []
-    tsplit = target.sector_split()
-    for k, comp in state.sector_split().items():
-        H = build_sector_hamiltonian(graph, k)
-        psi_k = comp.to_sector_state(H.basis).amplitudes
-        # the mirror permutes sites, so the target has exactly the state's sectors
-        tau_k = tsplit[k].to_sector_state(H.basis).amplitudes
-        norm = np.linalg.norm(psi_k)
-        if norm > 0:
-            u = psi_k / norm
-            h = H.mat @ u
-            energy = np.vdot(u, h).real
-            if np.linalg.norm(h - energy * u) <= tol:
-                lams.append([energy])
-                ws.append([np.vdot(tau_k, psi_k)])
-                if counts is not None:
-                    counts.stationary_sectors += 1
-                continue
-        evals, vecs = H.eig()
-        lams.append(evals)
-        ws.append(np.conj(vecs.T @ tau_k) * (vecs.T @ psi_k))
-    return Propagator(
-        np.concatenate(lams) if lams else np.zeros(1),
-        np.concatenate(ws) if ws else np.zeros(1, np.complex128),
-    )
-
-
 def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     """Deterministic golden-section maximization of f on [lo, hi]."""
     a, b = lo, hi
@@ -157,7 +104,7 @@ class PolishCounts:
     """What the time polish did, summed over objective evaluations.
 
     stationary_sectors counts the sectors of single-state objectives that
-    one spectral point answered (see _objective_propagator). It is neither a
+    one spectral point answered (see _BoundObjective.propagator). It is neither a
     constructor parameter nor part of equality, which compares the polish.
     """
 
@@ -227,6 +174,105 @@ def _newton_max(
     return t, f
 
 
+class _BoundObjective:
+    """An Objective bound to one graph's live edges, those of nonzero weight:
+    all that does not depend on their values, built once per search. That is
+    the sector hops and mirror ranks of a sector average, or for each sector of
+    a single state its hops, psi_k, tau_k, psi_k / ||psi_k|| and <tau_k|psi_k>.
+    """
+
+    def __init__(self, graph: ExchangeGraph, objective: Objective):
+        weights = _edge_weights(graph)
+        self.live = None if weights.all() else np.flatnonzero(weights)
+        self.objective, endpoints, m = objective, _live_edges(graph)[0], graph.site_count
+        if objective.kind == "sector_average":
+            self.hops = _support_structure(endpoints, (m, objective.k))
+            self.ranks = permuted_ranks(SectorBasis(m, objective.k, self.hops.grown),
+                                        objective.mirror)
+            return
+        state = objective.state
+        if state.site_count != m:
+            raise ValueError("objective state site count does not match pattern")
+        tsplit = state.map_sites(objective.mirror).sector_split()
+        self.pieces = []
+        for k, comp in state.sector_split().items():
+            hops = _support_structure(endpoints, (m, k))
+            psi = comp.to_sector_state(SectorBasis(m, k, hops.grown)).amplitudes
+            # the mirror permutes sites, so the target has exactly the state's sectors
+            tau = tsplit[k].to_sector_state(SectorBasis(m, k, hops.grown)).amplitudes
+            nrm = np.linalg.norm(psi)
+            self.pieces.append((hops, psi, tau, psi / nrm if nrm > 0 else None, np.vdot(tau, psi)))
+
+    def propagator(self, weights: np.ndarray, counts: PolishCounts | None = None) -> Propagator:
+        """The mirror amplitudes the objective reads at the weights of every
+        edge. A sector whose residual r = H_k u - <u|H_k u> u has
+        ||r|| <= KRYLOV_BREAKDOWN mean |w| is one spectral point, off by at most
+        8 pi KRYLOV_BREAKDOWN ||psi_k|| ||tau_k|| over the time window at any
+        coupling scale; counts, if given, tallies such sectors."""
+        live = weights if self.live is None else weights[self.live]
+        if self.objective.kind == "sector_average":
+            return _mirror_spectrum(self.hops, live, self.ranks)
+        tol = KRYLOV_BREAKDOWN * (float(np.mean(np.abs(weights))) if len(weights) else 0.0)
+        lams, ws = [], []
+        for hops, psi, tau, u, overlap in self.pieces:
+            if u is not None:
+                h = hops.matrix(live) @ u
+                energy = np.vdot(u, h).real
+                if np.linalg.norm(h - energy * u) <= tol:
+                    lams.append([energy])
+                    ws.append([overlap])
+                    if counts is not None:
+                        counts.stationary_sectors += 1
+                    continue
+            evals, vecs = np.linalg.eigh(hops.dense(live))
+            lams.append(evals)
+            ws.append(np.conj(vecs.T @ tau) * (vecs.T @ psi))
+        return Propagator(np.concatenate(lams) if lams else np.zeros(1),
+                          np.concatenate(ws) if ws else np.zeros(1, np.complex128))
+
+    def evaluate(self, weights: np.ndarray, counts: PolishCounts) -> tuple[float, float]:
+        """evaluate_objective at the weights of every edge, in graph order."""
+        prop = self.propagator(weights, counts)
+
+        def moduli(ts):
+            # mean over the mirrored entries; a single-state objective has one
+            return np.abs(np.atleast_2d(prop.amplitudes(ts))).mean(axis=0)
+
+        if np.ptp(prop.evals) == 0:
+            # one energy: every |a(t)| is |a(0)|, so the window's first time stands
+            counts.kept_incumbent += 1
+            return float(moduli([0.0])[0]), 0.0
+        t1 = _time_horizon(weights)
+        ts = np.linspace(0.0, t1, TIME_GRID_POINTS)
+        vals = moduli(ts)
+        i = int(np.argmax(vals))
+        best_t, best_v = float(ts[i]), float(vals[i])
+        width = t1 / (TIME_GRID_POINTS - 1)
+        for _ in range(3):
+            local = np.linspace(max(0.0, best_t - width), min(t1, best_t + width), 21)
+            lv = moduli(local)
+            j = int(np.argmax(lv))
+            if lv[j] > best_v:
+                best_v, best_t = float(lv[j]), float(local[j])
+            width /= 10
+        lo, hi = max(0.0, best_t - 10 * width), min(t1, best_t + 10 * width)
+        polished = _newton_max(prop, lo, hi, best_t, 1e-12 * max(1.0, abs(t1)), counts)
+        if polished is not None and polished[1] > best_v:
+            best_t, best_v = polished
+        else:
+            counts.kept_incumbent += 1
+        return best_v, best_t
+
+
+def _edge_weights(graph: ExchangeGraph) -> np.ndarray:
+    return np.array([w for *_, w in graph.edges], dtype=float)
+
+
+def _objective_propagator(graph, objective: Objective, counts: PolishCounts | None = None):
+    """_BoundObjective.propagator of a graph at its own weights."""
+    return _BoundObjective(graph, objective).propagator(_edge_weights(graph), counts)
+
+
 def evaluate_objective(
     pattern, objective: Objective, counts: PolishCounts | None = None
 ) -> tuple[float, float]:
@@ -247,38 +293,8 @@ def evaluate_objective(
     kept. Deterministic for fixed inputs.
     """
     graph = _as_graph(pattern)
-    counts = PolishCounts() if counts is None else counts
-    prop = _objective_propagator(graph, objective, counts)
-
-    def values(ts):
-        # mean over the mirrored entries; a single-state objective has one
-        return np.abs(np.atleast_2d(prop.amplitudes(ts))).mean(axis=0)
-
-    if np.ptp(prop.evals) == 0:
-        # one energy: every |a(t)| is |a(0)|, so the window's first time stands
-        counts.kept_incumbent += 1
-        return float(values([0.0])[0]), 0.0
-    t1 = _time_horizon([w for _, _, w in graph.edges])
-    ts = np.linspace(0.0, t1, TIME_GRID_POINTS)
-    vals = values(ts)
-    i = int(np.argmax(vals))
-    best_t, best_v = float(ts[i]), float(vals[i])
-    width = t1 / (TIME_GRID_POINTS - 1)
-    for _ in range(3):
-        local = np.linspace(max(0.0, best_t - width), min(t1, best_t + width), 21)
-        lv = values(local)
-        j = int(np.argmax(lv))
-        if lv[j] > best_v:
-            best_v, best_t = float(lv[j]), float(local[j])
-        width /= 10
-    lo = max(0.0, best_t - 10 * width)
-    hi = min(t1, best_t + 10 * width)
-    polished = _newton_max(prop, lo, hi, best_t, 1e-12 * max(1.0, abs(t1)), counts)
-    if polished is not None and polished[1] > best_v:
-        best_t, best_v = polished
-    else:
-        counts.kept_incumbent += 1
-    return best_v, best_t
+    return _BoundObjective(graph, objective).evaluate(
+        _edge_weights(graph), PolishCounts() if counts is None else counts)
 
 
 @dataclass
@@ -302,10 +318,9 @@ class OptimizationRun:
 
 
 def _orbits_of(run: OptimizationRun) -> list[list[int]]:
-    n_edges = len(run.geometry.edges())
     if run.constraint_group:
         return edge_orbits(run.geometry, run.constraint_group)
-    return [[i] for i in range(n_edges)]
+    return [[i] for i in range(len(run.geometry.edges()))]
 
 
 def optimize(run: OptimizationRun, objective: Objective) -> OptimizationRun:
@@ -319,6 +334,8 @@ def optimize(run: OptimizationRun, objective: Objective) -> OptimizationRun:
         raise ValueError(f"unknown method {run.method!r}")
     if run.max_iters < 0:
         raise ValueError(f"--max-iters must be non-negative, got {run.max_iters}")
+    if run.initial_pattern is not None and run.initial_pattern.geometry != run.geometry:
+        raise ValueError(f"initial pattern is not on the search geometry {run.geometry}")
     started = time.perf_counter()
     orbits = _orbits_of(run)
     lo, hi = COUPLING_BOX
@@ -331,12 +348,14 @@ def optimize(run: OptimizationRun, objective: Objective) -> OptimizationRun:
     else:
         params = np.random.default_rng(run.seed).uniform(lo, hi, size=len(orbits))
     params = np.clip(params, lo, hi)
+    # a start inside the box has every edge live, as has every later point
+    bound = _BoundObjective(_orbit_pattern(run.geometry, orbits, params).to_graph(), objective)
+    edge_of = _orbit_pattern(run.geometry, orbits, range(len(orbits))).edge_weights().astype(int)
     times = {}  # the argmax time of every point measured, keyed by its params
 
     def measure(p) -> float:
         run.evaluations += 1
-        value, times[tuple(p)] = evaluate_objective(
-            _orbit_pattern(run.geometry, orbits, p), objective, run.time_polish)
+        value, times[tuple(p)] = bound.evaluate(np.take(p, edge_of), run.time_polish)
         return value
 
     def accept(p, value: float) -> None:
@@ -483,15 +502,18 @@ def probe_2x2(n_ratios: int = 200, n_times: int = 2000) -> Probe2x2Result:
         raise RuntimeError("unexpected orbit structure on the 2x2 lattice")
     lo, hi = COUPLING_BOX
     ratios = np.exp(np.linspace(math.log(lo), math.log(hi), n_ratios))
+    graph = _orbit_pattern(g, orbits, (1.0, lo)).to_graph()
+    sectors = [_BoundObjective(graph, Objective("sector_average", rot, k)) for k in (1, 2, 3)]
+    edge_of = _orbit_pattern(g, orbits, (0, 1)).edge_weights().astype(int)
     rows = []
     sup, bratio, btime = -1.0, lo, 0.0
     for r in ratios:
-        pat = _orbit_pattern(g, orbits, (1.0, float(r)))
-        tmax = _time_horizon(pat.edge_weights())
+        weights = np.take((1.0, float(r)), edge_of)
+        tmax = _time_horizon(weights)
         ts = tmax * np.arange(1, n_times + 1) / n_times
         mins = np.ones(n_times)
-        for k in (1, 2, 3):
-            amps = mirror_propagator(pat, k, rot).amplitudes(ts)
+        for bound in sectors:
+            amps = bound.propagator(weights).amplitudes(ts)
             mins = np.minimum(mins, np.abs(amps).min(axis=0))
         j = int(np.argmax(mins))
         rows.append((float(r), float(mins[j]), float(ts[j])))

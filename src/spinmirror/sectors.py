@@ -5,13 +5,13 @@ exchange Hamiltonian never changes a mask's popcount, so each weight-k sector
 evolves independently. One hop rule, _hops_out, gives the weight-free hops of
 any sorted mask index (_hop_structure), laid out by target in hop order, and
 a whole sector is a support that no hop leaves. _Hops.apply computes H x on
-an index as one CSR product over that layout, _Hops.matrix assembles the CSR
-of H on a closed index; build_sector_hamiltonian, dynamics.apply_hamiltonian
-and _HopOperator, the growing-index operator behind evolve_sparse, share
-them, and a growing index that fills its sector reads the cached sector's
-hops. Two functools.lru_cache caches of HOP_CACHE_SIZE entries keep the hops
-of supports and sectors and the rank maps of dynamics.permuted_ranks; each
-call fills in 2w for its weights.
+an index as one CSR product over that layout; on a closed index
+_Hops.matrix assembles H's CSR and _Hops.dense its dense array.
+build_sector_hamiltonian, dynamics.apply_hamiltonian and _HopOperator, the
+growing-index operator behind evolve_sparse, share them, and a growing index
+that fills its sector reads the cached sector's hops. Two functools.lru_cache
+caches of HOP_CACHE_SIZE entries keep the hops of supports and sectors and
+the rank maps of dynamics.permuted_ranks; each call fills in 2w.
 A Propagator evaluates fixed entries of exp(-iHt) over whole time grids.
 """
 
@@ -216,6 +216,14 @@ class _Hops:
                              self.indptr.copy()), shape=(n, n))
         mat.has_sorted_indices = True
         return mat
+
+    def dense(self, weights: np.ndarray) -> np.ndarray:
+        """matrix(weights).toarray(), as no two hops share a (target, source) pair;
+        ValueError past memory."""
+        _check_block_memory(len(self.grown))
+        out = np.zeros((len(self.grown),) * 2)
+        out[self.targets, self.cols] = np.take(2.0 * weights, self.edges)
+        return out
 
     def apply(self, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """H x over grown, for x over the index; targets hit more than once sum in hop order.

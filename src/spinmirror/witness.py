@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jsonio
-from .dynamics import apply_hamiltonian
 from .lattice import (
     CouplingPattern,
     ExchangeGraph,
@@ -28,7 +27,7 @@ from .lattice import (
     manhattan_distance,
     symmetry_map,
 )
-from .sectors import SparseState, permute_masks
+from .sectors import SparseState, _live_edges, _support_structure, permute_masks
 
 RESIDUAL_IMPOSSIBLE = 1e-10
 OVERLAP_IMPOSSIBLE = 1 - 1e-6
@@ -102,8 +101,11 @@ def verify_zero_energy(graph, witness: SparseState) -> float:
     wnorm = witness.norm()
     if wnorm == 0.0:
         return 0.0
-    hv = apply_hamiltonian(graph, witness)
-    return hv.norm() / (wnorm * max(1.0, graph.total_strength()))
+    if graph.site_count != witness.site_count:
+        raise ValueError("graph and state have different site counts")
+    endpoints, weights = _live_edges(graph)
+    hv = _support_structure(endpoints, witness.masks.tobytes()).apply(witness.amps, weights)
+    return float(np.linalg.norm(hv[hv != 0])) / (wnorm * max(1.0, graph.total_strength()))
 
 
 def verify_odd_distance(graph: ExchangeGraph, witness: SparseState) -> float:

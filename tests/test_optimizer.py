@@ -5,9 +5,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from oracles import permutation_operator, sector_matrix, sector_propagation, symmetry_perm
+from oracles import (
+    permutation_operator,
+    sector_hamiltonian_reference,
+    sector_matrix,
+    sector_propagation,
+    symmetry_perm,
+)
 from spinmirror.chains import chain_pattern, christandl_chain
-from spinmirror import optimizer
+from spinmirror import optimizer, sectors
 from spinmirror.lattice import (
     _orbit_pattern,
     build_chain,
@@ -32,6 +38,7 @@ from spinmirror.optimizer import (
     _time_horizon,
     evaluate_objective,
     optimize,
+    preset_chain4,
     preset_rx_3x3_witness,
     probe_2x2,
     witness_ceiling,
@@ -227,6 +234,15 @@ def test_initial_pattern_must_respect_the_orbits():
         optimize(run, rotation_objective(g, 1))
 
 
+def test_initial_pattern_must_be_on_the_search_geometry():
+    # a 5-chain start was read as the first three weights of a 4-chain search
+    run = OptimizationRun(geometry=build_chain(4), constraint_group=(), max_iters=1,
+                          initial_pattern=pattern_from_weights(build_chain(5), [1.0, 2.0, 3.0, 4.0]))
+    obj = Objective(kind="sector_average", mirror=symmetry_map(build_chain(4), "vertical_axis"), k=1)
+    with pytest.raises(ValueError, match="initial pattern"):
+        optimize(run, obj)
+
+
 def test_unknown_method_rejected():
     g = build_square_lattice(2)
     run = OptimizationRun(geometry=g, constraint_group=(), method="gradient")
@@ -284,13 +300,14 @@ def test_no_point_is_recorded_twice(method, seed):
 @pytest.mark.parametrize("method,seed", SEARCHES)
 def test_each_point_is_evaluated_once_on_a_symmetric_pattern(method, seed, monkeypatch):
     seen = []
-
-    def spy(pattern, objective, counts=None):
-        seen.append(pattern)
-        return evaluate_objective(pattern, objective, counts)
-
-    monkeypatch.setattr(optimizer, "evaluate_objective", spy)
+    evaluate = optimizer._BoundObjective.evaluate
     run, obj = mirror_chain_search(method, seed)
+
+    def spy(bound, weights, counts):
+        seen.append(pattern_from_weights(run.geometry, weights))
+        return evaluate(bound, weights, counts)
+
+    monkeypatch.setattr(optimizer._BoundObjective, "evaluate", spy)
     out = optimize(run, obj)
     assert len(seen) == out.evaluations
     assert all(check_symmetry(pattern, sym) for pattern in seen for sym in run.constraint_group)
@@ -476,3 +493,101 @@ def test_a_basis_state_is_diagonalized():
     counts = PolishCounts()
     assert len(_objective_propagator(pat.to_graph(), obj, counts).evals) == 126  # C(9, 4)
     assert counts.stationary_sectors == 0
+
+
+def mirror_ranks(masks, perm):
+    """ranks[x] = the position of perm(masks[x]), read off the oracle's permutation matrix."""
+    return np.argmax(permutation_operator(masks, perm), axis=0)
+
+
+@pytest.mark.parametrize("case", ["random", "zero-edge", "all-zero"])
+def test_dense_hops_and_the_bound_average_match_the_reference_eigh(case):
+    g = build_square_lattice(3 if case != "all-zero" else 2)
+    rng = np.random.default_rng(5)
+    weights = rng.uniform(0.2, 2.0, len(g.edges()))
+    if case == "zero-edge":
+        weights[3] = 0.0
+    elif case == "all-zero":
+        weights[:] = 0.0
+    graph = pattern_from_weights(g, weights).to_graph()
+    k = 2
+    ref = sector_hamiltonian_reference(graph, k).toarray()
+    live = [(a, b, w) for a, b, w in graph.edges if w != 0.0]
+    hops = sectors._support_structure(tuple((a, b) for a, b, _ in live), (g.site_count, k))
+    dense = hops.dense(np.array([w for *_, w in live]))
+    assert dense.dtype == ref.dtype and dense.tobytes() == ref.tobytes()
+    evals, vecs = np.linalg.eigh(ref)
+    masks, _ = sector_matrix(g.site_count, graph.edges, k)
+    ranks = mirror_ranks(masks, symmetry_perm(g.rows, g.cols, "rotation_pi"))
+    prop = _objective_propagator(graph, rotation_objective(g, k))
+    assert prop.evals.tobytes() == evals.tobytes()
+    assert prop.weights.tobytes() == (vecs[ranks, :] * vecs).tobytes()
+
+
+def test_a_state_across_a_stationary_and_a_moving_sector():
+    # 0.8 v + 0.6 |site 1>: v an eigenvector of sector 4, the basis state in sector 1
+    pat, masks, _, _, _, vecs, i = rotation_eigenpair(3, 4)
+    graph = pat.to_graph()
+    state = SparseState(9, np.append(masks, 0b10), np.append(0.8 * vecs[:, i], 0.6))
+    obj = single_state_objective(pat.geometry, state)
+    counts = PolishCounts()
+    prop = _objective_propagator(graph, obj, counts)
+    # the per-sector path: reference CSR, one product for the stationary test, else eigh
+    perm = symmetry_perm(3, 3, "rotation_pi")
+    tol = KRYLOV_BREAKDOWN * np.mean([abs(w) for *_, w in graph.edges])
+    lams, ws = [], []
+    for k, amps in ((1, {0b10: 0.6}), (4, dict(zip(masks, 0.8 * vecs[:, i])))):
+        H = sector_hamiltonian_reference(graph, k)
+        basis, _ = sector_matrix(9, graph.edges, k)
+        psi = np.array([amps.get(m, 0.0) for m in basis], dtype=complex)
+        tau = permutation_operator(basis, perm) @ psi
+        u = psi / np.linalg.norm(psi)
+        h = H @ u
+        energy = np.vdot(u, h).real
+        if np.linalg.norm(h - energy * u) <= tol:
+            lams.append([energy])
+            ws.append([np.vdot(tau, psi)])
+            continue
+        evals, V = np.linalg.eigh(H.toarray())
+        lams.append(evals)
+        ws.append(np.conj(V.T @ tau) * (V.T @ psi))
+    assert counts.stationary_sectors == 1 and len(prop.evals) == 9 + 1
+    assert prop.evals.tobytes() == np.concatenate(lams).tobytes()
+    assert prop.weights.tobytes() == np.concatenate(ws).tobytes()
+    # the value and time the unbound per-evaluation path reported
+    assert evaluate_objective(pat, obj) == (0.9747508463096187, 20.67111184011148)
+
+
+def test_a_sector_average_search_builds_no_csr(monkeypatch):
+    built = []
+    csr = sectors.sp.csr_matrix
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return csr(*args, **kwargs)
+
+    monkeypatch.setattr(sectors.sp, "csr_matrix", counting)
+    report, runs = preset_chain4(n_restarts=1, max_iters=1)
+    assert sum(r.evaluations for r in runs) > 0
+    assert built == []
+
+
+def test_probe_2x2_rows_match_the_sector_oracle():
+    res = probe_2x2(n_ratios=5, n_times=64)
+    lo, hi = COUPLING_BOX
+    perm = symmetry_perm(2, 2, "rotation_pi")
+    for r, (ratio, value, t) in zip(np.exp(np.linspace(math.log(lo), math.log(hi), 5)), res.rows):
+        # vertical couplings pinned to 1, horizontal ones at the ratio
+        edges = [(0, 2, 1.0), (1, 3, 1.0), (0, 1, r), (2, 3, r)]
+        ts = 8 * math.pi / ((2 + 2 * r) / 4) * np.arange(1, 65) / 64
+        worst = np.ones(64)
+        for k in (1, 2, 3):
+            masks, H = sector_matrix(4, edges, k)
+            P = permutation_operator(masks, perm)
+            for j, s in enumerate(ts):
+                mirrored = (P * scipy.linalg.expm(-1j * s * H.toarray())).sum(axis=0)
+                worst[j] = min(worst[j], np.abs(mirrored).min())
+        j = int(np.argmax(worst))
+        assert ratio == pytest.approx(r, rel=1e-12)
+        assert value == pytest.approx(worst[j], abs=1e-12)
+        assert t == pytest.approx(ts[j], rel=1e-12)
