@@ -348,7 +348,7 @@ def optimize(run: OptimizationRun, objective: Objective) -> OptimizationRun:
     else:
         params = np.random.default_rng(run.seed).uniform(lo, hi, size=len(orbits))
     params = np.clip(params, lo, hi)
-    # a start inside the box has every edge live, as has every later point
+    # every point in the box has all edges live; edge_of[i] is the orbit of edge i
     bound = _BoundObjective(_orbit_pattern(run.geometry, orbits, params).to_graph(), objective)
     edge_of = _orbit_pattern(run.geometry, orbits, range(len(orbits))).edge_weights().astype(int)
     times = {}  # the argmax time of every point measured, keyed by its params
