@@ -3,15 +3,15 @@
 evolve diagonalizes a sector up to dimension 4096; larger sectors go through
 a residual-controlled Lanczos approximation of exp(-iHt), which builds one
 Krylov space per substep and shortens a rejected step on that same space.
-The Lanczos core works on plain complex arrays. Every SparseState, on one
-sector or several, evolves matrix-free (evolve_sparse, evolve_state) through
-sectors._HopOperator, over one sorted mask index that starts as the state's
-support and grows to its hop closure as H is applied; once the index is
-closed, the CSR matrix of _Hops.matrix, which assembles every sector matrix,
-applies H, and an index that fills its whole sector takes the cached
-sector's. apply_hamiltonian and the operator share _Hops.apply: H x as one
-CSR product over the hops in hop order by target, which sums each target in
-hop order. Every cached structure is in sectors.
+The Lanczos core works on plain complex arrays; a residual of at most
+KRYLOV_BREAKDOWN times the mean coupling ends a Krylov space at any scale. A
+SparseState (evolve_sparse, evolve_state) evolves on the smallest structure
+that answers it: a stationary state, told by one product over its support's
+cached hops, only takes its phase exp(-iEt); a state on one sector runs on
+its cached sector's CSR; a state on several, through sectors._HopOperator, on
+a sorted mask index that grows to its hop closure. apply_hamiltonian and the
+operator share _Hops.apply: H x as one CSR product over the hops in hop order
+by target. Every cached structure is in sectors.
 Curves of fixed propagator entries over a time grid diagonalize once and go
 through sectors.Propagator: one product per curve, not one eigh per point.
 Mirroring reports and spectrum classification share one mirror-parity split
@@ -38,12 +38,13 @@ from .sectors import (
     _rank_structure,
     _support_structure,
     build_sector_hamiltonian,
+    popcount,
 )
 
 DENSE_DIM_LIMIT = 4096
 KRYLOV_DIM = 30
 KRYLOV_TOL = 1e-10
-KRYLOV_BREAKDOWN = 1e-13  # a residual norm this small ends the Krylov space
+KRYLOV_BREAKDOWN = 1e-13  # a residual this small, per unit of mean coupling, ends a Krylov space
 
 
 def apply_hamiltonian(graph, psi: SparseState) -> SparseState:
@@ -67,13 +68,19 @@ def apply_hamiltonian(graph, psi: SparseState) -> SparseState:
 # -- Krylov propagation -------------------------------------------------------
 
 
-def _krylov_space(matvec, v, lift):
+def _breakdown(weights) -> float:
+    """KRYLOV_BREAKDOWN in units of the mean |w| of weights, 0 for none."""
+    return KRYLOV_BREAKDOWN * (float(np.mean(np.abs(weights))) if len(weights) else 0.0)
+
+
+def _krylov_space(matvec, v, lift, breakdown):
     """The Lanczos space of H and a unit vector v: (V, evals, U, beta).
 
     The rows of V are the Lanczos vectors, U diag(evals) U^T is the
     tridiagonal T that H becomes on them, and beta is the norm of the residual
-    past the last vector, or 0 after a breakdown. matvec may return a vector
-    over a grown index; lift then carries the stored vectors onto it.
+    past the last vector, or 0 once that is at most breakdown. matvec may
+    return a vector over a grown index; lift then carries the stored vectors
+    onto it.
     """
     # np.zeros leaves untouched rows unmapped, so unused capacity costs no memory
     V = np.zeros((KRYLOV_DIM, len(v)), np.complex128)
@@ -93,7 +100,7 @@ def _krylov_space(matvec, v, lift):
         w -= basis.T @ np.conj(basis @ np.conj(w))
         alphas.append(alpha)
         beta = np.linalg.norm(w)
-        if beta <= KRYLOV_BREAKDOWN:
+        if beta <= breakdown:
             beta = 0.0
             break
         betas.append(beta)
@@ -105,7 +112,7 @@ def _krylov_space(matvec, v, lift):
     return V[:j], evals, U, beta
 
 
-def _krylov_expm(matvec, v, t, lift=None):
+def _krylov_expm(matvec, v, t, breakdown, lift=None):
     """Adaptive-substep Lanczos propagation of exp(-iHt) v to a 2-norm error <= KRYLOV_TOL.
 
     Each substep builds one Lanczos space from the current vector and takes
@@ -120,7 +127,7 @@ def _krylov_expm(matvec, v, t, lift=None):
     current = v / norm_v
     remaining = tau = t
     while abs(remaining) > 0:
-        V, evals, U, beta = _krylov_space(matvec, current, lift)
+        V, evals, U, beta = _krylov_space(matvec, current, lift, breakdown)
         first_column = Propagator(evals, U * U[0].conj())
         if abs(tau) > abs(remaining):
             tau = remaining
@@ -150,22 +157,21 @@ def evolve(H: SectorHamiltonian, psi: SectorState, t: float) -> SectorState:
         evals, vecs = H.eig()
         amps = vecs @ (np.exp(-1j * evals * t) * (vecs.T @ psi.amplitudes))
         return SectorState(psi.basis, amps)
-    amps = _krylov_expm(lambda x: H.mat @ x, psi.amplitudes, t)
+    amps = _krylov_expm(lambda x: H.mat @ x, psi.amplitudes, t, _breakdown(H.mat.data / 2))
     return SectorState(psi.basis, amps)
 
 
 def evolve_sparse(graph, psi: SparseState, t: float) -> SparseState:
-    """Matrix-free Lanczos evolution of a SparseState, to a 2-norm error <= 1e-10.
+    """Lanczos evolution of a SparseState to a 2-norm error <= 1e-10, on the
+    smallest structure that answers it.
 
-    The Krylov vectors are plain arrays over one sorted mask index. It starts
-    as psi's support and grows to index | hops(index) with every product by
-    H until it is closed under hops; from then on its CSR matrix, assembled
-    once as a sector matrix is, applies H. No sector basis is ever
-    enumerated, so lattices whose sectors are far beyond the dense limit work
-    as long as the support stays bounded (a stationary state breaks the
-    Lanczos loop down after one product). H conserves the excitation number,
-    so a state on several sectors evolves in one Krylov space. The result is
-    canonicalized once, dropping exact zeros.
+    One product H u, u = psi/||psi||, over the cached hops of psi's support
+    (those verify_zero_energy reads) comes first. If ||H u - <u|H u> u|| is at
+    most KRYLOV_BREAKDOWN times the mean live coupling, psi is stationary: the
+    result is exp(-iEt) psi on its own support, and no sector is enumerated.
+    Otherwise a state on one sector evolves on its cached sector's CSR, and a
+    state on several on a sorted mask index that grows with every product by
+    H to its hop closure, where its CSR takes over. Exact zeros are dropped.
     """
     return _evolve_sparse(graph, psi, t)
 
@@ -181,8 +187,27 @@ def _evolve_sparse(graph, psi: SparseState, t: float) -> SparseState:
     graph = _as_graph(graph)
     if graph.site_count != psi.site_count:
         raise ValueError("graph and state have different site counts")
+    norm = psi.norm()
+    if norm == 0.0 or t == 0.0:
+        return SparseState(psi.site_count, psi.masks, psi.amps)
+    endpoints, weights = _live_edges(graph)
+    breakdown = _breakdown(weights)
+    hops = _support_structure(endpoints, psi.masks.tobytes())
+    u = psi.amps / norm
+    residual = hops.apply(u, weights)
+    energy = np.vdot(u, residual[hops.index_pos]).real
+    residual[hops.index_pos] -= energy * u
+    if np.linalg.norm(residual) <= breakdown:
+        return psi.scaled(np.exp(-1j * energy * t))
+    ks = popcount(psi.masks)
+    if ks.min() == ks.max():
+        hops = _support_structure(endpoints, (psi.site_count, int(ks[0])))
+        mat, x = hops.matrix(weights), np.zeros(len(hops.grown), np.complex128)
+        x[np.searchsorted(hops.grown, psi.masks)] = psi.amps
+        return SparseState(psi.site_count, hops.grown,
+                           _krylov_expm(lambda y: mat @ y, x, t, breakdown))
     op = _HopOperator(graph, psi.masks)
-    amps = _krylov_expm(op.matvec, psi.amps, t, op.lift)
+    amps = _krylov_expm(op.matvec, psi.amps, t, breakdown, op.lift)
     return SparseState(psi.site_count, op.masks, amps)
 
 

@@ -34,7 +34,7 @@ from .lattice import (
     symmetry_map,
 )
 from .sectors import Propagator, SectorBasis, SparseState, _live_edges, _support_structure
-from .dynamics import KRYLOV_BREAKDOWN, _mirror_spectrum, permuted_ranks
+from .dynamics import _breakdown, _mirror_spectrum, permuted_ranks
 from .witness import (
     WitnessSpec,
     build_witness,
@@ -212,7 +212,7 @@ class _BoundObjective:
         live = weights if self.live is None else weights[self.live]
         if self.objective.kind == "sector_average":
             return _mirror_spectrum(self.hops, live, self.ranks)
-        tol = KRYLOV_BREAKDOWN * (float(np.mean(np.abs(weights))) if len(weights) else 0.0)
+        tol = _breakdown(weights)
         lams, ws = [], []
         for hops, psi, tau, u, overlap in self.pieces:
             if u is not None:

@@ -7,12 +7,12 @@ any sorted mask index (_hop_structure), laid out by target in hop order, and
 a whole sector is a support that no hop leaves. _Hops.apply computes H x on
 an index as one CSR product over that layout; on a closed index
 _Hops.matrix assembles H's CSR and _Hops.dense its dense array.
-build_sector_hamiltonian, dynamics.apply_hamiltonian and _HopOperator, the
-growing-index operator behind evolve_sparse, share them, and a growing index
-that fills its sector reads the cached sector's hops. Two functools.lru_cache
-caches of HOP_CACHE_SIZE entries keep the hops of supports and sectors and
-the rank maps of dynamics.permuted_ranks; each call fills in 2w.
-A Propagator evaluates fixed entries of exp(-iHt) over whole time grids.
+build_sector_hamiltonian, dynamics.apply_hamiltonian, dynamics.evolve_sparse
+and _HopOperator (its growing index for several sectors) share them. Two
+functools.lru_cache caches of HOP_CACHE_SIZE entries keep the hops of
+supports and sectors, a sector's refused past memory before its masks are
+enumerated, and the rank maps of dynamics.permuted_ranks; each call fills in
+2w. A Propagator evaluates fixed entries of exp(-iHt) over whole time grids.
 """
 
 from __future__ import annotations
@@ -298,17 +298,21 @@ def _check_block_memory(d: int) -> None:
     _check_memory(int(_BLOCK_PEAK_FACTOR * 8 * d * d), f"a dense block of dimension {d} needs")
 
 
+def _check_hop_memory(size: int, edges: int) -> None:
+    """Raise before building the hops of size masks across edges live edges, past memory."""
+    # peak RSS over what was held before, per (mask, live edge), one BLAS thread,
+    # over the build and the first apply or matrix: 17-21 and 31.5 bytes for the
+    # n = 5 and 6 uniform witnesses (1024 and 32,768 masks), 17.0-17.6 for the
+    # uniform 5x5 lattice at k = 4. The peak is the sort, not the layout after it
+    _check_memory(32 * size * edges, f"the hops of {size} masks across {edges} edges need")
+
+
 def _hop_structure(endpoints, masks: np.ndarray) -> _Hops:
     """Build the hops of a strictly ascending mask index by one stable sort.
 
     Raises ValueError first when its estimated peak does not fit in memory.
     """
-    # peak RSS over what was held before, per (mask, live edge), one BLAS thread,
-    # over the build and the first apply or matrix: 17-21 and 31.5 bytes for the
-    # n = 5 and 6 uniform witnesses (1024 and 32,768 masks), 17.0-17.6 for the
-    # uniform 5x5 lattice at k = 4. The peak is the sort, not the layout after it
-    _check_memory(32 * len(masks) * len(endpoints),
-                  f"the hops of {len(masks)} masks across {len(endpoints)} edges need")
+    _check_hop_memory(len(masks), len(endpoints))
     rows, counts, landed = _hops_out(endpoints, masks)
     order, grown, run = _sort_runs(np.concatenate([masks, landed]))
     idx, n = _index_dtype(len(run)), len(masks)
@@ -323,9 +327,13 @@ def _hop_structure(endpoints, masks: np.ndarray) -> _Hops:
 
 @functools.lru_cache(maxsize=HOP_CACHE_SIZE)
 def _support_structure(endpoints, support) -> _Hops:
-    """_hop_structure of a support: the bytes of its int64 masks, or (M, k) for a sector."""
+    """_hop_structure of a support: the bytes of its int64 masks, or (M, k) for a
+    sector, which is refused past memory before its masks are enumerated."""
     if isinstance(support, tuple):
-        return _hop_structure(endpoints, enumerate_sector_basis(*support).masks)
+        site_count, k = support
+        if 0 <= k <= site_count <= 63:  # enumerate_sector_basis refuses the rest
+            _check_hop_memory(math.comb(site_count, k), len(endpoints))
+        return _hop_structure(endpoints, enumerate_sector_basis(site_count, k).masks)
     return _hop_structure(endpoints, np.frombuffer(support, dtype=np.int64))
 
 
@@ -355,33 +363,25 @@ def _rank_structure(site_count: int, k: int, perm: tuple[int, ...]) -> np.ndarra
 
 
 class _HopOperator:
-    """H on vectors over a sorted mask index that grows to its hop closure.
+    """H on vectors over a sorted mask index that grows to its hop closure,
+    for a state on several sectors (one sector evolves on its cached sector).
 
     matvec takes a vector over the current index and returns H x over
-    index | hops(index), which then becomes the current index. The first
-    growth step, out of the caller's support, reads its weight-free hops from
-    the support cache; later steps build theirs uncached, since their indices
-    rarely repeat. Both go through _Hops.apply, one CSR product in hop order
-    by target. Once an index is closed under hops, _Hops.matrix builds its
-    CSR once, and that serves every later matvec. An index on one sector is
-    closed once it holds all C(M, k) masks; it is then the sector's basis,
-    so its CSR comes from the cached sector hops, with no sort. lift carries
-    the stored Krylov vectors from the index before the last growth step
-    onto the current one; since a space is never rebuilt, it is never more
-    than one growth step behind.
+    index | hops(index), which then becomes the current index: the first
+    step's hops come from the support cache, later ones are built uncached,
+    and both go through _Hops.apply. Once the index is closed under hops, its
+    _Hops.matrix CSR serves every later matvec. lift carries the stored Krylov
+    vectors from the previous index onto the current one, never more than one
+    growth step behind since a space is never rebuilt.
     """
 
     def __init__(self, graph: ExchangeGraph, masks: np.ndarray):
         self.endpoints, self.weights = _live_edges(graph)
         self.masks = masks
-        ks = np.unique(popcount(masks))
-        self._sector = (graph.site_count, int(ks[0])) if len(ks) == 1 else None
         self._index_pos = None  # the previous index's positions in the current one
         self._csr = None
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        if self._csr is None and self._sector and len(self.masks) == math.comb(*self._sector):
-            self._csr = _support_structure(self.endpoints, self._sector).matrix(self.weights)
         if self._csr is not None:
             return self._csr @ x
         if self._index_pos is None:

@@ -187,9 +187,10 @@ def classify_groups(site_count, edges, k, perm, tol=None):
 # -- the per-call hop path that the cached hop structures replaced ------------
 #
 # Kept verbatim as the byte-for-byte reference for apply_hamiltonian,
-# evolve_sparse and build_sector_hamiltonian. Unlike the oracles above, these
-# reuse the package's SparseState canonicalization and Krylov loop, which the
-# replaced path called too, so a comparison isolates the hop layer.
+# evolve_sparse and build_sector_hamiltonian; each route of evolve_sparse has
+# its own reference below. Unlike the oracles above, these reuse the package's
+# SparseState canonicalization and Krylov loop, which the replaced path called
+# too, so a comparison isolates the hop layer.
 
 
 def hops_reference(graph, masks):
@@ -273,11 +274,49 @@ class HopOperatorReference:
         return out
 
 
+def breakdown_reference(graph):
+    """KRYLOV_BREAKDOWN times the mean |w| of the nonzero edges (0 for none)."""
+    from spinmirror.dynamics import KRYLOV_BREAKDOWN
+
+    live = [abs(w) for *_, w in graph.edges if w != 0.0]
+    return KRYLOV_BREAKDOWN * (float(np.mean(live)) if live else 0.0)
+
+
 def evolve_sparse_reference(graph, psi, t):
-    """evolve_sparse driven by HopOperatorReference."""
+    """evolve_sparse's growing-index route driven by HopOperatorReference."""
     from spinmirror.dynamics import _krylov_expm
     from spinmirror.sectors import SparseState
 
     op = HopOperatorReference(graph, psi.masks)
-    amps = _krylov_expm(op.matvec, psi.amps, t, op.lift)
+    amps = _krylov_expm(op.matvec, psi.amps, t, breakdown_reference(graph), op.lift)
     return SparseState(psi.site_count, op.masks, amps)
+
+
+def evolve_stationary_reference(graph, psi, t):
+    """evolve_sparse's stationary route: exp(-iEt) psi, with E = <u|H u> for
+    u = psi / ||psi|| from HopOperatorReference's first product."""
+    from spinmirror.sectors import SparseState
+
+    op = HopOperatorReference(graph, psi.masks)
+    u = psi.amps / np.linalg.norm(psi.amps)
+    hu = op.matvec(u)
+    own = slice(None) if op._index_pos is None else op._index_pos  # None: a closed support
+    energy = np.vdot(u, hu[own]).real
+    return SparseState(psi.site_count, psi.masks, psi.amps * np.exp(-1j * energy * t))
+
+
+def evolve_one_sector_reference(graph, psi, t):
+    """evolve_sparse's one-sector route: the Krylov loop on the reference CSR
+    of psi's sector, over its itertools masks."""
+    from spinmirror.dynamics import _krylov_expm
+    from spinmirror.sectors import SparseState
+
+    k = bin(int(psi.masks[0])).count("1")
+    masks = np.array(sorted(sum(1 << p for p in c)
+                            for c in itertools.combinations(range(graph.site_count), k)),
+                     dtype=np.int64)
+    mat = sector_hamiltonian_reference(graph, k)
+    v = np.zeros(len(masks), np.complex128)
+    v[np.searchsorted(masks, psi.masks)] = psi.amps
+    amps = _krylov_expm(lambda x: mat @ x, v, t, breakdown_reference(graph))
+    return SparseState(psi.site_count, masks, amps)

@@ -14,6 +14,7 @@ from spinmirror.chains import (
 )
 from spinmirror.dynamics import (
     DENSE_DIM_LIMIT,
+    KRYLOV_BREAKDOWN,
     apply_hamiltonian,
     classify_spectrum,
     evolve,
@@ -43,17 +44,21 @@ from spinmirror.sectors import (
     build_sector_hamiltonian,
     enumerate_sector_basis,
     from_sector_state,
+    popcount,
 )
-from spinmirror.witness import WitnessSpec, build_witness
+from spinmirror.witness import WitnessSpec, build_witness, diagonal_basis_state
 
 from oracles import (
     apply_hamiltonian_reference,
     classify_groups,
+    evolve_one_sector_reference,
     evolve_sparse_reference,
+    evolve_stationary_reference,
     pauli_hamiltonian,
     permutation_operator,
     restrict_to_sector,
     sector_masks,
+    sector_matrix,
     sector_propagation,
 )
 
@@ -272,18 +277,20 @@ def test_evolutions_match_sector_oracle_on_both_sides_of_dense_limit(k):
 
 def test_evolve_sparse_builds_one_krylov_space_per_accepted_substep(monkeypatch):
     # t = 1.1 takes four substeps; two step lengths are rejected and halved on
-    # the space already built, where rebuilding it would cost 180 matvecs
-    matvecs, spaces, lifted = [], [], []
-    matvec, space, lift = (dynamics._HopOperator.matvec, dynamics._krylov_space,
-                           dynamics._HopOperator.lift)
+    # the space already built, where rebuilding it would cost 180 matvecs. A
+    # one-sector state runs on its sector's CSR; a state on two sectors grows
+    # its index, and each growth step lifts the stored vectors onto it
+    products, spaces, lifted = [], [], []
+    space, lift = dynamics._krylov_space, dynamics._HopOperator.lift
 
-    def count_matvec(self, x):
-        matvecs.append(len(x))
-        return matvec(self, x)
-
-    def count_space(*args):
+    def count_space(matvec, v, *args):
         spaces.append(1)
-        return space(*args)
+
+        def counted(x):
+            products.append(len(x))
+            return matvec(x)
+
+        return space(counted, v, *args)
 
     def spy_lift(self, V, rows):
         out = lift(self, V, rows)
@@ -291,19 +298,31 @@ def test_evolve_sparse_builds_one_krylov_space_per_accepted_substep(monkeypatch)
         lifted.append((rows, V.shape[-1], out.shape[-1]))
         return out
 
-    monkeypatch.setattr(dynamics._HopOperator, "matvec", count_matvec)
     monkeypatch.setattr(dynamics, "_krylov_space", count_space)
     monkeypatch.setattr(dynamics._HopOperator, "lift", spy_lift)
-    t = 1.1
-    out = evolve_sparse(PRODUCT_4X4, SparseState.unit(16, MASK_4X4_K5), t)
-    assert len(matvecs) == dynamics.KRYLOV_DIM * len(spaces) == 120
-    # every growth step carries all stored vectors of the first space, from
-    # the one-entry start vector up to the whole 4368-state sector
-    rows, before, after = zip(*lifted)
-    assert rows == tuple(range(1, len(lifted) + 1))
-    assert before[0] == 1 and after[-1] == 4368 and before[1:] == after[:-1]
+    t, k4 = 1.1, 0b1000010000100001
+    psi = SparseState.unit(16, MASK_4X4_K5)
+    out = evolve_sparse(PRODUCT_4X4, psi, t)
+    assert len(products) == dynamics.KRYLOV_DIM * len(spaces) == 120
+    assert set(products) == {4368} and lifted == []
+    assert same_bytes(out, evolve_one_sector_reference(PRODUCT_4X4, psi, t))
     masks, ref = sector_propagation(16, PRODUCT_4X4.edges, 5, {MASK_4X4_K5: 1.0}, t)
     assert np.linalg.norm(oracle_vector(masks, out) - ref) < 1e-9
+
+    products.clear(), spaces.clear()
+    psi = SparseState.from_dict(16, {MASK_4X4_K5: 0.6, k4: 0.8j})
+    out = evolve_sparse(PRODUCT_4X4, psi, t)
+    assert len(products) == dynamics.KRYLOV_DIM * len(spaces) == 120
+    # every growth step carries all stored vectors of the first space, from
+    # the two-entry start vector up to both whole sectors, 4368 + 1820 states
+    rows, before, after = zip(*lifted)
+    assert rows == tuple(range(1, len(lifted) + 1))
+    assert before[0] == 2 and after[-1] == 4368 + 1820 and before[1:] == after[:-1]
+    assert same_bytes(out, evolve_sparse_reference(PRODUCT_4X4, psi, t))
+    parts = out.sector_split()
+    for k, start in ((5, {MASK_4X4_K5: 0.6}), (4, {k4: 0.8j})):
+        masks, ref = sector_propagation(16, PRODUCT_4X4.edges, k, start, t)
+        assert np.linalg.norm(oracle_vector(masks, parts[k]) - ref) < 1e-9
 
 
 def test_evolve_state_below_the_dense_limit_runs_no_eigendecomposition(monkeypatch):
@@ -419,13 +438,22 @@ def same_bytes(a, b):
     return a.masks.tobytes() == b.masks.tobytes() and a.amps.tobytes() == b.amps.tobytes()
 
 
+# the reference of the route evolve_sparse takes for each case: the witnesses,
+# the vacuum and the full state are stationary, random-4x4 spans two sectors
+EVOLVE_REFERENCES = dict.fromkeys(HOP_CASES, evolve_one_sector_reference)
+EVOLVE_REFERENCES.update(dict.fromkeys(("witness-4x4", "witness-5x5", "vacuum", "full"),
+                                       evolve_stationary_reference))
+EVOLVE_REFERENCES["random-4x4"] = evolve_sparse_reference
+
+
 @pytest.mark.parametrize("case", sorted(HOP_CASES))
 def test_hop_products_are_byte_identical_to_the_per_call_hop_path(case):
     sectors._support_structure.cache_clear()
+    reference = EVOLVE_REFERENCES[case]
     for seed in (10, 11):  # a cold structure, then a cached one under new weights
         graph, psi = HOP_CASES[case](seed)
         assert same_bytes(apply_hamiltonian(graph, psi), apply_hamiltonian_reference(graph, psi))
-        assert same_bytes(evolve_sparse(graph, psi, 0.9), evolve_sparse_reference(graph, psi, 0.9))
+        assert same_bytes(evolve_sparse(graph, psi, 0.9), reference(graph, psi, 0.9))
 
 
 # the supports of the other cases are closed under hops: no growth step
@@ -444,7 +472,7 @@ def test_apply_hamiltonian_and_the_first_growth_step_scatter_alike(case):
 
 def test_a_closed_single_sector_index_reads_the_cached_sector(monkeypatch):
     graph, psi = main_symmetric_graph(4, 10), SparseState.unit(16, 0b1000010000100000)
-    dim = math.comb(16, 3)
+    sectors._support_structure.cache_clear()
     build_sector_hamiltonian(graph, 3)  # the sector's hops are cached
     sizes = []
     hop_structure = sectors._hop_structure
@@ -455,9 +483,9 @@ def test_a_closed_single_sector_index_reads_the_cached_sector(monkeypatch):
 
     monkeypatch.setattr(sectors, "_hop_structure", spy)
     out = evolve_sparse(graph, psi, 0.9)
-    assert len(out.masks) == dim  # the index grew to the whole sector
-    assert sizes and max(sizes) < dim
-    assert same_bytes(out, evolve_sparse_reference(graph, psi, 0.9))
+    assert len(out.masks) == math.comb(16, 3)  # the state spread over its sector
+    assert sizes == [1]  # the hops of psi's support, for the stationary test
+    assert same_bytes(out, evolve_one_sector_reference(graph, psi, 0.9))
 
 
 def test_writing_into_returned_states_leaves_the_next_product_unchanged():
@@ -468,7 +496,116 @@ def test_writing_into_returned_states_leaves_the_next_product_unchanged():
             arr.setflags(write=True)
             arr[:] = 0
     assert same_bytes(apply_hamiltonian(graph, psi), apply_hamiltonian_reference(graph, psi))
-    assert same_bytes(evolve_sparse(graph, psi, 0.9), evolve_sparse_reference(graph, psi, 0.9))
+    assert same_bytes(evolve_sparse(graph, psi, 0.9), evolve_stationary_reference(graph, psi, 0.9))
+
+
+# -- the routes of evolve_sparse: stationary, one sector, a growing index -------
+
+
+def spy_support_keys(monkeypatch):
+    """The supports evolve_sparse requests hops for, recorded as it asks."""
+    keys, structure = [], dynamics._support_structure
+
+    def spy(endpoints, support):
+        keys.append(support)
+        return structure(endpoints, support)
+
+    monkeypatch.setattr(dynamics, "_support_structure", spy)
+    return keys
+
+
+def test_a_stationary_witness_never_requests_its_sector(monkeypatch):
+    # the witness of diagonal state 10000 lies in one sector, k = 11 of the
+    # 5x5 lattice: C(25, 11) = 4,457,400 masks, never to be enumerated
+    graph, t = main_symmetric_graph(5, 8), 1.3
+    w = build_witness(WitnessSpec(5, diagonal_basis_state(5, "10000")))
+    assert set(popcount(w.masks).tolist()) == {11}
+    keys, enumerated = spy_support_keys(monkeypatch), []
+    monkeypatch.setattr(sectors, "enumerate_sector_basis", lambda *a: enumerated.append(a))
+    out = evolve_sparse(graph, w, t)
+    assert keys == [w.masks.tobytes()] and enumerated == []
+    assert same_bytes(out, evolve_stationary_reference(graph, w, t))
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_the_stationary_route_on_both_sides_of_the_breakdown_rule(monkeypatch, factor):
+    # psi = v + eps u with u another eigenvector has the relative residual
+    # ||H psi - E psi|| / ||psi|| = eps |lambda_u - lambda_v| / (1 + eps^2),
+    # which the route reads in units of the mean coupling
+    graph, k, t = random_graph(6, 9, 3), 3, 0.7
+    masks, H = sector_matrix(6, graph.edges, k)
+    evals, vecs = np.linalg.eigh(H.toarray())
+    gaps = np.minimum(np.diff(evals, prepend=-np.inf), np.diff(evals, append=np.inf))
+    i = int(np.argmax(gaps))
+    j = (i + 1) % len(evals)
+    scale = np.mean([abs(w) for *_, w in graph.edges])
+    eps = factor * KRYLOV_BREAKDOWN * scale / abs(evals[j] - evals[i])
+    psi = vecs[:, i] + eps * vecs[:, j]
+    h = H @ psi
+    energy = np.vdot(psi, h).real / np.vdot(psi, psi).real
+    residual = np.linalg.norm(h - energy * psi) / np.linalg.norm(psi) / scale
+    assert residual == pytest.approx(factor * KRYLOV_BREAKDOWN, rel=0.1)
+    spaces, expm = [], dynamics._krylov_expm
+    monkeypatch.setattr(dynamics, "_krylov_expm", lambda *a: spaces.append(1) or expm(*a))
+    out = evolve_sparse(graph, SparseState(6, np.array(masks), psi), t)
+    assert len(spaces) == int(factor > 1)
+    _, ref = sector_propagation(6, graph.edges, k, dict(zip(masks, psi)), t)
+    assert np.linalg.norm(oracle_vector(masks, out) - ref) < 1e-9
+
+
+@pytest.mark.parametrize("graph, k, mask, t", [
+    (PRODUCT_4X4, 5, MASK_4X4_K5, 1.1),
+    (uniform_pattern(build_square_lattice(5)).to_graph(), 4, 0b1000000100000010000001, 0.5),
+], ids=["product-4x4-k5", "uniform-5x5-k4"])
+def test_a_one_sector_state_evolves_on_its_cached_sector(monkeypatch, graph, k, mask, t):
+    keys = spy_support_keys(monkeypatch)
+    monkeypatch.setattr(dynamics, "_HopOperator", None)  # no growing index
+    psi = SparseState.unit(graph.site_count, mask)
+    masks, ref = sector_propagation(graph.site_count, graph.edges, k, {mask: 1.0}, t)
+    for evolution in (evolve_sparse, evolve_state):
+        keys.clear()
+        out = evolution(graph, psi, t)
+        assert keys == [psi.masks.tobytes(), (graph.site_count, k)]
+        assert np.array_equal(out.masks, masks)
+        assert np.linalg.norm(out.amps - ref) < 1e-9
+
+
+def scaled_graph(graph, s):
+    return ExchangeGraph(graph.site_count, tuple((a, b, s * w) for a, b, w in graph.edges))
+
+
+def test_evolution_does_not_depend_on_the_coupling_scale():
+    # at coupling 1e-14 a unit state still swaps at t = pi / (4 * 1e-14)
+    out = evolve_sparse(ExchangeGraph(2, ((0, 1, 1e-14),)), SparseState.unit(2, 0b01),
+                        math.pi / 4e-14)
+    assert abs(out.amplitude(0b10) + 1j) < 1e-12 and abs(out.amplitude(0b01)) < 1e-12
+    # one sector and two sectors at t and at t / s under couplings scaled by s
+    s, t = 1e-14, 1.1
+    tiny = scaled_graph(PRODUCT_4X4, s)
+    for psi in (SparseState.unit(16, MASK_4X4_K5),
+                SparseState.from_dict(16, {MASK_4X4_K5: 0.6, 0b1000010000100001: 0.8j})):
+        ref = evolve_sparse(PRODUCT_4X4, psi, t)
+        for evolution in (evolve_sparse, evolve_state):
+            out = evolution(tiny, psi, t / s)
+            assert np.array_equal(out.masks, ref.masks)
+            assert np.linalg.norm(out.amps - ref.amps) < 1e-12
+    H, H_tiny = build_sector_hamiltonian(PRODUCT_4X4, 5), build_sector_hamiltonian(tiny, 5)
+    assert H.dim > DENSE_DIM_LIMIT  # evolve's Krylov branch
+    start = basis_state(H.basis, MASK_4X4_K5)
+    ref = evolve(H, start, t).amplitudes
+    assert np.linalg.norm(evolve(H_tiny, start, t / s).amplitudes - ref) < 1e-12
+
+
+def test_a_witness_at_a_tiny_coupling_scale_stops_after_one_product(monkeypatch):
+    graph, w, t = scaled_graph(main_symmetric_graph(4, 3), 1e-14), random_witness(4, 5), 1.3e14
+    products, spaces = [], []
+    apply, expm = sectors._Hops.apply, dynamics._krylov_expm
+    monkeypatch.setattr(sectors._Hops, "apply", lambda *a: products.append(1) or apply(*a))
+    monkeypatch.setattr(dynamics, "_krylov_expm", lambda *a: spaces.append(1) or expm(*a))
+    out = evolve_sparse(graph, w, t)
+    assert len(products) == 1 and spaces == []
+    assert same_bytes(out, evolve_stationary_reference(graph, w, t))
+    assert out.add(w.scaled(-1.0)).norm() <= 1e-9
 
 
 # -- mirror reports in parity blocks, against the Pauli and sector oracles -----

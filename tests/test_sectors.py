@@ -310,6 +310,34 @@ def test_zero_weight_edge_changes_the_key_and_stores_nothing():
     assert csr_bytes(cut) == csr_bytes(_coo_reference(graph, 4))
 
 
+@pytest.mark.parametrize("shift", [-1, 0])
+def test_a_sector_past_memory_is_refused_before_it_is_enumerated(monkeypatch, shift):
+    # 4368 masks of the 4x4 lattice at k = 5 across 24 live edges: one byte
+    # short of the estimate refuses, without enumerating; exactly it builds
+    from spinmirror.dynamics import evolve_state
+
+    graph = lattice_graph(4, 3)
+    need = 32 * math.comb(16, 5) * 24
+    monkeypatch.setattr(sectors, "_available_bytes", lambda: need + shift)
+    enumerated, enumerate_basis = [], sectors.enumerate_sector_basis
+
+    def spy(site_count, k):
+        enumerated.append((site_count, k))
+        return enumerate_basis(site_count, k)
+
+    monkeypatch.setattr(sectors, "enumerate_sector_basis", spy)
+    for run in (lambda: build_sector_hamiltonian(graph, 5),
+                lambda: evolve_state(graph, SparseState.unit(16, 0b11111), 0.5)):
+        sectors._support_structure.cache_clear()
+        if shift < 0:
+            with pytest.raises(ValueError, match=f"the hops of 4368 masks across 24 edges "
+                                                 f"need about {need} bytes at peak"):
+                run()
+        else:
+            run()
+    assert enumerated == ([] if shift < 0 else [(16, 5)] * 2)
+
+
 def grown_to_closure(graph, mask):
     """The operator of a unit state after H was applied until its index closed."""
     op = sectors._HopOperator(graph, np.array([mask], dtype=np.int64))

@@ -119,8 +119,8 @@ def test_witness_is_stationary_under_evolution():
 
 
 def test_witness_5x5_keeps_its_support_under_evolution():
-    # the index grows from the 32,768-mask support to its hop closure in the
-    # one product by H; the exact zeros there are dropped again
+    # one product by H over the 32,768-mask support finds the witness
+    # stationary, so it only takes its phase, on its own support
     g = build_square_lattice(5)
     pat = random_symmetric_pattern(g, (symmetry_map(g, "main_diagonal"),), seed=8)
     w = build_witness(WitnessSpec(5, random_diagonal_state(5, seed=9)))
