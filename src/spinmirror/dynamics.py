@@ -7,11 +7,11 @@ The Lanczos core works on plain complex arrays; a residual of at most
 KRYLOV_BREAKDOWN times the mean coupling ends a Krylov space at any scale. A
 SparseState (evolve_sparse, evolve_state) evolves on the smallest structure
 that answers it: a stationary state, told by one product over its support's
-cached hops, only takes its phase exp(-iEt); a state on one sector runs on
-its cached sector's CSR; a state on several, through sectors._HopOperator, on
-a sorted mask index that grows to its hop closure. apply_hamiltonian and the
-operator share _Hops.apply: H x as one CSR product over the hops in hop order
-by target. Every cached structure is in sectors.
+cached hops, only takes its phase; a one-sector state whose live edges join
+every site runs on its cached sector's CSR; any other runs through
+sectors._HopOperator, on a mask index that grows to its hop closure.
+apply_hamiltonian and the operator share _Hops.apply: H x as one CSR product
+over the hops in hop order by target. Every cached structure is in sectors.
 Curves of fixed propagator entries over a time grid diagonalize once and go
 through sectors.Propagator: one product per curve, not one eigh per point.
 Mirroring reports and spectrum classification share one mirror-parity split
@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from .lattice import CouplingPattern, SymmetryMap, _as_graph
 from .sectors import (
@@ -78,9 +79,8 @@ def _krylov_space(matvec, v, lift, breakdown):
 
     The rows of V are the Lanczos vectors, U diag(evals) U^T is the
     tridiagonal T that H becomes on them, and beta is the norm of the residual
-    past the last vector, or 0 once that is at most breakdown. matvec may
-    return a vector over a grown index; lift then carries the stored vectors
-    onto it.
+    past the last vector, or 0 once it is <= breakdown. matvec may return a
+    vector over a grown index; lift then carries the stored vectors onto it.
     """
     # np.zeros leaves untouched rows unmapped, so unused capacity costs no memory
     V = np.zeros((KRYLOV_DIM, len(v)), np.complex128)
@@ -169,9 +169,9 @@ def evolve_sparse(graph, psi: SparseState, t: float) -> SparseState:
     (those verify_zero_energy reads) comes first. If ||H u - <u|H u> u|| is at
     most KRYLOV_BREAKDOWN times the mean live coupling, psi is stationary: the
     result is exp(-iEt) psi on its own support, and no sector is enumerated.
-    Otherwise a state on one sector evolves on its cached sector's CSR, and a
-    state on several on a sorted mask index that grows with every product by
-    H to its hop closure, where its CSR takes over. Exact zeros are dropped.
+    A state on one sector whose live edges join every site (so the sector is
+    its hop closure) evolves on the sector's cached CSR; any other on a mask
+    index grown by each product by H to its closure. Exact zeros are dropped.
     """
     return _evolve_sparse(graph, psi, t)
 
@@ -200,7 +200,9 @@ def _evolve_sparse(graph, psi: SparseState, t: float) -> SparseState:
     if np.linalg.norm(residual) <= breakdown:
         return psi.scaled(np.exp(-1j * energy * t))
     ks = popcount(psi.masks)
-    if ks.min() == ks.max():
+    joined = np.zeros((psi.site_count,) * 2)
+    joined[tuple(zip(*endpoints))] = 1.0  # some edge is live: psi is not stationary
+    if ks.min() == ks.max() and connected_components(joined, directed=False)[0] == 1:
         hops = _support_structure(endpoints, (psi.site_count, int(ks[0])))
         mat, x = hops.matrix(weights), np.zeros(len(hops.grown), np.complex128)
         x[np.searchsorted(hops.grown, psi.masks)] = psi.amps

@@ -8,7 +8,7 @@ a whole sector is a support that no hop leaves. _Hops.apply computes H x on
 an index as one CSR product over that layout; on a closed index
 _Hops.matrix assembles H's CSR and _Hops.dense its dense array.
 build_sector_hamiltonian, dynamics.apply_hamiltonian, dynamics.evolve_sparse
-and _HopOperator (its growing index for several sectors) share them. Two
+and _HopOperator (its growing index) share them. Two
 functools.lru_cache caches of HOP_CACHE_SIZE entries keep the hops of
 supports and sectors, a sector's refused past memory before its masks are
 enumerated, and the rank maps of dynamics.permuted_ranks; each call fills in
@@ -327,11 +327,10 @@ def _hop_structure(endpoints, masks: np.ndarray) -> _Hops:
 
 @functools.lru_cache(maxsize=HOP_CACHE_SIZE)
 def _support_structure(endpoints, support) -> _Hops:
-    """_hop_structure of a support: the bytes of its int64 masks, or (M, k) for a
-    sector, which is refused past memory before its masks are enumerated."""
+    """_hop_structure of a support: the bytes of its int64 masks, or (M, k) for a sector."""
     if isinstance(support, tuple):
         site_count, k = support
-        if 0 <= k <= site_count <= 63:  # enumerate_sector_basis refuses the rest
+        if 0 <= k <= site_count <= 63:  # checked before enumerating, which refuses the rest
             _check_hop_memory(math.comb(site_count, k), len(endpoints))
         return _hop_structure(endpoints, enumerate_sector_basis(site_count, k).masks)
     return _hop_structure(endpoints, np.frombuffer(support, dtype=np.int64))
@@ -363,8 +362,7 @@ def _rank_structure(site_count: int, k: int, perm: tuple[int, ...]) -> np.ndarra
 
 
 class _HopOperator:
-    """H on vectors over a sorted mask index that grows to its hop closure,
-    for a state on several sectors (one sector evolves on its cached sector).
+    """H on vectors over a sorted mask index that grows to its hop closure.
 
     matvec takes a vector over the current index and returns H x over
     index | hops(index), which then becomes the current index: the first

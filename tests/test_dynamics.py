@@ -570,6 +570,24 @@ def test_a_one_sector_state_evolves_on_its_cached_sector(monkeypatch, graph, k, 
         assert np.linalg.norm(out.amps - ref) < 1e-9
 
 
+@pytest.mark.parametrize("graph, k, mask, closure", [
+    # the rungs of two parallel chains have strength 0: one excitation per chain stays so
+    (parallel_chain_pattern(christandl_chain(4), 2).to_graph(), 2, 0b10001, 16),
+    # 14 sites without a live edge: the closure is the 4x4 sector, C(30, 5) is 142,506
+    (ExchangeGraph(30, PRODUCT_4X4.edges), 5, MASK_4X4_K5, 4368),
+], ids=["parallel-chains", "uncoupled-sites"])
+def test_a_one_sector_state_on_unjoined_sites_keeps_the_growing_index(monkeypatch, graph, k,
+                                                                      mask, closure):
+    keys = spy_support_keys(monkeypatch)
+    psi, t = SparseState.unit(graph.site_count, mask), 0.9
+    out = evolve_sparse(graph, psi, t)
+    assert keys == [psi.masks.tobytes()] and len(out.masks) == closure
+    assert same_bytes(out, evolve_sparse_reference(graph, psi, t))
+    sites = 1 + max(max(a, b) for a, b, _ in graph.edges)
+    masks, ref = sector_propagation(sites, graph.edges, k, {mask: 1.0}, t)
+    assert np.linalg.norm(oracle_vector(masks, out) - ref) < 1e-9
+
+
 def scaled_graph(graph, s):
     return ExchangeGraph(graph.site_count, tuple((a, b, s * w) for a, b, w in graph.edges))
 
