@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from .lattice import CouplingPattern, SymmetryMap, _as_graph
 from .sectors import (
@@ -200,9 +199,10 @@ def _evolve_sparse(graph, psi: SparseState, t: float) -> SparseState:
     if np.linalg.norm(residual) <= breakdown:
         return psi.scaled(np.exp(-1j * energy * t))
     ks = popcount(psi.masks)
-    joined = np.zeros((psi.site_count,) * 2)
+    joined = np.eye(psi.site_count)
     joined[tuple(zip(*endpoints))] = 1.0  # some edge is live: psi is not stationary
-    if ks.min() == ks.max() and connected_components(joined, directed=False)[0] == 1:
+    # a row of (2 + A)^M without zeros: the live edges join every site (the sector is a closure)
+    if ks.min() == ks.max() and np.linalg.matrix_power(joined + joined.T, len(joined))[0].all():
         hops = _support_structure(endpoints, (psi.site_count, int(ks[0])))
         mat, x = hops.matrix(weights), np.zeros(len(hops.grown), np.complex128)
         x[np.searchsorted(hops.grown, psi.masks)] = psi.amps
