@@ -7,9 +7,9 @@ The Lanczos core works on plain complex arrays; a residual of at most
 KRYLOV_BREAKDOWN times the mean coupling ends a Krylov space at any scale. A
 SparseState (evolve_sparse, evolve_state) evolves on the smallest structure
 that answers it: a stationary state, told by one product over its support's
-cached hops, only takes its phase; a one-sector state whose live edges join
-every site runs on its cached sector's CSR; any other runs through
-sectors._HopOperator, on a mask index that grows to its hop closure.
+cached hops, only takes its phase; a one-sector state whose sector lies within
+one Krylov space's hops of it runs on its cached sector's CSR; any other runs
+through sectors._HopOperator, on a mask index that grows to its hop closure.
 apply_hamiltonian and the operator share _Hops.apply: H x as one CSR product
 over the hops in hop order by target. Every cached structure is in sectors.
 Curves of fixed propagator entries over a time grid diagonalize once and go
@@ -69,8 +69,16 @@ def apply_hamiltonian(graph, psi: SparseState) -> SparseState:
 
 
 def _breakdown(weights) -> float:
-    """KRYLOV_BREAKDOWN in units of the mean |w| of weights, 0 for none."""
-    return KRYLOV_BREAKDOWN * (float(np.mean(np.abs(weights))) if len(weights) else 0.0)
+    """KRYLOV_BREAKDOWN in units of the mean |w| of the nonzero weights, 0 for none."""
+    live = np.abs(weights)[np.abs(weights) > 0]
+    return KRYLOV_BREAKDOWN * (float(np.mean(live)) if len(live) else 0.0)
+
+
+def _stationary_energy(hu, u, pos, breakdown):
+    """<u|H u> if ||H u - <u|H u> u|| <= breakdown, else None; hu[pos] is u's, hu is overwritten."""
+    energy = np.vdot(u, hu[pos]).real
+    hu[pos] -= energy * u
+    return energy if np.linalg.norm(hu) <= breakdown else None
 
 
 def _krylov_space(matvec, v, lift, breakdown):
@@ -147,6 +155,8 @@ def evolve(H: SectorHamiltonian, psi: SectorState, t: float) -> SectorState:
 
     Dense symmetric eigendecomposition for dim <= 4096, otherwise Lanczos
     with residual-controlled substeps targeting a 2-norm error <= 1e-10.
+    Every live edge carries 2 C(M-2, k-1) entries of a sector's H, so the
+    mean |entry| / 2 that scales its breakdown is the mean live coupling.
     """
     if not np.isfinite(t):
         raise ValueError("evolution time must be finite")
@@ -168,9 +178,10 @@ def evolve_sparse(graph, psi: SparseState, t: float) -> SparseState:
     (those verify_zero_energy reads) comes first. If ||H u - <u|H u> u|| is at
     most KRYLOV_BREAKDOWN times the mean live coupling, psi is stationary: the
     result is exp(-iEt) psi on its own support, and no sector is enumerated.
-    A state on one sector whose live edges join every site (so the sector is
-    its hop closure) evolves on the sector's cached CSR; any other on a mask
-    index grown by each product by H to its closure. Exact zeros are dropped.
+    A state on one sector within KRYLOV_DIM hops of all of it (where a first
+    Krylov space would grow an index to the whole sector) evolves on the
+    sector's cached CSR; any other on a mask index grown by each product by H
+    to its closure. Exact zeros are dropped.
     """
     return _evolve_sparse(graph, psi, t)
 
@@ -193,16 +204,11 @@ def _evolve_sparse(graph, psi: SparseState, t: float) -> SparseState:
     breakdown = _breakdown(weights)
     hops = _support_structure(endpoints, psi.masks.tobytes())
     u = psi.amps / norm
-    residual = hops.apply(u, weights)
-    energy = np.vdot(u, residual[hops.index_pos]).real
-    residual[hops.index_pos] -= energy * u
-    if np.linalg.norm(residual) <= breakdown:
+    energy = _stationary_energy(hops.apply(u, weights), u, hops.index_pos, breakdown)
+    if energy is not None:
         return psi.scaled(np.exp(-1j * energy * t))
-    ks = popcount(psi.masks)
-    joined = np.eye(psi.site_count)
-    joined[tuple(zip(*endpoints))] = 1.0  # some edge is live: psi is not stationary
-    # a row of (2 + A)^M without zeros: the live edges join every site (the sector is a closure)
-    if ks.min() == ks.max() and np.linalg.matrix_power(joined + joined.T, len(joined))[0].all():
+    ks = popcount(psi.masks)  # psi is not stationary, so some edge is live
+    if ks.min() == ks.max() and _sector_radius(endpoints, psi) <= KRYLOV_DIM:
         hops = _support_structure(endpoints, (psi.site_count, int(ks[0])))
         mat, x = hops.matrix(weights), np.zeros(len(hops.grown), np.complex128)
         x[np.searchsorted(hops.grown, psi.masks)] = psi.amps
@@ -211,6 +217,21 @@ def _evolve_sparse(graph, psi: SparseState, t: float) -> SparseState:
     op = _HopOperator(graph, psi.masks)
     amps = _krylov_expm(op.matvec, psi.amps, t, breakdown, op.lift)
     return SparseState(psi.site_count, op.masks, amps)
+
+
+def _sector_radius(endpoints, psi: SparseState) -> float:
+    """A bound on the hops from psi's first mask to any mask of its sector, inf
+    if the live edges leave sites apart. An excitation reaches an empty site d
+    hops away in d hops, so a mask that trades j sites for j others is at most
+    their summed distances to any one site c away: the j farthest of each side."""
+    m, mask = psi.site_count, int(psi.masks[0])
+    dist, (a, b) = np.full((m, m), np.inf), np.transpose(endpoints)
+    dist[np.arange(m), np.arange(m)], dist[a, b], dist[b, a] = 0.0, 1.0, 1.0
+    for c in range(m):  # Floyd-Warshall
+        dist = np.minimum(dist, dist[:, c, None] + dist[c])
+    occupied, j = (mask >> np.arange(m)) & 1 == 1, min(mask.bit_count(), m - mask.bit_count())
+    far = [-np.sort(-dist[:, side], axis=1)[:, :j].sum(axis=1) for side in (occupied, ~occupied)]
+    return float((far[0] + far[1]).min())
 
 
 # -- fidelities and reports ---------------------------------------------------

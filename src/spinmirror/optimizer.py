@@ -34,7 +34,7 @@ from .lattice import (
     symmetry_map,
 )
 from .sectors import Propagator, SectorBasis, SparseState, _live_edges, _support_structure
-from .dynamics import _breakdown, _mirror_spectrum, permuted_ranks
+from .dynamics import _breakdown, _mirror_spectrum, _stationary_energy, permuted_ranks
 from .witness import (
     WitnessSpec,
     build_witness,
@@ -206,19 +206,18 @@ class _BoundObjective:
     def propagator(self, weights: np.ndarray, counts: PolishCounts | None = None) -> Propagator:
         """The mirror amplitudes the objective reads at the weights of every
         edge. A sector whose residual r = H_k u - <u|H_k u> u has
-        ||r|| <= KRYLOV_BREAKDOWN mean |w| is one spectral point, off by at most
-        8 pi KRYLOV_BREAKDOWN ||psi_k|| ||tau_k|| over the time window at any
+        ||r|| <= KRYLOV_BREAKDOWN mean nonzero |w| is one spectral point, off by
+        at most 8 pi KRYLOV_BREAKDOWN ||psi_k|| ||tau_k|| over the time window at any
         coupling scale; counts, if given, tallies such sectors."""
         live = weights if self.live is None else weights[self.live]
         if self.objective.kind == "sector_average":
             return _mirror_spectrum(self.hops, live, self.ranks)
-        tol = _breakdown(weights)
+        tol = _breakdown(live)
         lams, ws = [], []
         for hops, psi, tau, u, overlap in self.pieces:
             if u is not None:
-                h = hops.matrix(live) @ u
-                energy = np.vdot(u, h).real
-                if np.linalg.norm(h - energy * u) <= tol:
+                energy = _stationary_energy(hops.matrix(live) @ u, u, slice(None), tol)
+                if energy is not None:
                     lams.append([energy])
                     ws.append([overlap])
                     if counts is not None:

@@ -588,6 +588,57 @@ def test_a_one_sector_state_on_unjoined_sites_keeps_the_growing_index(monkeypatc
     assert np.linalg.norm(oracle_vector(masks, out) - ref) < 1e-9
 
 
+def uniform_chain_graph(site_count):
+    return ExchangeGraph(site_count, tuple((p, p + 1, 1.0) for p in range(site_count - 1)))
+
+
+@pytest.mark.parametrize("site_count, k", [(20, 4), (40, 8)])
+def test_a_domain_wall_on_a_long_chain_keeps_the_growing_index(monkeypatch, site_count, k):
+    # at t = 0.1 the first Krylov space grows the index over masks within 30
+    # hops of the wall, far fewer than the sector: C(40, 8) is 76,904,685
+    graph, psi, t = uniform_chain_graph(site_count), SparseState.unit(site_count, 2**k - 1), 0.1
+    keys, enumerated = spy_support_keys(monkeypatch), []
+    monkeypatch.setattr(sectors, "enumerate_sector_basis", lambda *a: enumerated.append(a))
+    out = evolve_sparse(graph, psi, t)
+    assert keys == [psi.masks.tobytes()] and enumerated == []
+    assert len(out.masks) < math.comb(site_count, k) / 2
+    assert same_bytes(out, evolve_sparse_reference(graph, psi, t))
+    if site_count <= 20:
+        masks, ref = sector_propagation(site_count, graph.edges, k, {2**k - 1: 1.0}, t)
+        assert np.linalg.norm(oracle_vector(masks, out) - ref) < 1e-9
+
+
+@pytest.mark.parametrize("graph", [
+    uniform_pattern(build_square_lattice(3)).to_graph(),
+    uniform_chain_graph(9),
+    random_graph(8, 10, 4),
+    parallel_chain_pattern(christandl_chain(4), 2).to_graph(),  # zero rungs: two parts
+], ids=["uniform-3x3", "chain-9", "random-8", "parallel-chains"])
+def test_the_sector_radius_bounds_every_hop_distance_in_the_sector(graph):
+    from scipy.sparse.csgraph import shortest_path
+
+    endpoints = sectors._live_edges(graph)[0]
+    for k in range(1, graph.site_count):
+        masks, H = sector_matrix(graph.site_count, graph.edges, k)
+        hops = shortest_path(H != 0, unweighted=True)  # inf between unjoined masks
+        for mask, far in zip(masks, hops.max(axis=1)):
+            bound = dynamics._sector_radius(endpoints, SparseState.unit(graph.site_count, mask))
+            assert far <= bound and (bound == np.inf) == (far == np.inf)
+
+
+def test_one_breakdown_scale_on_every_route():
+    # the mean |w| over the nonzero couplings: a zero edge does not count, and
+    # every live edge carries equally many entries of a whole sector's H
+    graph = parallel_chain_pattern(christandl_chain(5), 2).to_graph()
+    live = [abs(w) for *_, w in graph.edges if w != 0.0]
+    assert len(live) < len(graph.edges)
+    assert dynamics._breakdown([w for *_, w in graph.edges]) == KRYLOV_BREAKDOWN * np.mean(live)
+    for k in (1, 3, 5):
+        H = build_sector_hamiltonian(graph, k)
+        scale = dynamics._breakdown(H.mat.data / 2) / KRYLOV_BREAKDOWN
+        assert scale == pytest.approx(np.mean(live), rel=1e-14)
+
+
 def scaled_graph(graph, s):
     return ExchangeGraph(graph.site_count, tuple((a, b, s * w) for a, b, w in graph.edges))
 
