@@ -225,11 +225,15 @@ def _sector_radius(endpoints, psi: SparseState) -> float:
     hops away in d hops, so a mask that trades j sites for j others is at most
     their summed distances to any one site c away: the j farthest of each side."""
     m, mask = psi.site_count, int(psi.masks[0])
-    dist, (a, b) = np.full((m, m), np.inf), np.transpose(endpoints)
-    dist[np.arange(m), np.arange(m)], dist[a, b], dist[b, a] = 0.0, 1.0, 1.0
+    a, b = np.transpose(endpoints)
+    dist = np.full((m, m), np.inf)
+    np.fill_diagonal(dist, 0.0)
+    dist[a, b] = dist[b, a] = 1.0
     for c in range(m):  # Floyd-Warshall
         dist = np.minimum(dist, dist[:, c, None] + dist[c])
-    occupied, j = (mask >> np.arange(m)) & 1 == 1, min(mask.bit_count(), m - mask.bit_count())
+    occupied = (mask >> np.arange(m)) & 1 == 1
+    j = min(mask.bit_count(), m - mask.bit_count())
+    # for each c, the j largest distances to an occupied and to an empty site
     far = [-np.sort(-dist[:, side], axis=1)[:, :j].sum(axis=1) for side in (occupied, ~occupied)]
     return float((far[0] + far[1]).min())
 
