@@ -1,14 +1,14 @@
 """Exact time evolution, mirroring reports, phase fits, spectrum classification.
 
-evolve diagonalizes a sector up to dimension 4096; larger sectors go through
-a residual-controlled Lanczos approximation of exp(-iHt), which builds one
-Krylov space per substep and shortens a rejected step on that same space.
-The Lanczos core works on plain complex arrays; a residual of at most
-KRYLOV_BREAKDOWN times the mean coupling ends a Krylov space at any scale. A
-SparseState (evolve_sparse, evolve_state) evolves on the smallest structure
-that answers it: a stationary state, told by one product over its support's
-cached hops, only takes its phase; a one-sector state whose sector lies within
-one Krylov space's hops of it runs on its cached sector's CSR; any other runs
+Every evolution is a residual-controlled Lanczos approximation of exp(-iHt),
+which builds one Krylov space per substep and shortens a rejected step on
+that same space. The Lanczos core works on plain complex arrays; a residual of
+at most KRYLOV_BREAKDOWN times the mean coupling ends a Krylov space at any
+scale. evolve runs it on a sector's CSR at every dimension. A SparseState
+(evolve_sparse, evolve_state) evolves on the smallest structure that answers
+it: a stationary state, told by one product over its support's cached hops,
+only takes its phase; a one-sector state whose sector lies within one Krylov
+space's hops of it goes through evolve on its cached sector; any other runs
 through sectors._HopOperator, on a mask index that grows to its hop closure.
 apply_hamiltonian and the operator share _Hops.apply: H x as one CSR product
 over the hops in hop order by target. Every cached structure is in sectors.
@@ -38,10 +38,10 @@ from .sectors import (
     _rank_structure,
     _support_structure,
     build_sector_hamiltonian,
+    from_sector_state,
     popcount,
 )
 
-DENSE_DIM_LIMIT = 4096
 KRYLOV_DIM = 30
 KRYLOV_TOL = 1e-10
 KRYLOV_BREAKDOWN = 1e-13  # a residual this small, per unit of mean coupling, ends a Krylov space
@@ -74,10 +74,12 @@ def _breakdown(weights) -> float:
     return KRYLOV_BREAKDOWN * (float(np.mean(live)) if len(live) else 0.0)
 
 
-def _stationary_energy(hu, u, pos, breakdown):
-    """<u|H u> if ||H u - <u|H u> u|| <= breakdown, else None; hu[pos] is u's, hu is overwritten."""
-    energy = np.vdot(u, hu[pos]).real
-    hu[pos] -= energy * u
+def _stationary_energy(hops, weights, u, breakdown):
+    """<u|H u> if ||H u - <u|H u> u|| <= breakdown, else None, from one
+    hops.apply of u, a vector over the hops' index."""
+    hu = hops.apply(u, weights)
+    energy = np.vdot(u, hu[hops.index_pos]).real
+    hu[hops.index_pos] -= energy * u
     return energy if np.linalg.norm(hu) <= breakdown else None
 
 
@@ -130,7 +132,7 @@ def _krylov_expm(matvec, v, t, breakdown, lift=None):
     """
     norm_v = np.linalg.norm(v)
     if norm_v == 0.0 or t == 0.0:
-        return v
+        return v.copy()
     current = v / norm_v
     remaining = tau = t
     while abs(remaining) > 0:
@@ -151,21 +153,16 @@ def _krylov_expm(matvec, v, t, breakdown, lift=None):
 
 
 def evolve(H: SectorHamiltonian, psi: SectorState, t: float) -> SectorState:
-    """exp(-iHt) psi, norm-preserving within 1e-12.
+    """exp(-iHt) psi as a new array, by Lanczos on H's CSR with residual-controlled
+    substeps targeting a 2-norm error <= 1e-10; norm-preserving within 1e-12.
 
-    Dense symmetric eigendecomposition for dim <= 4096, otherwise Lanczos
-    with residual-controlled substeps targeting a 2-norm error <= 1e-10.
     Every live edge carries 2 C(M-2, k-1) entries of a sector's H, so the
     mean |entry| / 2 that scales its breakdown is the mean live coupling.
     """
     if not np.isfinite(t):
         raise ValueError("evolution time must be finite")
-    if H.basis.dim != psi.basis.dim or H.basis.site_count != psi.basis.site_count:
+    if (H.dim, H.basis.site_count, H.basis.k) != (psi.basis.dim, psi.basis.site_count, psi.basis.k):
         raise ValueError("Hamiltonian and state live on different bases")
-    if H.dim <= DENSE_DIM_LIMIT:
-        evals, vecs = H.eig()
-        amps = vecs @ (np.exp(-1j * evals * t) * (vecs.T @ psi.amplitudes))
-        return SectorState(psi.basis, amps)
     amps = _krylov_expm(lambda x: H.mat @ x, psi.amplitudes, t, _breakdown(H.mat.data / 2))
     return SectorState(psi.basis, amps)
 
@@ -179,9 +176,9 @@ def evolve_sparse(graph, psi: SparseState, t: float) -> SparseState:
     most KRYLOV_BREAKDOWN times the mean live coupling, psi is stationary: the
     result is exp(-iEt) psi on its own support, and no sector is enumerated.
     A state on one sector within KRYLOV_DIM hops of all of it (where a first
-    Krylov space would grow an index to the whole sector) evolves on the
-    sector's cached CSR; any other on a mask index grown by each product by H
-    to its closure. Exact zeros are dropped.
+    Krylov space would grow an index to the whole sector) goes through evolve
+    on its cached sector; any other evolves on a mask index grown by each
+    product by H to its closure. Exact zeros are dropped.
     """
     return _evolve_sparse(graph, psi, t)
 
@@ -203,17 +200,13 @@ def _evolve_sparse(graph, psi: SparseState, t: float) -> SparseState:
     endpoints, weights = _live_edges(graph)
     breakdown = _breakdown(weights)
     hops = _support_structure(endpoints, psi.masks.tobytes())
-    u = psi.amps / norm
-    energy = _stationary_energy(hops.apply(u, weights), u, hops.index_pos, breakdown)
+    energy = _stationary_energy(hops, weights, psi.amps / norm, breakdown)
     if energy is not None:
         return psi.scaled(np.exp(-1j * energy * t))
     ks = popcount(psi.masks)  # psi is not stationary, so some edge is live
     if ks.min() == ks.max() and _sector_radius(endpoints, psi) <= KRYLOV_DIM:
-        hops = _support_structure(endpoints, (psi.site_count, int(ks[0])))
-        mat, x = hops.matrix(weights), np.zeros(len(hops.grown), np.complex128)
-        x[np.searchsorted(hops.grown, psi.masks)] = psi.amps
-        return SparseState(psi.site_count, hops.grown,
-                           _krylov_expm(lambda y: mat @ y, x, t, breakdown))
+        H = build_sector_hamiltonian(graph, int(ks[0]))
+        return from_sector_state(evolve(H, psi.to_sector_state(H.basis), t))
     op = _HopOperator(graph, psi.masks)
     amps = _krylov_expm(op.matvec, psi.amps, t, breakdown, op.lift)
     return SparseState(psi.site_count, op.masks, amps)

@@ -216,7 +216,7 @@ class _BoundObjective:
         lams, ws = [], []
         for hops, psi, tau, u, overlap in self.pieces:
             if u is not None:
-                energy = _stationary_energy(hops.matrix(live) @ u, u, slice(None), tol)
+                energy = _stationary_energy(hops, live, u, tol)
                 if energy is not None:
                     lams.append([energy])
                     ws.append([overlap])

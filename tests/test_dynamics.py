@@ -13,7 +13,6 @@ from spinmirror.chains import (
     uniform_chain,
 )
 from spinmirror.dynamics import (
-    DENSE_DIM_LIMIT,
     KRYLOV_BREAKDOWN,
     apply_hamiltonian,
     classify_spectrum,
@@ -39,6 +38,7 @@ from spinmirror.lattice import (
 )
 from spinmirror.sectors import (
     SectorHamiltonian,
+    SectorState,
     SparseState,
     basis_state,
     build_sector_hamiltonian,
@@ -76,8 +76,6 @@ def random_graph(site_count, n_edges, seed):
 def random_sector_state(basis, seed):
     rng = np.random.default_rng(seed)
     v = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
-    from spinmirror.sectors import SectorState
-
     return SectorState(basis, v / np.linalg.norm(v))
 
 
@@ -133,17 +131,20 @@ def test_unitarity_and_reversibility():
 
 
 def test_krylov_agrees_with_dense():
-    # sector dimension 1001 exercises the dense path; the matrix-free Lanczos
-    # route must agree to 1e-9 on the same state
+    # a dense random state on a sector of dimension 1001: Lanczos on the sector
+    # matrix (evolve) and on the state's support (evolve_sparse) both agree
+    # with expm_multiply to 1e-9
     g = random_graph(14, 24, seed=7)
     H = build_sector_hamiltonian(g, 4)
     assert 1000 <= H.dim <= 4096
     psi = random_sector_state(H.basis, 2)
     t = 2.3
-    dense = evolve(H, psi, t)
+    masks, ref = sector_propagation(14, g.edges, 4, dict(zip(H.basis.masks.tolist(),
+                                                             psi.amplitudes)), t)
+    assert np.array_equal(H.basis.masks, masks)
+    assert np.linalg.norm(evolve(H, psi, t).amplitudes - ref) < 1e-9
     sparse_out = evolve_sparse(g, from_sector_state(psi), t)
-    diff = sparse_out.add(from_sector_state(dense).scaled(-1.0)).norm()
-    assert diff < 1e-9
+    assert np.linalg.norm(oracle_vector(masks, sparse_out) - ref) < 1e-9
     assert abs(sparse_out.norm() - 1.0) < 1e-10
 
 
@@ -244,7 +245,7 @@ def test_classify_vectors_are_genuine_symmetry_eigenvectors():
     assert sum(g.multiplicity for g in groups) == H.dim
 
 
-# -- both sides of the dense limit, and the growing index of evolve_sparse -----
+# -- sector evolution, and the growing index of evolve_sparse ----------------
 
 PRODUCT_4X4_PATTERN = product_lattice_couplings(christandl_chain(4), christandl_chain(4))
 PRODUCT_4X4 = PRODUCT_4X4_PATTERN.to_graph()
@@ -259,18 +260,17 @@ def oracle_vector(masks, state):
 
 
 @pytest.mark.parametrize("k", [4, 5])
-def test_evolutions_match_sector_oracle_on_both_sides_of_dense_limit(k):
-    # k=4 has dim 1820 (dense eigh), k=5 dim 4368 (Krylov on the sector matrix)
+def test_evolutions_match_sector_oracle_at_dims_1820_and_4368(k):
+    # k=4 has dim 1820, k=5 dim 4368; every route runs Lanczos
     masks_in = (0b11110000, 0b1000010000100001) if k == 4 else (MASK_4X4_K5, 0b11111)
     amps_in = {masks_in[0]: 0.6, masks_in[1]: 0.8j}
     t = 1.1
     masks, ref = sector_propagation(16, PRODUCT_4X4.edges, k, amps_in, t)
     H = build_sector_hamiltonian(PRODUCT_4X4, k)
-    assert (H.dim <= DENSE_DIM_LIMIT) == (k == 4)
     assert np.array_equal(H.basis.masks, masks)
     psi = SparseState.from_dict(16, amps_in)
-    dense = evolve(H, psi.to_sector_state(H.basis), t).amplitudes
-    assert np.linalg.norm(dense - ref) < 1e-9
+    on_sector = evolve(H, psi.to_sector_state(H.basis), t).amplitudes
+    assert np.linalg.norm(on_sector - ref) < 1e-9
     for out in (evolve_sparse(PRODUCT_4X4, psi, t), evolve_state(PRODUCT_4X4, psi, t)):
         assert np.linalg.norm(oracle_vector(masks, out) - ref) < 1e-9
 
@@ -325,7 +325,7 @@ def test_evolve_sparse_builds_one_krylov_space_per_accepted_substep(monkeypatch)
         assert np.linalg.norm(oracle_vector(masks, parts[k]) - ref) < 1e-9
 
 
-def test_evolve_state_below_the_dense_limit_runs_no_eigendecomposition(monkeypatch):
+def test_evolve_state_runs_no_eigendecomposition(monkeypatch):
     calls = []
     eig = SectorHamiltonian.eig
 
@@ -334,7 +334,7 @@ def test_evolve_state_below_the_dense_limit_runs_no_eigendecomposition(monkeypat
         return eig(self)
 
     monkeypatch.setattr(SectorHamiltonian, "eig", spy)
-    mask, t = 0b1000010000100001, 1.1  # k=4: dim 1820, within the dense limit
+    mask, t = 0b1000010000100001, 1.1  # k=4: dim 1820
     out = evolve_state(PRODUCT_4X4, SparseState.unit(16, mask), t)
     assert calls == []
     masks, ref = sector_propagation(16, PRODUCT_4X4.edges, 4, {mask: 1.0}, t)
@@ -371,6 +371,38 @@ def test_evolution_rejects_site_count_mismatch():
             evolve_sparse(PRODUCT_4X4, psi, t)
         with pytest.raises(ValueError, match="site counts"):
             evolve_state(PRODUCT_4X4, psi, t)
+
+
+def test_evolve_rejects_a_state_from_another_sector_of_the_same_dimension():
+    graph = chain_pattern(christandl_chain(4)).to_graph()
+    H1, H3 = build_sector_hamiltonian(graph, 1), build_sector_hamiltonian(graph, 3)
+    assert H1.dim == H3.dim == 4
+    with pytest.raises(ValueError, match="different bases"):
+        evolve(H1, basis_state(H3.basis, 0b0111), 1.0)
+
+
+@pytest.mark.parametrize("k", [2, 5], ids=["dim-120", "dim-4368"])
+def test_evolve_returns_new_amplitudes_at_zero_time_and_on_the_zero_vector(k):
+    H = build_sector_hamiltonian(PRODUCT_4X4, k)
+    zero = SectorState(H.basis, np.zeros(H.dim, np.complex128))
+    for psi, t in ((random_sector_state(H.basis, 8), 0.0), (zero, 1.1)):
+        before = psi.amplitudes.copy()
+        out = evolve(H, psi, t)
+        assert np.array_equal(out.amplitudes, before)
+        out.amplitudes[:] = 7.0
+        assert np.array_equal(psi.amplitudes, before)
+
+
+@pytest.mark.parametrize("t", [0.3, 4.1])
+def test_evolve_matches_the_pauli_oracle_in_every_sector_without_eig(monkeypatch, t):
+    # every sector of a 3x3 lattice is far below dimension 4096 (at most 126)
+    full = pauli_hamiltonian(9, ROT_3X3.to_graph().edges)
+    monkeypatch.setattr(SectorHamiltonian, "eig", lambda self: pytest.fail("eig was called"))
+    for k in range(10):
+        H = build_sector_hamiltonian(ROT_3X3, k)
+        psi = random_sector_state(H.basis, k)
+        U = scipy.linalg.expm(-1j * t * restrict_to_sector(full, 9, k).toarray())
+        assert np.linalg.norm(evolve(H, psi, t).amplitudes - U @ psi.amplitudes) < 1e-9
 
 
 # -- cached hop structures, against the per-call hop path ----------------------
@@ -503,14 +535,18 @@ def test_writing_into_returned_states_leaves_the_next_product_unchanged():
 
 
 def spy_support_keys(monkeypatch):
-    """The supports evolve_sparse requests hops for, recorded as it asks."""
-    keys, structure = [], dynamics._support_structure
+    """The distinct supports evolve_sparse requests hops for, in the order first
+    asked, through both bindings: build_sector_hamiltonian and the growing index
+    read the cache from sectors."""
+    keys, structure = [], sectors._support_structure
 
     def spy(endpoints, support):
-        keys.append(support)
+        if support not in keys:
+            keys.append(support)
         return structure(endpoints, support)
 
     monkeypatch.setattr(dynamics, "_support_structure", spy)
+    monkeypatch.setattr(sectors, "_support_structure", spy)
     return keys
 
 
@@ -659,7 +695,6 @@ def test_evolution_does_not_depend_on_the_coupling_scale():
             assert np.array_equal(out.masks, ref.masks)
             assert np.linalg.norm(out.amps - ref.amps) < 1e-12
     H, H_tiny = build_sector_hamiltonian(PRODUCT_4X4, 5), build_sector_hamiltonian(tiny, 5)
-    assert H.dim > DENSE_DIM_LIMIT  # evolve's Krylov branch
     start = basis_state(H.basis, MASK_4X4_K5)
     ref = evolve(H, start, t).amplitudes
     assert np.linalg.norm(evolve(H_tiny, start, t / s).amplitudes - ref) < 1e-12
