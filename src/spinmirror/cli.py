@@ -222,6 +222,7 @@ def cmd_mirror(args):
         "backend": rep.backend,
         "dim": rep.basis.dim,
         "block_dims": rep.block_dims,
+        "block_solvers": rep.block_solvers,
         "seconds": seconds,
     }
     _write_outputs(

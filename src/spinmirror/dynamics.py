@@ -16,6 +16,7 @@ Curves of fixed propagator entries over a time grid diagonalize once and go
 through sectors.Propagator: one product per curve, not one eigh per point.
 Mirroring reports and spectrum classification share one mirror-parity split
 into P = +1 and P = -1 blocks; a sector that does not commute is one block.
+A report solves a large block by one SVD of its coupling between sublattices.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .lattice import CouplingPattern, SymmetryMap, _as_graph
 from .sectors import (
@@ -36,6 +38,7 @@ from .sectors import (
     _check_block_memory,
     _live_edges,
     _rank_structure,
+    _sublattice,
     _support_structure,
     build_sector_hamiltonian,
     from_sector_state,
@@ -295,25 +298,23 @@ def _parity_split(H: SectorHamiltonian, sym: SymmetryMap):
 
 
 def _parity_blocks(H: SectorHamiltonian, perm_rows, solve):
-    """(solve(H+), solve(H-)) for the P = +1 and P = -1 blocks of H.
+    """(solve(H+, rows+), solve(H-, rows-)) for the P = +1 and P = -1 CSR blocks of H.
 
     P must be an involution that commutes with H exactly. Each pair a < Pa
     gives (|a> +- |Pa>)/sqrt(2) and each fixed point f gives |f> in the +
     block, so H+ = [[H[a,a] + H[a,Pa], sqrt2 H[a,f]], [sqrt2 H[f,a], H[f,f]]]
-    and H- = H[a,a] - H[a,Pa], pairs first in ascending a, then fixed points.
+    and H- = H[a,a] - H[a,Pa]; rows are the pairs' a ascending, then fixed points.
     """
     x = np.arange(H.dim)
     a, f = x[x < perm_rows], x[x == perm_rows]
     s2 = math.sqrt(2.0)
     Ha, Hf = H.mat[a], H.mat[f]
-    # each dense block lives only as long as its own solve call
+    # each dense array a solve forms lives only as long as its own solve call
     _check_block_memory(len(a) + len(f))
-    plus = solve(np.block([
-        [(Ha[:, a] + Ha[:, perm_rows[a]]).toarray(), s2 * Ha[:, f].toarray()],
-        [s2 * Hf[:, a].toarray(), Hf[:, f].toarray()],
-    ]))
+    plus = solve(sp.bmat([[Ha[:, a] + Ha[:, perm_rows[a]], s2 * Ha[:, f]],
+                          [s2 * Hf[:, a], Hf[:, f]]], format="csr"), np.concatenate([a, f]))
     _check_block_memory(len(a))
-    return plus, solve((Ha[:, a] - Ha[:, perm_rows[a]]).toarray())
+    return plus, solve((Ha[:, a] - Ha[:, perm_rows[a]]).tocsr(), a)
 
 
 @dataclass(frozen=True)
@@ -334,15 +335,41 @@ class MirroringReport:
     basis: SectorBasis = field(repr=False)
     backend: str
     block_dims: tuple[int, ...]
+    block_solvers: tuple[str, ...]  # per block: "svd" of its sublattice coupling, or "eigh"
 
 
 _BLOCK_CHUNK = 256  # block columns of U formed per pair of real products
+_GRADED_FLOOR = 48  # graded blocks above this take one SVD, which beats eigh from here up
 
 
-def _block_columns(vecs, cos, sin, cols):
-    """Columns cols of V exp(-iEt) V^T from two real products."""
-    W = vecs[cols].T
-    return vecs @ (cos[:, None] * W) - 1j * (vecs @ (sin[:, None] * W))
+def _eigh_solve(block, t):
+    """columns(cols) of exp(-iBt) for a real symmetric CSR block B, from one eigh."""
+    evals, vecs = np.linalg.eigh(block.toarray())
+    cos, sin = np.cos(evals * t)[:, None], np.sin(evals * t)[:, None]
+    return lambda cols: vecs @ (cos * vecs[cols].T) - 1j * (vecs @ (sin * vecs[cols].T))
+
+
+def _graded_solve(block, side, t):
+    """columns(cols) of exp(-iBt) for a real symmetric CSR block B that only couples
+    side 0 to side 1, from one SVD of that coupling C = U diag(s) W^T: cos(Bt) is
+    1 + U (cos st - 1) U^T and 1 + W (cos st - 1) W^T on the sides, so the kernels
+    keep cos = 1, and sin(Bt) is U sin(st) W^T between them."""
+    even, odd = np.flatnonzero(side == 0), np.flatnonzero(side == 1)
+    U, s, Wt = np.linalg.svd(block[even][:, odd].toarray(), full_matrices=False)
+    factor = np.concatenate([U, Wt.T])  # U and W held once, as views into it
+    U, W = factor[: len(even)], factor[len(even):]
+    row = np.argsort(np.argsort(side, kind="stable"))  # each block row's row of factor
+    cos, sin = (np.cos(s * t) - 1)[:, None], np.sin(s * t)[:, None]
+
+    def columns(cols):  # two real products, one per side
+        G, on_even = factor[row[cols]].T, side[cols] == 0
+        out = np.empty((len(side), len(cols)), np.complex128)
+        out[even] = (U @ (np.where(on_even, cos, sin) * G)) * np.where(on_even, 1, -1j)
+        out[odd] = (W @ (np.where(on_even, sin, cos) * G)) * np.where(on_even, -1j, 1)
+        out[cols, np.arange(len(cols))] += 1.0
+        return out
+
+    return columns
 
 
 def mirroring_report(pattern, k: int, sym: SymmetryMap, t: float) -> MirroringReport:
@@ -358,18 +385,17 @@ def mirroring_report(pattern, k: int, sym: SymmetryMap, t: float) -> MirroringRe
     U[a,a] = U[Pa,Pa] = (U+ + U-)/2 and U[Pa,a] = U[a,Pa] = (U+ - U-)/2;
     U[a,f] = U[Pa,f] = U+[a,f]/sqrt2 and U[f,f'] = U+[f,f']. Otherwise the
     split is taken under the identity ("full-sector"): one + block of fixed
-    points whose targets sit in rows P x. Each block is diagonalized once and
-    U+- are formed a column chunk at a time; no complex n x n U is ever built.
-    A block whose estimated peak memory exceeds what the OS reports as
-    available raises ValueError before it is formed.
+    points whose targets sit in rows P x. Each block is solved once and U+-
+    are formed a column chunk at a time; no complex n x n U is ever built.
+    A hop crosses an edge, so under a 2-colouring of the live edges whose sides
+    (the parity of a state's excitations on colour 1) P keeps, each block is
+    [[0, C], [C^T, 0]]; above _GRADED_FLOOR one SVD of C solves it, its kernel
+    evolving trivially. Otherwise (an odd cycle, a P that flips some state's
+    side, a small block) one eigh does. A block whose estimated peak memory
+    exceeds what the OS reports as available raises ValueError before it is formed.
     """
     if not np.isfinite(t):
         raise ValueError("evolution time must be finite")
-
-    def solve(block):  # (V, cos Et, sin Et) of a block V diag(E) V^T
-        evals, vecs = np.linalg.eigh(block)
-        return vecs, np.cos(evals * t), np.sin(evals * t)
-
     H = build_sector_hamiltonian(pattern, k)
     perm_rows, exact = _parity_split(H, sym)
     x = np.arange(H.dim)
@@ -377,13 +403,23 @@ def mirroring_report(pattern, k: int, sym: SymmetryMap, t: float) -> MirroringRe
     a, f = x[x < split], x[x == split]
     m, q = len(a), len(f)
     s2 = math.sqrt(2.0)
+    sublattice = _sublattice(H.basis.site_count, _live_edges(_as_graph(pattern))[0])
+    side = None if sublattice is None else popcount(H.basis.masks & sublattice) & 1
+    graded = side is not None and np.array_equal(side[split], side)
+    solvers = []
+
+    def solve(block, rows):
+        svd = graded and len(rows) > _GRADED_FLOOR
+        solvers.append("svd" if svd else "eigh")
+        return _graded_solve(block, side[rows], t) if svd else _eigh_solve(block, t)
+
     plus, minus = _parity_blocks(H, split, solve)
     target = np.empty(H.dim, dtype=np.complex128)
     max_off = 0.0
     for start in range(0, m, _BLOCK_CHUNK):
         cols = np.arange(start, min(start + _BLOCK_CHUNK, m))
         diag = np.arange(len(cols))
-        up, um = _block_columns(*plus, cols), _block_columns(*minus, cols)
+        up, um = plus(cols), minus(cols)
         cross = (up[:m] - um) / 2
         target[a[cols]] = target[perm_rows[a[cols]]] = cross[cols, diag]
         cross[cols, diag] = 0.0
@@ -397,7 +433,7 @@ def mirroring_report(pattern, k: int, sym: SymmetryMap, t: float) -> MirroringRe
     for start in range(m, m + q, _BLOCK_CHUNK):
         cols = np.arange(start, min(start + _BLOCK_CHUNK, m + q))
         diag = np.arange(len(cols))
-        up = _block_columns(*plus, cols)
+        up = plus(cols)
         target[f[cols - m]] = up[rows[cols - m], diag]
         up[rows[cols - m], diag] = 0.0
         max_off = max(
@@ -419,6 +455,7 @@ def mirroring_report(pattern, k: int, sym: SymmetryMap, t: float) -> MirroringRe
         basis=H.basis,
         backend="parity-blocks" if exact else "full-sector",
         block_dims=(m + q, m) if exact else (H.dim,),
+        block_solvers=tuple(solvers[: 2 if exact else 1]),
     )
 
 
@@ -491,7 +528,7 @@ def classify_spectrum(
         raise ValueError(f"--degeneracy-tol must be finite and non-negative, got {degeneracy_tol}")
     perm_rows, exact = _parity_split(H, sym)
     if exact:
-        plus, minus = _parity_blocks(H, perm_rows, np.linalg.eigvalsh)
+        plus, minus = _parity_blocks(H, perm_rows, lambda block, _: np.linalg.eigvalsh(block.toarray()))
         merged = np.concatenate([minus, plus])
         order = np.argsort(merged, kind="stable")
         evals, signs = merged[order], np.where(order < len(minus), -1, 1)

@@ -168,6 +168,28 @@ def _live_edges(graph: ExchangeGraph) -> tuple[tuple[tuple[int, int], ...], np.n
     return tuple((a, b) for a, b, _ in live), np.array([w for *_, w in live], dtype=float)
 
 
+def _sublattice(site_count: int, endpoints) -> int | None:
+    """The mask of one side of a 2-colouring of the live edges, None on an odd
+    cycle; the lowest site of each connected piece is on the other side."""
+    neighbours = [[] for _ in range(site_count)]
+    for a, b in endpoints:
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    colour = [-1] * site_count
+    for root in range(site_count):
+        todo = [root] if colour[root] < 0 else []
+        colour[root] = max(colour[root], 0)
+        while todo:
+            p = todo.pop()
+            for q in neighbours[p]:
+                if colour[q] == colour[p]:
+                    return None
+                if colour[q] < 0:
+                    colour[q] = 1 - colour[p]
+                    todo.append(q)
+    return sum(1 << p for p in range(site_count) if colour[p] == 1)
+
+
 def _readonly(*arrays):
     for a in arrays:
         a.setflags(write=False)

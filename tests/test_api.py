@@ -22,7 +22,7 @@ PUBLIC_PARAMETERS = {
     "ExchangeGraph": ("site_count", "edges"),
     "Geometry": ("kind", "rows", "cols"),
     "MirroringReport": ("k", "t", "sym_name", "min_modulus", "max_offtarget", "moduli",
-                        "phases", "basis", "backend", "block_dims"),
+                        "phases", "basis", "backend", "block_dims", "block_solvers"),
     "Objective": ("kind", "mirror", "k", "state"),
     "OptimizationRun": ("geometry", "constraint_group", "method", "seed", "max_iters",
                         "initial_pattern", "best_pattern", "best_time", "best_value",

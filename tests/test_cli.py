@@ -156,6 +156,17 @@ def test_mirror_sidecar_names_the_backend(tmp_path):
     assert meta["backend"] == "full-sector" and meta["block_dims"] == [36]
 
 
+@pytest.mark.parametrize("n, k, solvers", [("3", "2", ["eigh", "eigh"]), ("4", "3", ["svd", "svd"])])
+def test_mirror_sidecar_names_the_block_solvers(tmp_path, n, k, solvers):
+    # the 3x3 blocks sit below the size floor; the 4x4 k=3 blocks of 280 are
+    # solved through the sublattice grading
+    prefix = tmp_path / "solvers"
+    assert run("mirror", "--pattern", "christandl-product", "--n", n, "--k", k,
+               "--out", str(prefix)) == 0
+    meta = json.loads((tmp_path / "solvers.meta.json").read_text())
+    assert meta["block_solvers"] == solvers and len(meta["block_dims"]) == 2
+
+
 def asymmetric_3x3_file(tmp_path):
     pattern = tmp_path / "asym.json"
     pattern.write_text(json.dumps({"schema_version": "1", "kind": "square", "n": 3,

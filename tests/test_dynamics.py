@@ -720,9 +720,11 @@ ROT_3X3 = random_symmetric_pattern(
 
 
 def pauli_mirror_entries(pattern, k, sym, t):
-    """U[perm(x), x] and the largest other |U| entry, from expm of the Pauli H."""
-    n = pattern.geometry.site_count
-    H = restrict_to_sector(pauli_hamiltonian(n, pattern.to_graph().edges), n, k).toarray()
+    """U[perm(x), x] and the largest other |U| entry, from expm of the Pauli H
+    of a pattern or a graph."""
+    graph = pattern.to_graph() if isinstance(pattern, CouplingPattern) else pattern
+    n = graph.site_count
+    H = restrict_to_sector(pauli_hamiltonian(n, graph.edges), n, k).toarray()
     U = scipy.linalg.expm(-1j * t * H)
     masks = sector_masks(n, k)
     mirrored = [sum(1 << sym.perm[p] for p in range(n) if m >> p & 1) for m in masks]
@@ -804,21 +806,82 @@ def test_report_without_exact_symmetry_takes_dense_path(make, k):
 
 
 def test_parity_blocks_diagonalize_each_block_once(monkeypatch):
-    shapes = []
-    eigh = np.linalg.eigh
+    # a block whose sides the mirror keeps takes one SVD of its coupling between
+    # the sublattices; one whose sides it flips takes one eigh; no solve is of
+    # the whole sector
+    calls = []
 
-    def counted(a, *args, **kwargs):
-        shapes.append(a.shape)
-        return eigh(a, *args, **kwargs)
+    def counted(name, solve):
+        def run(a, *args, **kwargs):
+            calls.append((name, a.shape))
+            return solve(a, *args, **kwargs)
+        return run
 
     def no_full_eig(self):
         raise AssertionError("full-sector eigendecomposition on the parity-block path")
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
     monkeypatch.setattr(SectorHamiltonian, "eig", no_full_eig)
     rep = mirroring_report(ROT_3X3, 4, symmetry_map(ROT_3X3.geometry, "rotation_pi"), 1.3)
-    assert rep.block_dims == (66, 60)
-    assert shapes == [(66, 66), (60, 60)]
+    assert rep.block_dims == (66, 60) and rep.block_solvers == ("svd", "svd")
+    assert calls == [("svd", (36, 30)), ("svd", (30, 30))]
+    calls.clear()
+    pattern, sym = chain_10()
+    rep = mirroring_report(pattern, 5, sym, 0.9)
+    assert rep.block_dims == (126, 126) and rep.block_solvers == ("eigh", "eigh")
+    assert calls == [("eigh", (126, 126)), ("eigh", (126, 126))]
+
+
+def chain_10():
+    chain = build_chain(10)
+    sym = symmetry_map(chain, "vertical_axis")
+    return random_symmetric_pattern(chain, (sym,), seed=3), sym
+
+
+@pytest.mark.parametrize("k, solvers", [(4, ("svd", "svd")), (5, ("eigh", "eigh"))])
+def test_a_mirror_that_flips_the_sides_takes_eigh(k, solvers):
+    # the reversal of an even chain moves each excitation to the other
+    # sublattice: at odd k every state changes side, at even k none does
+    pattern, sym = chain_10()
+    rep = mirroring_report(pattern, k, sym, 0.9)
+    assert min(rep.block_dims) > dynamics._GRADED_FLOOR and rep.block_solvers == solvers
+    assert_report_matches_pauli(rep, pattern, sym, 1e-12)
+
+
+def test_an_odd_cycle_takes_eigh():
+    # two diagonal edges into the centre, swapped by the rotation, close triangles
+    sym = symmetry_map(ROT_3X3.geometry, "rotation_pi")
+    graph = ExchangeGraph(9, ROT_3X3.to_graph().edges + ((0, 4, 0.7), (4, 8, 0.7)))
+    assert check_symmetry(graph, sym, tol=0.0)
+    rep = mirroring_report(graph, 4, sym, 1.3)
+    assert rep.backend == "parity-blocks" and rep.block_dims == (66, 60)
+    assert rep.block_solvers == ("eigh", "eigh")
+    assert_report_matches_pauli(rep, graph, sym, 1e-12)
+
+
+def test_zero_couplings_leave_one_side_empty():
+    # with no live edge every state sits on side 0: the coupling has no
+    # columns, every direction is kernel, and U = 1
+    pattern = CouplingPattern(ROT_3X3.geometry, np.zeros_like(ROT_3X3.J), np.zeros_like(ROT_3X3.K))
+    sym = symmetry_map(pattern.geometry, "rotation_pi")
+    rep = mirroring_report(pattern, 4, sym, 1.3)
+    assert rep.block_dims == (66, 60) and rep.block_solvers == ("svd", "svd")
+    assert_report_matches_pauli(rep, pattern, sym, 1e-12)
+    fixed = permuted_ranks(rep.basis, sym) == np.arange(rep.basis.dim)
+    assert np.array_equal(rep.moduli, fixed.astype(float)) and rep.max_offtarget == 1.0
+
+
+def test_pieces_cut_apart_by_zero_couplings_are_coloured_one_by_one():
+    # a zero middle bond cuts the chain in two; each half is coloured from its
+    # lowest site, which the reversal keeps, so odd k is graded as well
+    pattern, sym = chain_10()
+    K = pattern.K.copy()
+    K[0, 4] = 0.0
+    cut = CouplingPattern(pattern.geometry, pattern.J, K)
+    rep = mirroring_report(cut, 5, sym, 0.9)
+    assert rep.block_dims == (126, 126) and rep.block_solvers == ("svd", "svd")
+    assert_report_matches_pauli(rep, cut, sym, 1e-12)
 
 
 def test_product_lattice_k5_report_in_parity_blocks(monkeypatch):
