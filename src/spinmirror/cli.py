@@ -30,6 +30,7 @@ from .chains import (
     uniform_chain,
 )
 from .dynamics import (
+    _irrep_split,
     classify_spectrum,
     has_degenerate_mixed_group,
     mirror_propagator,
@@ -223,6 +224,7 @@ def cmd_mirror(args):
         "dim": rep.basis.dim,
         "block_dims": rep.block_dims,
         "block_solvers": rep.block_solvers,
+        "group": rep.group,
         "seconds": seconds,
     }
     _write_outputs(
@@ -302,7 +304,7 @@ def cmd_classify(args):
     else:
         raise ValueError("need --parallel-chains N or --pattern-file")
     sym = symmetry_map(pat.geometry, args.sym)
-    H = build_sector_hamiltonian(pat.to_graph(), args.k)
+    H = build_sector_hamiltonian(pat, args.k)
     start = time.perf_counter()
     groups = classify_spectrum(H, sym, degeneracy_tol=args.degeneracy_tol)
     seconds = time.perf_counter() - start
@@ -330,7 +332,8 @@ def cmd_classify(args):
         args,
         obj,
         csv=(["eigenvalue", "multiplicity", "label", "max_symmetry_defect"], rows),
-        meta={"dim": H.dim, "block_dims": block_dims, "seconds": seconds},
+        meta={"dim": H.dim, "block_dims": block_dims, "seconds": seconds,
+              "group": _irrep_split(pat, args.k, sym).group},
     )
 
 

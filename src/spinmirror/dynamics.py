@@ -14,20 +14,22 @@ apply_hamiltonian and the operator share _Hops.apply: H x as one CSR product
 over the hops in hop order by target. Every cached structure is in sectors.
 Curves of fixed propagator entries over a time grid diagonalize once and go
 through sectors.Propagator: one product per curve, not one eigh per point.
-Mirroring reports and spectrum classification share one mirror-parity split
-into P = +1 and P = -1 blocks; a sector that does not commute is one block.
-A report solves a large block by one SVD of its coupling between sublattices.
+Mirroring reports and spectrum classification share one split of a sector over
+the irreps of G, the reflections that commute with H and hold the mirror, each
+block scattered from the cached hops; a report solves a large block by one SVD
+of its coupling between sublattices and forms only G's representatives' columns.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
-from .lattice import CouplingPattern, SymmetryMap, _as_graph
+from .lattice import (SYMMETRY_NAMES, CouplingPattern, SymmetryMap, _as_graph, check_symmetry,
+                      symmetry_map)
 from .sectors import (
     Propagator,
     SectorBasis,
@@ -37,6 +39,7 @@ from .sectors import (
     _HopOperator,
     _check_block_memory,
     _live_edges,
+    _orbit_map,
     _rank_structure,
     _sublattice,
     _support_structure,
@@ -166,8 +169,12 @@ def evolve(H: SectorHamiltonian, psi: SectorState, t: float) -> SectorState:
         raise ValueError("evolution time must be finite")
     if (H.dim, H.basis.site_count, H.basis.k) != (psi.basis.dim, psi.basis.site_count, psi.basis.k):
         raise ValueError("Hamiltonian and state live on different bases")
-    amps = _krylov_expm(lambda x: H.mat @ x, psi.amplitudes, t, _breakdown(H.mat.data / 2))
-    return SectorState(psi.basis, amps)
+    return _evolve(H, psi, t, _breakdown(H.mat.data / 2))
+
+
+def _evolve(H: SectorHamiltonian, psi: SectorState, t: float, breakdown: float) -> SectorState:
+    """evolve past its checks, under a breakdown the caller may hold already."""
+    return SectorState(psi.basis, _krylov_expm(lambda x: H.mat @ x, psi.amplitudes, t, breakdown))
 
 
 def evolve_sparse(graph, psi: SparseState, t: float) -> SparseState:
@@ -209,7 +216,7 @@ def _evolve_sparse(graph, psi: SparseState, t: float) -> SparseState:
     ks = popcount(psi.masks)  # psi is not stationary, so some edge is live
     if ks.min() == ks.max() and _sector_radius(endpoints, psi) <= KRYLOV_DIM:
         H = build_sector_hamiltonian(graph, int(ks[0]))
-        return from_sector_state(evolve(H, psi.to_sector_state(H.basis), t))
+        return from_sector_state(_evolve(H, psi.to_sector_state(H.basis), t, breakdown))
     op = _HopOperator(graph, psi.masks)
     amps = _krylov_expm(op.matvec, psi.amps, t, breakdown, op.lift)
     return SparseState(psi.site_count, op.masks, amps)
@@ -287,42 +294,75 @@ def mirror_propagator(pattern, k: int, sym: SymmetryMap) -> Propagator:
     return _mirror_spectrum(hops, weights, ranks)
 
 
-# -- the mirror-parity split ---------------------------------------------------
+# -- the irrep split ------------------------------------------------------------
 
-def _parity_split(H: SectorHamiltonian, sym: SymmetryMap):
-    """(perm_rows, exact): the mirror P on H's basis; exact if P^2 = 1 and P H P = H to the bit."""
-    perm_rows = permuted_ranks(H.basis, sym)
-    exact = (np.array_equal(perm_rows[perm_rows], np.arange(H.dim))
-             and (H.mat[perm_rows][:, perm_rows] != H.mat).nnz == 0)
-    return perm_rows, exact
+_Split = namedtuple("_Split", "hops weights orbits side group")
 
 
-def _parity_blocks(H: SectorHamiltonian, perm_rows, solve):
-    """(solve(H+, rows+), solve(H-, rows-)) for the P = +1 and P = -1 CSR blocks of H.
+def _irrep_split(pattern, k: int, sym: SymmetryMap) -> _Split:
+    """The split that mirroring_report describes: the cached sector hops, the live
+    weights, the _orbit_map of G, each state's side if every block is graded
+    (else None) and the names of the reflections that generate G."""
+    graph = _as_graph(pattern)
+    site_count, P = graph.site_count, tuple(sym.perm)
+    endpoints, weights = _live_edges(graph)
+    hops = _support_structure(endpoints, (site_count, k))
+    colour = _sublattice(site_count, endpoints)
+    side = None if colour is None else popcount(hops.grown & colour) & 1
+    exact = check_symmetry(graph, sym, tol=0.0) and all(P[p] == x for x, p in enumerate(P))
+    orbits, group = _orbit_map(site_count, k, [P] if exact else []), (sym.name,) * exact
+    geometry = getattr(pattern, "geometry", None)
+    for name in reversed(SYMMETRY_NAMES) if exact and geometry is not None else ():
+        if name.endswith("diagonal") and geometry.rows != geometry.cols:
+            continue
+        g = symmetry_map(geometry, name).perm
+        if (g in (P, tuple(range(site_count))) or any(g[p] != P[q] for p, q in zip(P, g))
+                or not check_symmetry(graph, SymmetryMap(name, g), tol=0.0)):
+            continue
+        four = _orbit_map(site_count, k, [P, g])
+        if ((side is None or np.array_equal(side[four.ranks[2]], side))
+                and four.kept.sum(axis=1).min() > _GRADED_FLOOR):
+            orbits, group = four, (sym.name, name)
+        break
+    graded = side is not None and all(np.array_equal(side[r], side) for r in orbits.ranks)
+    return _Split(hops, weights, orbits, side if graded else None, group)
 
-    P must be an involution that commutes with H exactly. Each pair a < Pa
-    gives (|a> +- |Pa>)/sqrt(2) and each fixed point f gives |f> in the +
-    block, so H+ = [[H[a,a] + H[a,Pa], sqrt2 H[a,f]], [sqrt2 H[f,a], H[f,f]]]
-    and H- = H[a,a] - H[a,Pa]; rows are the pairs' a ascending, then fixed points.
-    """
-    x = np.arange(H.dim)
-    a, f = x[x < perm_rows], x[x == perm_rows]
-    s2 = math.sqrt(2.0)
-    Ha, Hf = H.mat[a], H.mat[f]
-    # each dense array a solve forms lives only as long as its own solve call
-    _check_block_memory(len(a) + len(f))
-    plus = solve(sp.bmat([[Ha[:, a] + Ha[:, perm_rows[a]], s2 * Ha[:, f]],
-                          [s2 * Hf[:, a], Hf[:, f]]], format="csr"), np.concatenate([a, f]))
-    _check_block_memory(len(a))
-    return plus, solve((Ha[:, a] - Ha[:, perm_rows[a]]).tocsr(), a)
+
+def _blocks(split: _Split, graded: bool):
+    """(block, side) of each irrep in character order, scattered from the hops: a
+    graded block above _GRADED_FLOOR as its coupling from even to odd rows, with
+    the side of each row, and any other dense, with side None. Each entry comes
+    from the representative row of the larger orbit (the lower rank if of one
+    size): B[r, s] = sqrt(|O_r| / |O_s|) sum over z in O_s of chi(h_z) H[r, z]."""
+    o, t, c = split.orbits, split.hops.targets, split.hops.cols
+    keep = (o.rep[t] == t) & ((o.size[t] > o.size[c]) | (o.size[t] == o.size[c]) & (t <= o.rep[c]))
+    t, c = t[keep], c[keep]
+    fill = np.take(2.0 * split.weights, split.hops.edges[keep]) * np.sqrt(o.size[t] / o.size[c])
+    for chars, kept in zip(o.chars, o.kept):
+        pos, inside, d = np.cumsum(kept) - 1, kept[o.row[t]] & kept[o.row[c]], int(kept.sum())
+        a, b = pos[o.row[t[inside]]], pos[o.row[c[inside]]]
+        vals = chars[o.elem[c[inside]]] * fill[inside]
+        if graded and split.side is not None and d > _GRADED_FLOOR:
+            side = split.side[o.order[kept]]
+            e = d - int(side.sum())
+            _check_block_memory(d, e)
+            at = np.where(side == 0, np.cumsum(side == 0), np.cumsum(side == 1)) - 1
+            a, b = np.where(side[a] == 0, a, b), np.where(side[a] == 0, b, a)  # even row, odd row
+            yield np.bincount(at[a] * (d - e) + at[b], vals, e * (d - e)).reshape(e, -1), side
+        else:
+            _check_block_memory(d)
+            off = a != b  # mirrored below the diagonal: the same terms in the same order
+            key = np.concatenate([a * d + b, (b * d + a)[off]])
+            yield np.bincount(key, np.concatenate([vals, vals[off]]), d * d).reshape(d, d), None
 
 
 @dataclass(frozen=True)
 class MirroringReport:
     """Per-basis-state diagnostics of U = exp(-iH_k t) against a permutation.
 
-    backend is "parity-blocks", with block_dims the (P = +1, P = -1) block
-    dimensions, or "full-sector", with block_dims (dim,).
+    backend is "parity-blocks", with block_dims the irrep blocks of G in character
+    order ((P = +1, P = -1) for G = {1, P}), or "full-sector", with block_dims
+    (dim,); group names the reflections that generate G: (P, g), (P,), or ().
     """
 
     k: int
@@ -336,6 +376,7 @@ class MirroringReport:
     backend: str
     block_dims: tuple[int, ...]
     block_solvers: tuple[str, ...]  # per block: "svd" of its sublattice coupling, or "eigh"
+    group: tuple[str, ...]
 
 
 _BLOCK_CHUNK = 256  # block columns of U formed per pair of real products
@@ -343,19 +384,19 @@ _GRADED_FLOOR = 48  # graded blocks above this take one SVD, which beats eigh fr
 
 
 def _eigh_solve(block, t):
-    """columns(cols) of exp(-iBt) for a real symmetric CSR block B, from one eigh."""
-    evals, vecs = np.linalg.eigh(block.toarray())
+    """columns(cols) of exp(-iBt) for a dense real symmetric block B, from one eigh."""
+    evals, vecs = np.linalg.eigh(block)
     cos, sin = np.cos(evals * t)[:, None], np.sin(evals * t)[:, None]
     return lambda cols: vecs @ (cos * vecs[cols].T) - 1j * (vecs @ (sin * vecs[cols].T))
 
 
-def _graded_solve(block, side, t):
-    """columns(cols) of exp(-iBt) for a real symmetric CSR block B that only couples
+def _graded_solve(coupling, side, t):
+    """columns(cols) of exp(-iBt) for a real symmetric block B that only couples
     side 0 to side 1, from one SVD of that coupling C = U diag(s) W^T: cos(Bt) is
     1 + U (cos st - 1) U^T and 1 + W (cos st - 1) W^T on the sides, so the kernels
     keep cos = 1, and sin(Bt) is U sin(st) W^T between them."""
     even, odd = np.flatnonzero(side == 0), np.flatnonzero(side == 1)
-    U, s, Wt = np.linalg.svd(block[even][:, odd].toarray(), full_matrices=False)
+    U, s, Wt = np.linalg.svd(coupling, full_matrices=False)
     factor = np.concatenate([U, Wt.T])  # U and W held once, as views into it
     U, W = factor[: len(even)], factor[len(even):]
     row = np.argsort(np.argsort(side, kind="stable"))  # each block row's row of factor
@@ -380,82 +421,61 @@ def mirroring_report(pattern, k: int, sym: SymmetryMap, t: float) -> MirroringRe
     gauged relative to the vacuum. Perfect mirroring up to phases means
     min_modulus approaches 1.
 
-    When sym is an involution with P H_k P = H_k exactly, the sector splits
-    into its P = +1 and P = -1 blocks ("parity-blocks"). Over the pairs,
-    U[a,a] = U[Pa,Pa] = (U+ + U-)/2 and U[Pa,a] = U[a,Pa] = (U+ - U-)/2;
-    U[a,f] = U[Pa,f] = U+[a,f]/sqrt2 and U[f,f'] = U+[f,f']. Otherwise the
-    split is taken under the identity ("full-sector"): one + block of fixed
-    points whose targets sit in rows P x. Each block is solved once and U+-
-    are formed a column chunk at a time; no complex n x n U is ever built.
+    The sector splits over the irreps chi of G, the largest group of reflections
+    that contains the mirror P and commutes with H to the bit. P commutes when
+    it is an involution that maps every live edge onto one of equal strength:
+    G = {1, P} ("parity-blocks"), else G = {1} ("full-sector"). G also takes g
+    and gP, g the first reflection of a pattern's geometry (axis ones first)
+    that commutes with P and H, when g keeps every state's side (below) and its
+    four blocks are above _GRADED_FLOOR. An orbit O_r under G (r its least
+    rank) spans sum over z in O_r of chi(h_z)|z>/sqrt|O_r| (h_z maps r to z)
+    in each irrep trivial on its stabilizer. As U[hy, hx] = U[y, x] for h in G,
+    only the representatives' columns of the blocks are formed, a chunk at a
+    time: U[hs, r] = sum over chi of chi(h) U_chi[s, r] / sqrt(|O_s| |O_r|)
+    gives every target and off-target entry; no complex n x n U is built.
     A hop crosses an edge, so under a 2-colouring of the live edges whose sides
-    (the parity of a state's excitations on colour 1) P keeps, each block is
-    [[0, C], [C^T, 0]]; above _GRADED_FLOOR one SVD of C solves it, its kernel
-    evolving trivially. Otherwise (an odd cycle, a P that flips some state's
-    side, a small block) one eigh does. A block whose estimated peak memory
-    exceeds what the OS reports as available raises ValueError before it is formed.
+    (the parity of a state's excitations on colour 1) all of G keeps, each
+    block is [[0, C], [C^T, 0]]; above _GRADED_FLOOR one SVD of C solves it,
+    its kernel evolving trivially. Otherwise (an odd cycle, a P that flips some
+    state's side, a small block) one eigh does. A block whose estimated peak
+    memory exceeds what the OS reports as available raises ValueError first.
     """
     if not np.isfinite(t):
         raise ValueError("evolution time must be finite")
-    H = build_sector_hamiltonian(pattern, k)
-    perm_rows, exact = _parity_split(H, sym)
-    x = np.arange(H.dim)
-    split = perm_rows if exact else x
-    a, f = x[x < split], x[x == split]
-    m, q = len(a), len(f)
-    s2 = math.sqrt(2.0)
-    sublattice = _sublattice(H.basis.site_count, _live_edges(_as_graph(pattern))[0])
-    side = None if sublattice is None else popcount(H.basis.masks & sublattice) & 1
-    graded = side is not None and np.array_equal(side[split], side)
-    solvers = []
-
-    def solve(block, rows):
-        svd = graded and len(rows) > _GRADED_FLOOR
-        solvers.append("svd" if svd else "eigh")
-        return _graded_solve(block, side[rows], t) if svd else _eigh_solve(block, t)
-
-    plus, minus = _parity_blocks(H, split, solve)
-    target = np.empty(H.dim, dtype=np.complex128)
-    max_off = 0.0
-    for start in range(0, m, _BLOCK_CHUNK):
-        cols = np.arange(start, min(start + _BLOCK_CHUNK, m))
-        diag = np.arange(len(cols))
-        up, um = plus(cols), minus(cols)
-        cross = (up[:m] - um) / 2
-        target[a[cols]] = target[perm_rows[a[cols]]] = cross[cols, diag]
-        cross[cols, diag] = 0.0
-        max_off = max(
-            max_off,
-            float(np.abs(up[:m] + um).max()) / 2,
-            float(np.abs(cross).max()),
-            float(np.abs(up[m:]).max(initial=0.0)) / s2,
-        )
-    rows = m + np.searchsorted(f, perm_rows[f])  # + block row of each fixed point's mirror
-    for start in range(m, m + q, _BLOCK_CHUNK):
-        cols = np.arange(start, min(start + _BLOCK_CHUNK, m + q))
-        diag = np.arange(len(cols))
-        up = plus(cols)
-        target[f[cols - m]] = up[rows[cols - m], diag]
-        up[rows[cols - m], diag] = 0.0
-        max_off = max(
-            max_off,
-            float(np.abs(up[:m]).max(initial=0.0)) / s2,
-            float(np.abs(up[m:]).max()),
-        )
-    moduli = np.abs(target)
-    safe = np.where(moduli > 0, moduli, 1.0)
-    phases = target / safe
+    split = _irrep_split(pattern, k, sym)
+    o, basis = split.orbits, SectorBasis(sym.site_count, k, split.hops.grown)
+    solves, solvers = zip(*[(_eigh_solve(block, t), "eigh") if side is None else
+                            (_graded_solve(block, side, t), "svd")
+                            for block, side in _blocks(split, True)])
+    pos, rows = np.cumsum(o.kept, axis=1) - 1, [np.flatnonzero(kept) for kept in o.kept]
+    rows = [slice(len(r)) if len(r) and r[-1] == len(r) - 1 else r for r in rows]  # leading rows
+    image = permuted_ranks(basis, sym)[o.order]  # P r for each representative r
+    mrow, melem = o.row[image], o.elem[image]  # its orbit's row; the element onto it
+    hit = o.ranks[:, o.order[mrow]] == image  # the elements that map that row onto P r
+    sizes, target, max_off = o.size[o.order].astype(float), np.empty(len(image), complex), 0.0
+    # one stabilizer per range, so the same blocks keep every column of a chunk
+    bounds = [0, *(np.flatnonzero(np.diff(o.kept, axis=1).any(axis=0)) + 1), len(o.order)]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        keep, norm = np.flatnonzero(o.kept[:, lo]), np.sqrt(sizes * sizes[lo])[:, None]
+        for start in range(lo, hi, _BLOCK_CHUNK):
+            cols = np.arange(start, min(start + _BLOCK_CHUNK, hi))
+            j, us = np.arange(len(cols)), [solves[c](pos[c][cols]) for c in keep]
+            for h in range(len(o.ranks)):  # amp[s, j] = sum of chi(h) U_chi[s, r_j]
+                amp = us[0] if h == len(o.ranks) - 1 else us[0].copy()  # = U[hs, r_j] norm[s]
+                for c, u in zip(keep[1:], us[1:]):  # a + (-u) is a - u to the bit
+                    amp[rows[c]] += u if o.chars[c, h] > 0 else -u
+                own = melem[cols] == h
+                target[cols[own]] = amp[mrow[cols[own]], j[own]] / norm[mrow[cols[own]], 0]
+                mag = np.abs(amp) / norm
+                mag[mrow[cols[hit[h, cols]]], j[hit[h, cols]]] = 0.0
+                max_off = max(max_off, float(mag.max()))
+    moduli = np.abs(target[o.row])
     return MirroringReport(
-        k=k,
-        t=t,
-        sym_name=sym.name,
-        min_modulus=float(moduli.min()),
-        max_offtarget=max_off,
-        moduli=moduli,
-        phases=phases,
-        basis=H.basis,
-        backend="parity-blocks" if exact else "full-sector",
-        block_dims=(m + q, m) if exact else (H.dim,),
-        block_solvers=tuple(solvers[: 2 if exact else 1]),
+        k=k, t=t, sym_name=sym.name, min_modulus=float(moduli.min()), max_offtarget=max_off,
+        moduli=moduli, phases=target[o.row] / np.where(moduli > 0, moduli, 1.0), basis=basis,
+        backend="parity-blocks" if split.group else "full-sector",
+        block_dims=tuple(int(d) for d in o.kept.sum(axis=1)), block_solvers=solvers,
+        group=split.group,
     )
 
 
@@ -519,20 +539,24 @@ def classify_spectrum(
     are grouped within degeneracy_tol, default 1e-8 times the spectral range
     (0 means 1e-12). A group is "mixed" when it contains both +1 and -1
     eigenvectors of the permutation; degenerate mixed groups are the mirroring
-    obstructions. When P H P = H exactly, the merged spectra of the parity
-    blocks H+ (+1) and H- (-1) give the labels, with defect 0.0; a permutation
-    that commutes only within 1e-12 is diagonalized within each group of H,
-    with the measured defect. vector_symmetries lists -1 first.
+    obstructions. When P H P = H exactly (H built from its couplings), the
+    merged spectra of the irrep blocks of mirroring_report, each labelled
+    chi(P), give the labels, with defect 0.0; a permutation that commutes only
+    within 1e-12 is diagonalized within each group of H, with the measured
+    defect. vector_symmetries lists -1 first.
     """
     if degeneracy_tol is not None and not (math.isfinite(degeneracy_tol) and degeneracy_tol >= 0):
         raise ValueError(f"--degeneracy-tol must be finite and non-negative, got {degeneracy_tol}")
-    perm_rows, exact = _parity_split(H, sym)
-    if exact:
-        plus, minus = _parity_blocks(H, perm_rows, lambda block, _: np.linalg.eigvalsh(block.toarray()))
-        merged = np.concatenate([minus, plus])
+    split = H.couplings is not None and _irrep_split(H.couplings, H.basis.k, sym)
+    if exact := bool(split and split.group):  # the block spectra labelled chi(P), -1 first
+        spectra = sorted(zip(split.orbits.chars[:, 1], (np.linalg.eigvalsh(block)
+                                                        for block, _ in _blocks(split, False))),
+                         key=lambda s: s[0])
+        merged = np.concatenate([e for _, e in spectra])
         order = np.argsort(merged, kind="stable")
-        evals, signs = merged[order], np.where(order < len(minus), -1, 1)
+        evals, signs = merged[order], np.concatenate([np.full(len(e), x) for x, e in spectra])[order]
     else:
+        perm_rows = permuted_ranks(H.basis, sym)
         hscale = max(1.0, float(np.abs(H.mat.data).max()) if H.mat.nnz else 0.0)
         if abs(H.mat[perm_rows][:, perm_rows] - H.mat).max() > 1e-12 * hscale:
             raise ValueError("symmetry does not commute with the Hamiltonian")

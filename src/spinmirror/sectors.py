@@ -21,6 +21,7 @@ import contextlib
 import functools
 import math
 import resource
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -118,6 +119,7 @@ class SectorHamiltonian:
     basis: SectorBasis
     mat: sp.csr_matrix
     _eig: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+    couplings: object = field(default=None, repr=False)  # the pattern or graph H was built from
 
     @property
     def dim(self) -> int:
@@ -301,6 +303,9 @@ def _available_bytes() -> int | None:
 # Peak bytes of a dense d x d block over what was held before it, per 8 d^2: the
 # block, eigh's copy, workspace and output, and the column chunks. Single-block
 # reports measured 5.23 at d = 1820 and 5.08 at d = 4368 (OpenBLAS, one thread).
+# A graded block, charged 9.2 x 8 e o, holds its e x o coupling, the SVD's copy,
+# workspace (about 4 min(e, o)^2) and factors, their stacked copy and the column
+# chunks: single-block reports measured 9.13 at d = 1820 and 8.82 at d = 4368.
 _BLOCK_PEAK_FACTOR = 5.3
 # Estimates up to this many bytes skip the memory probe, which costs about as much
 # as the eigh of a dim-4 block; 64 KiB covers dense blocks up to dimension 39.
@@ -315,9 +320,11 @@ def _check_memory(need: int, what: str) -> None:
                          f"{available} bytes of memory are available")
 
 
-def _check_block_memory(d: int) -> None:
-    """Raise before forming a dense d x d block whose estimated peak does not fit."""
-    _check_memory(int(_BLOCK_PEAK_FACTOR * 8 * d * d), f"a dense block of dimension {d} needs")
+def _check_block_memory(d: int, even: int | None = None) -> None:
+    """Raise before forming a dense d x d block, or the even x (d - even) coupling
+    of a graded one, whose estimated peak does not fit."""
+    need = _BLOCK_PEAK_FACTOR * 8 * d * d if even is None else 9.2 * 8 * even * (d - even)
+    _check_memory(int(need), f"a {'dense' if even is None else 'graded'} block of dimension {d} needs")
 
 
 def _check_hop_memory(size: int, edges: int) -> None:
@@ -364,12 +371,14 @@ def build_sector_hamiltonian(graph, k: int) -> SectorHamiltonian:
     XX+YY has no diagonal part in the occupation basis, so the diagonal is 0.
     Zero-strength edges store nothing. A sector is a support no hop leaves:
     its hops come from the support cache under the key (site count, k), and
-    _Hops.matrix fills in fresh data on every call.
+    _Hops.matrix fills in fresh data on every call. H keeps the pattern or
+    graph it came from, whose symmetries split it in classify_spectrum.
     """
-    graph = _as_graph(graph)
+    couplings, graph = graph, _as_graph(graph)
     endpoints, weights = _live_edges(graph)
     hops = _support_structure(endpoints, (graph.site_count, k))
-    return SectorHamiltonian(SectorBasis(graph.site_count, k, hops.grown), hops.matrix(weights))
+    return SectorHamiltonian(SectorBasis(graph.site_count, k, hops.grown), hops.matrix(weights),
+                             couplings=couplings)
 
 
 @functools.lru_cache(maxsize=HOP_CACHE_SIZE)
@@ -381,6 +390,30 @@ def _rank_structure(site_count: int, k: int, perm: tuple[int, ...]) -> np.ndarra
     if np.any(rows >= len(masks)) or np.any(masks[rows] != new):
         raise ValueError("permutation does not preserve the sector")
     return _readonly(rows)[0]
+
+
+_Orbits = namedtuple("_Orbits", "ranks rep elem size order row chars kept")
+
+
+def _orbit_map(site_count: int, k: int, generators) -> _Orbits:
+    """The weight-k sector under the group that commuting involutions generate, its
+    elements e, p, q, qp, ...: ranks[h, x] = rank(h(x)); the least rank rep[x] of
+    x's orbit, elem[x] = h with h(x) = rep[x] (and h(rep[x]) = x), the orbit's size;
+    order, the representatives by stabilizer (free first), then rank, and row[x],
+    x's orbit's place in it; chars[c, h] = +-1, powers of [[1, 1], [1, -1]]; and
+    kept[c, i], irrep c maps order[i]'s stabilizer to 1, so it keeps that orbit."""
+    ranks, chars = np.arange(math.comb(site_count, k))[None], np.ones((1, 1), np.int64)
+    for perm in generators:
+        ranks = np.concatenate([ranks, _rank_structure(site_count, k, tuple(perm))[ranks]])
+        chars = np.kron([[1, 1], [1, -1]], chars)
+    fixed = ranks == ranks[0]
+    rep, size = ranks.min(axis=0), len(ranks) // fixed.sum(axis=0)
+    reps = np.flatnonzero(rep == ranks[0])
+    stabilizer = (1 << np.arange(len(ranks))) @ fixed[:, reps]  # the identity's bit alone: free
+    by = np.argsort(stabilizer, kind="stable")
+    order, row = reps[by], np.argsort(by)[np.searchsorted(reps, rep)]
+    kept = ((chars[:, :, None] == 1) | ~fixed[None, :, order]).all(axis=1)
+    return _Orbits(ranks, rep, ranks.argmin(axis=0), size, order, row, chars, kept)
 
 
 class _HopOperator:

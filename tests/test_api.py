@@ -22,7 +22,7 @@ PUBLIC_PARAMETERS = {
     "ExchangeGraph": ("site_count", "edges"),
     "Geometry": ("kind", "rows", "cols"),
     "MirroringReport": ("k", "t", "sym_name", "min_modulus", "max_offtarget", "moduli",
-                        "phases", "basis", "backend", "block_dims", "block_solvers"),
+                        "phases", "basis", "backend", "block_dims", "block_solvers", "group"),
     "Objective": ("kind", "mirror", "k", "state"),
     "OptimizationRun": ("geometry", "constraint_group", "method", "seed", "max_iters",
                         "initial_pattern", "best_pattern", "best_time", "best_value",
@@ -32,7 +32,7 @@ PUBLIC_PARAMETERS = {
     "Probe2x2Result": ("supremum", "best_ratio", "best_time", "n_ratios", "n_times",
                        "ratio_range", "rows"),
     "SectorBasis": ("site_count", "k", "masks"),
-    "SectorHamiltonian": ("basis", "mat", "_eig"),
+    "SectorHamiltonian": ("basis", "mat", "_eig", "couplings"),
     "SectorState": ("basis", "amplitudes"),
     "SparseState": ("site_count", "masks", "amps"),
     "SpectrumGroup": ("eigenvalue", "multiplicity", "label", "vector_symmetries",

@@ -20,8 +20,10 @@ from spinmirror.chains import chain_pattern, christandl_chain
 from spinmirror.lattice import (
     SYMMETRY_NAMES,
     ExchangeGraph,
+    build_rect_lattice,
     build_square_lattice,
     manhattan_distance,
+    random_symmetric_pattern,
     symmetry_map,
     uniform_pattern,
 )
@@ -167,6 +169,40 @@ def test_mirror_sidecar_names_the_block_solvers(tmp_path, n, k, solvers):
     assert meta["block_solvers"] == solvers and len(meta["block_dims"]) == 2
 
 
+@pytest.mark.parametrize("argv, group", [
+    (("mirror", "--pattern", "christandl-product", "--n", "4", "--k", "4"),
+     ["rotation_pi", "horizontal_axis"]),
+    (("mirror", "--pattern", "christandl-product", "--n", "4", "--k", "3"), ["rotation_pi"]),
+    (("mirror", "--pattern-file", "asymmetric", "--k", "2", "--t", "0.7"), []),
+    (("classify", "--pattern-file", "rect", "--k", "4", "--sym", "rotation_pi"),
+     ["rotation_pi", "horizontal_axis"]),
+    (("classify", "--parallel-chains", "4", "--k", "2", "--sym", "vertical_axis"), ["vertical_axis"]),
+])
+def test_sidecars_name_the_reflection_group(tmp_path, argv, group):
+    # the product lattice at odd k, where h flips each state's side, keeps {1, P}
+    files = {"asymmetric": asymmetric_3x3_file(tmp_path), "rect": str(tmp_path / "rect.json")}
+    rect = build_rect_lattice(3, 4)
+    reflections = (symmetry_map(rect, "vertical_axis"), symmetry_map(rect, "horizontal_axis"))
+    jsonio.write_json(files["rect"],
+                      jsonio.pattern_to_obj(random_symmetric_pattern(rect, reflections, 6)))
+    prefix = tmp_path / "group"
+    assert run(*(files.get(a, a) for a in argv), "--out", str(prefix)) == 0
+    meta = json.loads((tmp_path / "group.meta.json").read_text())
+    assert meta["group"] == group
+    if argv[0] == "mirror":
+        assert len(meta["block_dims"]) == len(meta["block_solvers"]) == max(2 ** len(group), 1)
+
+
+def test_a_graded_block_is_charged_for_its_coupling(monkeypatch, capsys):
+    # the 4x4 product lattice at k=3 has two graded blocks of 280 with 140 x 140
+    # couplings, charged 9.2 x 8 x 140^2 bytes (1.44 MB) each; as dense eigh
+    # blocks they would be charged 5.3 x 8 x 280^2 (3.32 MB), past the 2 MB here
+    monkeypatch.setattr(sectors, "_available_bytes", lambda: 2_000_000)
+    assert run("mirror", "--pattern", "christandl-product", "--n", "4", "--k", "3") == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["min_modulus"] > 0 and err == ""
+
+
 def asymmetric_3x3_file(tmp_path):
     pattern = tmp_path / "asym.json"
     pattern.write_text(json.dumps({"schema_version": "1", "kind": "square", "n": 3,
@@ -181,8 +217,10 @@ def asymmetric_3x3_file(tmp_path):
 ])
 def test_mirror_refuses_a_block_past_available_memory(tmp_path, monkeypatch, capsys,
                                                       source, block, shift):
-    # one byte short of the largest block's estimated peak refuses; exactly it runs
-    need = int(sectors._BLOCK_PEAK_FACTOR * 8 * block * block)
+    # one byte short of the largest block's estimated peak refuses; exactly it
+    # runs. Both blocks are graded: their couplings are 36 x 30 and 66 x 60
+    even = {66: 36, 126: 66}[block]
+    need = int(9.2 * 8 * even * (block - even))
     monkeypatch.setattr(sectors, "_available_bytes", lambda: need + shift)
     if source == "asymmetric":
         source = ("--pattern-file", asymmetric_3x3_file(tmp_path))
@@ -537,7 +575,7 @@ def test_readme_cli_quickstart_parses():
 
 # sha256 of the stdout and of each .json/.csv output of the README examples,
 # run in one process with one BLAS thread on the versions below. The k=5
-# mirror report is left out: it takes about 26 s alone.
+# mirror report, two graded blocks of 2184, takes about 2 s of it.
 README_DIGEST_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1", "OpenBLAS": "0.3.31"}
 README_DIGESTS = {
     "spinmirror chain --n 8 --chain christandl": {
@@ -548,6 +586,9 @@ README_DIGESTS = {
     },
     "spinmirror mirror --pattern parallel-chains --n 4 --k 2": {
         "stdout": "b8ca62a1aa3531a6c0a39b0d544c6871ee484b9761ebda94953942ba28934967",
+    },
+    "spinmirror mirror --pattern christandl-product --n 4 --k 5": {
+        "stdout": "9e62733553d64a2a4f7077a63ec0d750c0d048b29a14e602cb3af738ee20a6fa",
     },
     "spinmirror witness --n 3 --pattern random-rx --seeds 0,1,2,3,4 --out certs": {
         "stdout": "a5a964c87a272f18bd81af8b58c70068fa790aa7daa6547ee324840ddd954235",
@@ -627,8 +668,10 @@ def run_child(cwd, lines):
 
 def test_fast_readme_examples_give_their_recorded_bytes(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = readme.split("## CLI quickstart", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
-    assert set(README_DIGESTS) <= {line.split("#")[0].strip() for line in block.splitlines()}
+    section = readme.split("## CLI quickstart", 1)[1].split("\n## ", 1)[0]
+    blocks = [block.split("```", 1)[0] for block in section.split("```sh")[1:]]
+    assert set(README_DIGESTS) <= {line.split("#")[0].strip()
+                                   for block in blocks for line in block.splitlines()}
     found = run_child(tmp_path, README_DIGESTS)
     for line, digests in README_DIGESTS.items():
         assert found[line] == {"exit": 0, **digests}, line

@@ -30,6 +30,7 @@ from spinmirror.lattice import (
     CouplingPattern,
     ExchangeGraph,
     build_chain,
+    build_rect_lattice,
     build_square_lattice,
     check_symmetry,
     random_symmetric_pattern,
@@ -884,6 +885,66 @@ def test_pieces_cut_apart_by_zero_couplings_are_coloured_one_by_one():
     assert_report_matches_pauli(rep, cut, sym, 1e-12)
 
 
+# -- the four irrep blocks of a second commuting reflection --------------------
+
+RECT_3X4 = build_rect_lattice(3, 4)
+V_H_3X4 = random_symmetric_pattern(
+    RECT_3X4, (symmetry_map(RECT_3X4, "vertical_axis"), symmetry_map(RECT_3X4, "horizontal_axis")),
+    seed=6,
+)
+PRODUCT_3X3 = product_lattice_couplings(christandl_chain(3), christandl_chain(3))
+FOUR = ("rotation_pi", "horizontal_axis")
+
+
+@pytest.mark.parametrize("pattern, mirror, k, floor, group, dims, solver", [
+    # on 3x4, h keeps every site's side; rotation_pi and v flip each state's side at odd k
+    (V_H_3X4, "rotation_pi", 4, 48, FOUR, (139, 124, 116, 116), "svd"),
+    (V_H_3X4, "rotation_pi", 4, 116, ("rotation_pi",), (255, 240), "svd"),
+    (V_H_3X4, "rotation_pi", 3, 48, FOUR, (60, 60, 50, 50), "eigh"),
+    (V_H_3X4, "rotation_pi", 3, 50, ("rotation_pi",), (110, 110), "eigh"),
+    (V_H_3X4, "vertical_axis", 5, 48, ("vertical_axis", "horizontal_axis"),
+     (208, 208, 188, 188), "eigh"),
+    (V_H_3X4.to_graph(), "rotation_pi", 4, 48, ("rotation_pi",), (255, 240), "svd"),
+    (ROT_3X3, "rotation_pi", 4, 0, ("rotation_pi",), (66, 60), "svd"),
+    (ROT_3X3, "rotation_pi", 2, 48, ("rotation_pi",), (20, 16), "eigh"),
+    (asymmetric_3x3(), "rotation_pi", 4, 48, (), (126,), "svd"),
+    (asymmetric_3x3(), "rotation_pi", 2, 48, (), (36,), "eigh"),
+])
+def test_each_group_order_and_solver_matches_the_pauli_oracle(monkeypatch, pattern, mirror, k,
+                                                              floor, group, dims, solver):
+    # G has order 4 only when every one of its blocks is above the floor; a bare
+    # graph has no geometry to take g from, and a mirror that does not commute
+    # leaves G = {1}
+    monkeypatch.setattr(dynamics, "_GRADED_FLOOR", floor)
+    sym = symmetry_map(getattr(pattern, "geometry", RECT_3X4), mirror)
+    rep = mirroring_report(pattern, k, sym, 0.9)
+    assert (rep.group, rep.block_dims, rep.block_solvers) == (group, dims, (solver,) * len(dims))
+    assert rep.backend == ("parity-blocks" if group else "full-sector")
+    assert_report_matches_pauli(rep, pattern, sym, 1e-12)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_the_3x3_product_lattice_in_four_blocks_matches_the_pauli_oracle(monkeypatch, k):
+    # h keeps every site's side on three rows, so with the floor at 0 every
+    # sector whose four blocks are all nonempty takes them, each by one SVD
+    monkeypatch.setattr(dynamics, "_GRADED_FLOOR", 0)
+    sym = symmetry_map(PRODUCT_3X3.geometry, "rotation_pi")
+    rep = mirroring_report(PRODUCT_3X3, k, sym, christandl_chain(3).nominal_transfer_time)
+    assert rep.group == FOUR and min(rep.block_dims) > 0 and sum(rep.block_dims) == math.comb(9, k)
+    assert rep.block_solvers == ("svd",) * 4
+    assert_report_matches_pauli(rep, PRODUCT_3X3, sym, 1e-12)
+
+
+def test_product_lattice_k4_report_in_four_blocks(monkeypatch):
+    columns = []
+    monkeypatch.setattr(dynamics, "evolve", lambda *args: columns.append(args))
+    sym = symmetry_map(PRODUCT_4X4_PATTERN.geometry, "rotation_pi")
+    rep = mirroring_report(PRODUCT_4X4_PATTERN, 4, sym, christandl_chain(4).nominal_transfer_time)
+    assert columns == []
+    assert rep.group == FOUR and rep.block_dims == (476, 448, 448, 448)
+    assert_columns_match_sector_oracle(rep, PRODUCT_4X4_PATTERN, sym, 1e-12)
+
+
 def test_product_lattice_k5_report_in_parity_blocks(monkeypatch):
     # dim 4368 in two blocks of 2184, read off the blocks without evolving columns
     columns = []
@@ -927,7 +988,7 @@ def assert_classify_matches_oracle(pattern, k, sym, tol=None):
     return groups
 
 
-@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("k", [2, 3, 4])
 @pytest.mark.parametrize("mirror", ["rotation_pi", "vertical_axis"])
 def test_classify_matches_oracle_on_the_product_lattice(k, mirror):
     groups = assert_classify_matches_oracle(PRODUCT_4X4_PATTERN, k,
@@ -947,12 +1008,29 @@ def test_classify_tolerant_path_matches_oracle(monkeypatch, k):
     # commutes within 1e-15 only: the full sector is diagonalized and the
     # mirror projected per group, with the defect measured
     def no_blocks(*args):
-        raise AssertionError("parity blocks for a pattern that does not commute exactly")
+        raise AssertionError("irrep blocks for a pattern that does not commute exactly")
 
-    monkeypatch.setattr(dynamics, "_parity_blocks", no_blocks)
+    monkeypatch.setattr(dynamics, "_blocks", no_blocks)
     pattern = nearly_symmetric_3x3()
     groups = assert_classify_matches_oracle(pattern, k, symmetry_map(pattern.geometry, "rotation_pi"))
     assert 0.0 < max(g.max_symmetry_defect for g in groups) <= 1e-8
+
+
+@pytest.mark.parametrize("k, floor, shapes", [
+    (4, 48, [(139, 139), (124, 124), (116, 116), (116, 116)]),
+    (4, 116, [(255, 255), (240, 240)]),
+    (3, 48, [(60, 60), (60, 60), (50, 50), (50, 50)]),
+])
+def test_classify_labels_each_irrep_block_by_its_mirror_character(monkeypatch, k, floor, shapes):
+    calls, sym = [], symmetry_map(RECT_3X4, "rotation_pi")
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(dynamics, "_GRADED_FLOOR", floor)
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    classify_spectrum(build_sector_hamiltonian(V_H_3X4, k), sym)
+    assert calls == shapes
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    groups = assert_classify_matches_oracle(V_H_3X4, k, sym)
+    assert all(g.max_symmetry_defect == 0.0 for g in groups)
 
 
 def test_classify_exact_path_solves_the_two_blocks(monkeypatch):
