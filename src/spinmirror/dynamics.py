@@ -311,7 +311,7 @@ def _irrep_split(pattern, k: int, sym: SymmetryMap) -> _Split:
     side = None if colour is None else popcount(hops.grown & colour) & 1
     exact = check_symmetry(graph, sym, tol=0.0) and all(P[p] == x for x, p in enumerate(P))
     orbits, group = _orbit_map(site_count, k, [P] if exact else []), (sym.name,) * exact
-    geometry = getattr(pattern, "geometry", None)
+    geometry = getattr(pattern, "geometry", None)  # g is tried on the axis reflections first
     for name in reversed(SYMMETRY_NAMES) if exact and geometry is not None else ():
         if name.endswith("diagonal") and geometry.rows != geometry.cols:
             continue

@@ -399,9 +399,9 @@ def _orbit_map(site_count: int, k: int, generators) -> _Orbits:
     """The weight-k sector under the group that commuting involutions generate, its
     elements e, p, q, qp, ...: ranks[h, x] = rank(h(x)); the least rank rep[x] of
     x's orbit, elem[x] = h with h(x) = rep[x] (and h(rep[x]) = x), the orbit's size;
-    order, the representatives by stabilizer (free first), then rank, and row[x],
-    x's orbit's place in it; chars[c, h] = +-1, powers of [[1, 1], [1, -1]]; and
-    kept[c, i], irrep c maps order[i]'s stabilizer to 1, so it keeps that orbit."""
+    order, the representatives by stabilizer (free first), then rank; row[x], x's
+    orbit's place in order; chars[c, h] = +-1, powers of [[1, 1], [1, -1]]; kept[c, i]:
+    irrep c maps the stabilizer of order[i] to 1, so its block keeps that orbit."""
     ranks, chars = np.arange(math.comb(site_count, k))[None], np.ones((1, 1), np.int64)
     for perm in generators:
         ranks = np.concatenate([ranks, _rank_structure(site_count, k, tuple(perm))[ranks]])

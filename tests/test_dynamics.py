@@ -913,7 +913,8 @@ FOUR = ("rotation_pi", "horizontal_axis")
 def test_each_group_order_and_solver_matches_the_pauli_oracle(monkeypatch, pattern, mirror, k,
                                                               floor, group, dims, solver):
     # G has order 4 only when every one of its blocks is above the floor; a bare
-    # graph has no geometry to take g from, and a mirror that does not commute
+    # graph has no geometry to take g from, ROT_3X3 commutes with no second
+    # reflection even with the floor at 0, and a mirror that does not commute
     # leaves G = {1}
     monkeypatch.setattr(dynamics, "_GRADED_FLOOR", floor)
     sym = symmetry_map(getattr(pattern, "geometry", RECT_3X4), mirror)
@@ -926,7 +927,7 @@ def test_each_group_order_and_solver_matches_the_pauli_oracle(monkeypatch, patte
 @pytest.mark.parametrize("k", range(1, 9))
 def test_the_3x3_product_lattice_in_four_blocks_matches_the_pauli_oracle(monkeypatch, k):
     # h keeps every site's side on three rows, so with the floor at 0 every
-    # sector whose four blocks are all nonempty takes them, each by one SVD
+    # sector takes four blocks, each by one SVD
     monkeypatch.setattr(dynamics, "_GRADED_FLOOR", 0)
     sym = symmetry_map(PRODUCT_3X3.geometry, "rotation_pi")
     rep = mirroring_report(PRODUCT_3X3, k, sym, christandl_chain(3).nominal_transfer_time)
