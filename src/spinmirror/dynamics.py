@@ -469,13 +469,13 @@ def mirroring_report(pattern, k: int, sym: SymmetryMap, t: float) -> MirroringRe
                 mag = np.abs(amp) / norm
                 mag[mrow[cols[hit[h, cols]]], j[hit[h, cols]]] = 0.0
                 max_off = max(max_off, float(mag.max()))
+            del us, amp, mag  # freed before the next chunk's columns are formed
     moduli = np.abs(target[o.row])
     return MirroringReport(
         k=k, t=t, sym_name=sym.name, min_modulus=float(moduli.min()), max_offtarget=max_off,
         moduli=moduli, phases=target[o.row] / np.where(moduli > 0, moduli, 1.0), basis=basis,
-        backend="parity-blocks" if split.group else "full-sector",
+        backend="parity-blocks" if split.group else "full-sector", group=split.group,
         block_dims=tuple(int(d) for d in o.kept.sum(axis=1)), block_solvers=solvers,
-        group=split.group,
     )
 
 
