@@ -51,7 +51,6 @@ from .optimizer import (
     preset_rx_3x3_witness,
     probe_2x2,
 )
-from .sectors import build_sector_hamiltonian
 from .witness import (
     WitnessSpec,
     build_witness,
@@ -268,7 +267,7 @@ def cmd_witness(args):
     if n < 1:
         raise ValueError(f"--n must be at least 1, got {n}")
     try:
-        seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [args.seed]
+        seeds = [int(s) for s in args.seeds.split(",")] if args.seeds is not None else [args.seed]
     except ValueError:
         raise ValueError(f"--seeds must be a comma list of integers, got {args.seeds!r}") from None
     diag_bits = args.diag or "1" + "0" * (n - 1)
@@ -304,15 +303,15 @@ def cmd_classify(args):
     else:
         raise ValueError("need --parallel-chains N or --pattern-file")
     sym = symmetry_map(pat.geometry, args.sym)
-    H = build_sector_hamiltonian(pat, args.k)
     start = time.perf_counter()
-    groups = classify_spectrum(H, sym, degeneracy_tol=args.degeneracy_tol)
+    groups = classify_spectrum(pat, args.k, sym, degeneracy_tol=args.degeneracy_tol)
     seconds = time.perf_counter() - start
+    dim = sum(g.multiplicity for g in groups)
     obj = {
         "pattern_hash": jsonio.pattern_digest(pat),
         "k": args.k,
         "sym": sym.name,
-        "sector_dim": H.dim,
+        "sector_dim": dim,
         "has_degenerate_mixed": has_degenerate_mixed_group(groups),
         "groups": [
             {
@@ -332,7 +331,7 @@ def cmd_classify(args):
         args,
         obj,
         csv=(["eigenvalue", "multiplicity", "label", "max_symmetry_defect"], rows),
-        meta={"dim": H.dim, "block_dims": block_dims, "seconds": seconds,
+        meta={"dim": dim, "block_dims": block_dims, "seconds": seconds,
               "group": _irrep_split(pat, args.k, sym).group},
     )
 

@@ -421,15 +421,17 @@ def mirroring_report(pattern, k: int, sym: SymmetryMap, t: float) -> MirroringRe
     gauged relative to the vacuum. Perfect mirroring up to phases means
     min_modulus approaches 1.
 
-    The sector splits over the irreps chi of G, the largest group of reflections
-    that contains the mirror P and commutes with H to the bit. P commutes when
-    it is an involution that maps every live edge onto one of equal strength:
-    G = {1, P} ("parity-blocks"), else G = {1} ("full-sector"). G also takes g
-    and gP, g the first reflection of a pattern's geometry (axis ones first)
-    that commutes with P and H, when g keeps every state's side (below) and its
-    four blocks are above _GRADED_FLOOR. An orbit O_r under G (r its least
-    rank) spans sum over z in O_r of chi(h_z)|z>/sqrt|O_r| (h_z maps r to z)
-    in each irrep trivial on its stabilizer. As U[hy, hx] = U[y, x] for h in G,
+    The sector splits over the irreps chi of G, a group of reflections that
+    contains the mirror P and commutes with H to the bit. P commutes when it is
+    an involution that maps every live edge onto one of equal strength:
+    G = {1, P} ("parity-blocks"), else G = {1} ("full-sector"). Only the first
+    reflection g of a pattern's geometry (axis ones first) that commutes with P
+    and H is tried: G takes g and gP if g keeps every state's side (below) and
+    its four blocks are above _GRADED_FLOOR, else stays {1, P}, even where a
+    later reflection would pass (the diagonals of the 4x4 product at odd k).
+    An orbit O_r under G (r its least rank) spans sum over z in O_r of
+    chi(h_z)|z>/sqrt|O_r| (h_z maps r to z) in each irrep trivial on its
+    stabilizer. As U[hy, hx] = U[y, x] for h in G,
     only the representatives' columns of the blocks are formed, a chunk at a
     time: U[hs, r] = sum over chi of chi(h) U_chi[s, r] / sqrt(|O_s| |O_r|)
     gives every target and off-target entry; no complex n x n U is built.
@@ -531,24 +533,25 @@ class SpectrumGroup:
 
 
 def classify_spectrum(
-    H: SectorHamiltonian, sym: SymmetryMap, degeneracy_tol: float | None = None
+    pattern, k: int, sym: SymmetryMap, degeneracy_tol: float | None = None
 ) -> list[SpectrumGroup]:
-    """Group eigenvalues and label each group by its symmetry eigenvalues.
+    """Group the eigenvalues of H_k, sector k of pattern (a CouplingPattern or an
+    ExchangeGraph), and label each group by its symmetry eigenvalues.
 
     Requires the permutation to commute with H (raises otherwise). Eigenvalues
     are grouped within degeneracy_tol, default 1e-8 times the spectral range
     (0 means 1e-12). A group is "mixed" when it contains both +1 and -1
     eigenvectors of the permutation; degenerate mixed groups are the mirroring
-    obstructions. When P H P = H exactly (H built from its couplings), the
-    merged spectra of the irrep blocks of mirroring_report, each labelled
-    chi(P), give the labels, with defect 0.0; a permutation that commutes only
-    within 1e-12 is diagonalized within each group of H, with the measured
-    defect. vector_symmetries lists -1 first.
+    obstructions. When P H P = H to the bit, the merged spectra of the irrep
+    blocks of mirroring_report, each labelled chi(P), give the labels, with
+    defect 0.0; a permutation that commutes only within 1e-12 is diagonalized
+    within each group of the full sector's H, with the measured defect.
+    vector_symmetries lists -1 first.
     """
     if degeneracy_tol is not None and not (math.isfinite(degeneracy_tol) and degeneracy_tol >= 0):
         raise ValueError(f"--degeneracy-tol must be finite and non-negative, got {degeneracy_tol}")
-    split = H.couplings is not None and _irrep_split(H.couplings, H.basis.k, sym)
-    if exact := bool(split and split.group):  # the block spectra labelled chi(P), -1 first
+    split = _irrep_split(pattern, k, sym)
+    if exact := bool(split.group):  # the block spectra labelled chi(P), -1 first
         spectra = sorted(zip(split.orbits.chars[:, 1], (np.linalg.eigvalsh(block)
                                                         for block, _ in _blocks(split, False))),
                          key=lambda s: s[0])
@@ -556,6 +559,7 @@ def classify_spectrum(
         order = np.argsort(merged, kind="stable")
         evals, signs = merged[order], np.concatenate([np.full(len(e), x) for x, e in spectra])[order]
     else:
+        H = build_sector_hamiltonian(pattern, k)
         perm_rows = permuted_ranks(H.basis, sym)
         hscale = max(1.0, float(np.abs(H.mat.data).max()) if H.mat.nnz else 0.0)
         if abs(H.mat[perm_rows][:, perm_rows] - H.mat).max() > 1e-12 * hscale:
@@ -566,7 +570,7 @@ def classify_spectrum(
     if tol <= 0:
         tol = 1e-12
     out = []
-    for g in np.split(np.arange(H.dim), np.flatnonzero(np.diff(evals) > tol) + 1):
+    for g in np.split(np.arange(len(evals)), np.flatnonzero(np.diff(evals) > tol) + 1):
         if exact:
             labels, defect = sorted(signs[g].tolist()), 0.0
         else:

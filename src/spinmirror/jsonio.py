@@ -111,11 +111,11 @@ def pattern_to_obj(pattern: CouplingPattern) -> dict:
     return obj
 
 
-def _check_keys(obj, what: str, known: set, required) -> None:
-    """Refuse a document that is not a JSON object, or that has an unknown or a missing key."""
+def _check_keys(obj, what: str, known: set | None, required) -> None:
+    """Refuse a non-object document, a missing key, or an unknown one (unless known is None)."""
     if not isinstance(obj, dict):
         raise ValueError(f"{what} document must hold a JSON object")
-    unknown = set(obj) - known
+    unknown = set() if known is None else set(obj) - known
     if unknown:
         raise ValueError(f"unknown keys in {what} document: {sorted(unknown)}")
     missing = [key for key in required if key not in obj]
@@ -125,7 +125,6 @@ def _check_keys(obj, what: str, known: set, required) -> None:
 
 _PATTERN_KEYS = {"chain": ("n", "couplings"), "square": ("n", "J", "K"),
                  "rect": ("rows", "cols", "J", "K")}
-_PATTERN_KNOWN = {"schema_version", "kind", "n", "rows", "cols", "J", "K", "couplings"}
 
 
 def _number(value, what: str, kind=(int, float)):
@@ -137,11 +136,12 @@ def _number(value, what: str, kind=(int, float)):
 
 
 def pattern_from_obj(obj: dict) -> CouplingPattern:
-    _check_keys(obj, "pattern", _PATTERN_KNOWN, ("kind",))
+    _check_keys(obj, "pattern", None, ("kind",))
     kind = obj["kind"]
     if not isinstance(kind, str) or kind not in _PATTERN_KEYS:
         raise ValueError(f"unknown pattern kind {kind!r}")
-    _check_keys(obj, "pattern", _PATTERN_KNOWN, _PATTERN_KEYS[kind])
+    _check_keys(obj, f"{kind!r} pattern", {"schema_version", "kind", *_PATTERN_KEYS[kind]},
+                _PATTERN_KEYS[kind])
     size = {key: _number(obj[key], f"pattern key {key!r}", int)
             for key in ("n", "rows", "cols") if key in _PATTERN_KEYS[kind]}
     # CouplingPattern casts and shapes the couplings itself

@@ -10,9 +10,9 @@ _Hops.matrix assembles H's CSR and _Hops.dense its dense array.
 build_sector_hamiltonian, dynamics.apply_hamiltonian, dynamics.evolve_sparse
 and _HopOperator (its growing index) share them. Two
 functools.lru_cache caches of HOP_CACHE_SIZE entries keep the hops of
-supports and sectors, a sector's refused past memory before its masks are
-enumerated, and the rank maps of dynamics.permuted_ranks; each call fills in
-2w. A Propagator evaluates fixed entries of exp(-iHt) over whole time grids.
+supports and sectors (a sector too big for memory is refused before its masks
+are enumerated) and the rank maps of dynamics.permuted_ranks; each call fills
+in 2w. A Propagator evaluates fixed entries of exp(-iHt) over whole time grids.
 """
 
 from __future__ import annotations
@@ -112,26 +112,21 @@ def enumerate_sector_basis(site_count: int, k: int) -> SectorBasis:
     return SectorBasis(site_count, k, masks)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SectorHamiltonian:
-    """Sparse real symmetric exchange Hamiltonian restricted to one sector."""
+    """One sector's basis and the sparse real symmetric exchange Hamiltonian on it."""
 
     basis: SectorBasis
     mat: sp.csr_matrix
-    _eig: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
-    couplings: object = field(default=None, repr=False)  # the pattern or graph H was built from
 
     @property
     def dim(self) -> int:
         return self.basis.dim
 
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cached dense eigendecomposition (eigenvalues, eigenvectors); ValueError past memory."""
-        if self._eig is None:
-            _check_block_memory(self.dim)
-            evals, vecs = np.linalg.eigh(self.mat.toarray())
-            self._eig = (evals, vecs)
-        return self._eig
+        """Dense (eigenvalues, eigenvectors), formed on every call; ValueError past memory."""
+        _check_block_memory(self.dim)
+        return np.linalg.eigh(self.mat.toarray())
 
 
 @dataclass(frozen=True)
@@ -371,14 +366,13 @@ def build_sector_hamiltonian(graph, k: int) -> SectorHamiltonian:
     XX+YY has no diagonal part in the occupation basis, so the diagonal is 0.
     Zero-strength edges store nothing. A sector is a support no hop leaves:
     its hops come from the support cache under the key (site count, k), and
-    _Hops.matrix fills in fresh data on every call. H keeps the pattern or
-    graph it came from, whose symmetries split it in classify_spectrum.
+    _Hops.matrix fills in fresh data on every call. graph may be an
+    ExchangeGraph or a CouplingPattern; H keeps only its basis and matrix.
     """
-    couplings, graph = graph, _as_graph(graph)
+    graph = _as_graph(graph)
     endpoints, weights = _live_edges(graph)
     hops = _support_structure(endpoints, (graph.site_count, k))
-    return SectorHamiltonian(SectorBasis(graph.site_count, k, hops.grown), hops.matrix(weights),
-                             couplings=couplings)
+    return SectorHamiltonian(SectorBasis(graph.site_count, k, hops.grown), hops.matrix(weights))
 
 
 @functools.lru_cache(maxsize=HOP_CACHE_SIZE)

@@ -278,7 +278,7 @@ def test_criterion_08_parallel_chain_obstruction():
     chain = christandl_chain(4)
     pat = parallel_chain_pattern(chain, 2)
     sym = symmetry_map(pat.geometry, "vertical_axis")
-    groups = classify_spectrum(build_sector_hamiltonian(pat.to_graph(), 2), sym)
+    groups = classify_spectrum(pat.to_graph(), 2, sym)
     assert has_degenerate_mixed_group(groups)
     assert any(grp.multiplicity >= 2 and grp.label == "mixed" for grp in groups)
     rep = mirroring_report(pat, 2, sym, chain.nominal_transfer_time)

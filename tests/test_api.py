@@ -32,7 +32,7 @@ PUBLIC_PARAMETERS = {
     "Probe2x2Result": ("supremum", "best_ratio", "best_time", "n_ratios", "n_times",
                        "ratio_range", "rows"),
     "SectorBasis": ("site_count", "k", "masks"),
-    "SectorHamiltonian": ("basis", "mat", "_eig", "couplings"),
+    "SectorHamiltonian": ("basis", "mat"),
     "SectorState": ("basis", "amplitudes"),
     "SparseState": ("site_count", "masks", "amps"),
     "SpectrumGroup": ("eigenvalue", "multiplicity", "label", "vector_symmetries",
@@ -49,7 +49,7 @@ PUBLIC_PARAMETERS = {
     "chain_pattern": ("chain",),
     "check_symmetry": ("pattern", "sym", "tol"),
     "christandl_chain": ("n", "scale"),
-    "classify_spectrum": ("H", "sym", "degeneracy_tol"),
+    "classify_spectrum": ("pattern", "k", "sym", "degeneracy_tol"),
     "diagonal_basis_state": ("n", "bits"),
     "edge_orbits": ("geometry", "group"),
     "enumerate_sector_basis": ("site_count", "k"),

@@ -336,11 +336,20 @@ def test_witness_odd_distance_round_trip(tmp_path):
         (("classify", "--k", "1", "--pattern-file"),
          {"kind": "rect", "rows": 1, "cols": "3", "J": [], "K": [[1, 1]]},
          "pattern key 'cols' must be a JSON integer, got '3'"),
+        (("classify", "--k", "1", "--pattern-file"),
+         {"kind": "rect", "rows": 2, "cols": 2, "J": [[1, 1]], "K": [[1], [1]], "n": 5},
+         "unknown keys in 'rect' pattern document: ['n']"),
+        (("mirror", "--t", "1", "--pattern-file"),
+         {"kind": "chain", "n": 3, "couplings": [1, 1], "J": []},
+         "unknown keys in 'chain' pattern document: ['J']"),
+        (("mirror", "--t", "1", "--pattern-file"),
+         {"kind": "square", "n": 2, "J": [[1, 1]], "K": [[1], [1]], "rows": 2, "couplings": []},
+         "unknown keys in 'square' pattern document: ['couplings', 'rows']"),
     ],
     ids=["square-no-n", "rect-no-couplings", "no-kind", "list", "graph-no-edges", "graph-string",
          "graph-edges-number", "graph-edge-pair", "graph-float-endpoint", "graph-string-strength",
          "graph-float-sites", "square-null-n", "square-float-n", "chain-bool-n",
-         "rect-string-cols"],
+         "rect-string-cols", "rect-with-n", "chain-with-J", "square-with-rows"],
 )
 def test_incomplete_pattern_or_graph_document_exits_2_naming_the_key(tmp_path, capsys, command,
                                                                       doc, message):
@@ -351,7 +360,14 @@ def test_incomplete_pattern_or_graph_document_exits_2_naming_the_key(tmp_path, c
     assert message in err and out == ""
 
 
-@pytest.mark.parametrize("flags, flag", [(("--n", "0"), "--n"), (("--seeds", "1,,2"), "--seeds")])
+@pytest.mark.parametrize("flags, flag", [
+    (("--n", "0"), "--n"), (("--seeds", "1,,2"), "--seeds"),
+    # an empty list is refused, not read as the --seed default
+    pytest.param(("--n", "2", "--pattern", "random-rx", "--seeds", ""),
+                 "--seeds must be a comma list of integers, got ''", id="seeds-empty"),
+    pytest.param(("--n", "2", "--pattern", "random-rx", "--seeds", ","),
+                 "--seeds must be a comma list of integers, got ','", id="seeds-comma"),
+])
 def test_witness_bad_side_or_seed_list_exits_2_naming_the_flag(capsys, flags, flag):
     assert run("witness", *flags) == 2
     out, err = capsys.readouterr()

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spinmirror import dynamics, sectors
 from spinmirror.chains import (
@@ -27,12 +29,15 @@ from spinmirror.dynamics import (
     transfer_fidelity,
 )
 from spinmirror.lattice import (
+    SYMMETRY_NAMES,
     CouplingPattern,
     ExchangeGraph,
     build_chain,
     build_rect_lattice,
     build_square_lattice,
     check_symmetry,
+    group_closure,
+    pattern_from_weights,
     random_symmetric_pattern,
     symmetry_map,
     uniform_pattern,
@@ -209,9 +214,8 @@ def test_phase_fit_rejects_scattered_phases():
 
 
 def test_classify_two_site_chain():
-    H = build_sector_hamiltonian(chain_pattern(uniform_chain(2)).to_graph(), 1)
     sym = symmetry_map(build_chain(2), "vertical_axis")
-    groups = classify_spectrum(H, sym)
+    groups = classify_spectrum(chain_pattern(uniform_chain(2)).to_graph(), 1, sym)
     assert [(g.eigenvalue, g.multiplicity, g.label) for g in groups] == [
         (pytest.approx(-2.0), 1, "-1"),
         (pytest.approx(2.0), 1, "+1"),
@@ -222,8 +226,7 @@ def test_classify_two_site_chain():
 def test_classify_zero_couplings_single_mixed_group():
     g = build_square_lattice(2)
     pat = CouplingPattern(g, np.zeros((1, 2)), np.zeros((2, 1)))
-    H = build_sector_hamiltonian(pat.to_graph(), 1)
-    groups = classify_spectrum(H, symmetry_map(g, "rotation_pi"))
+    groups = classify_spectrum(pat.to_graph(), 1, symmetry_map(g, "rotation_pi"))
     assert len(groups) == 1
     assert groups[0].multiplicity == 4
     assert groups[0].label == "mixed"
@@ -233,17 +236,15 @@ def test_classify_zero_couplings_single_mixed_group():
 def test_classify_requires_commuting_symmetry():
     g = build_square_lattice(2)
     pat = CouplingPattern(g, np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]]))
-    H = build_sector_hamiltonian(pat.to_graph(), 1)
     with pytest.raises(ValueError, match="commute"):
-        classify_spectrum(H, symmetry_map(g, "rotation_pi"))
+        classify_spectrum(pat.to_graph(), 1, symmetry_map(g, "rotation_pi"))
 
 
 def test_classify_vectors_are_genuine_symmetry_eigenvectors():
     pat = parallel_chain_pattern(christandl_chain(4), 2)
-    H = build_sector_hamiltonian(pat.to_graph(), 2)
-    groups = classify_spectrum(H, symmetry_map(pat.geometry, "vertical_axis"))
+    groups = classify_spectrum(pat.to_graph(), 2, symmetry_map(pat.geometry, "vertical_axis"))
     assert max(g.max_symmetry_defect for g in groups) <= 1e-8
-    assert sum(g.multiplicity for g in groups) == H.dim
+    assert sum(g.multiplicity for g in groups) == build_sector_hamiltonian(pat, 2).dim
 
 
 # -- sector evolution, and the growing index of evolve_sparse ----------------
@@ -976,8 +977,9 @@ def test_full_sector_report_matches_sector_oracle(monkeypatch):
 
 
 def assert_classify_matches_oracle(pattern, k, sym, tol=None):
-    groups = classify_spectrum(build_sector_hamiltonian(pattern, k), sym, tol)
-    ref = classify_groups(pattern.geometry.site_count, pattern.to_graph().edges, k, sym.perm, tol)
+    groups = classify_spectrum(pattern, k, sym, tol)
+    graph = pattern.to_graph() if isinstance(pattern, CouplingPattern) else pattern
+    ref = classify_groups(graph.site_count, graph.edges, k, sym.perm, tol)
     assert [(g.multiplicity, g.vector_symmetries) for g in groups] == [
         (m, labels) for _, m, labels in ref
     ]
@@ -987,6 +989,61 @@ def assert_classify_matches_oracle(pattern, k, sym, tol=None):
     ]
     assert max(abs(g.eigenvalue - e) for g, (e, _, _) in zip(groups, ref)) < 1e-12
     return groups
+
+
+# every geometry of at most 10 sites with its reflections (no identity maps)
+DRAWN_GEOMETRIES = [build_chain(n) for n in range(2, 11)] + [
+    build_square_lattice(2), build_square_lattice(3),
+    *(build_rect_lattice(r, c) for r, c in ((2, 3), (3, 2), (2, 4), (4, 2), (2, 5), (5, 2)))]
+
+
+def reflections(geometry):
+    names = [n for n in SYMMETRY_NAMES if geometry.rows == geometry.cols or "diagonal" not in n]
+    maps = (symmetry_map(geometry, n) for n in names)
+    return [m for m in maps if m.perm != tuple(range(geometry.site_count))]
+
+
+@st.composite
+def classify_cases(draw):
+    """(geometry, generator names, seed, zero-below threshold, mirror name, k, floor)."""
+    geometry = draw(st.sampled_from(DRAWN_GEOMETRIES))
+    maps = reflections(geometry)
+    gens = draw(st.lists(st.sampled_from(maps), min_size=1, max_size=2, unique=True))
+    closure = group_closure(gens)
+    mirror = draw(st.sampled_from([m for m in maps if m.perm in closure]))
+    return (geometry, tuple(m.name for m in gens), draw(st.integers(0, 2**16)),
+            draw(st.sampled_from([0.0, 1.0, 2.0])), mirror.name,
+            draw(st.integers(0, geometry.site_count)),
+            draw(st.sampled_from([0, dynamics._GRADED_FLOOR])))
+
+
+@given(classify_cases())
+@example((build_rect_lattice(2, 4), ("vertical_axis", "horizontal_axis"), 3, 0.0,
+          "rotation_pi", 0, 0))
+@example((build_rect_lattice(2, 5), ("vertical_axis", "horizontal_axis"), 3, 0.0,
+          "rotation_pi", 4, 0))
+@example((build_square_lattice(3), ("main_diagonal", "anti_diagonal"), 5, 1.0,
+          "rotation_pi", 9, 0))
+@example((build_chain(6), ("vertical_axis",), 0, 2.0, "vertical_axis", 3, 48))
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+def test_classify_matches_the_oracle_on_drawn_symmetric_patterns(case):
+    # the pattern (up to four blocks; a floor of 0 lets small sectors split in
+    # four), its bare graph ({1, P}), and a copy with one coupling moved by an
+    # ulp, which P commutes with only within 1e-12; couplings below the
+    # threshold are zero (all of them at 2.0)
+    geometry, names, seed, zero_below, mirror, k, floor = case
+    pat = random_symmetric_pattern(geometry, [symmetry_map(geometry, n) for n in names], seed)
+    w = pat.edge_weights()
+    w = np.where(w < zero_below, 0.0, w)
+    pat, sym = pattern_from_weights(geometry, w), symmetry_map(geometry, mirror)
+    moved = next((i for i, (a, b) in enumerate(geometry.edges())
+                  if {sym.perm[a], sym.perm[b]} != {a, b}), 0)
+    w = w.copy()  # pat's J and K are views of w
+    w[moved] = np.nextafter(w[moved], np.inf)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_GRADED_FLOOR", floor)
+        for form in (pat, pat.to_graph(), pattern_from_weights(geometry, w)):
+            assert_classify_matches_oracle(form, k, sym)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -1027,7 +1084,7 @@ def test_classify_labels_each_irrep_block_by_its_mirror_character(monkeypatch, k
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(dynamics, "_GRADED_FLOOR", floor)
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
-    classify_spectrum(build_sector_hamiltonian(V_H_3X4, k), sym)
+    classify_spectrum(V_H_3X4, k, sym)
     assert calls == shapes
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
     groups = assert_classify_matches_oracle(V_H_3X4, k, sym)
@@ -1045,11 +1102,10 @@ def test_classify_exact_path_solves_the_two_blocks(monkeypatch):
     def no_full_eig(self):
         raise AssertionError("full-sector eigendecomposition on the exact path")
 
-    H = build_sector_hamiltonian(ROT_3X3, 4)
     sym = symmetry_map(ROT_3X3.geometry, "rotation_pi")
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     monkeypatch.setattr(SectorHamiltonian, "eig", no_full_eig)
-    groups = classify_spectrum(H, sym)
+    groups = classify_spectrum(ROT_3X3, 4, sym)
     assert shapes == [(66, 66), (60, 60)]
     assert [sum(g.vector_symmetries.count(s) for g in groups) for s in (1, -1)] == [66, 60]
     assert all(g.max_symmetry_defect == 0.0 for g in groups)
