@@ -142,7 +142,7 @@ def cmd_chain(args):
         "required_peak": require,
         "peak_ok": None if require is None else bool(mods[i] >= require),
     }
-    _write_outputs(args, obj, csv=(["t", "modulus"], zip(ts, mods)))
+    _write_outputs(args, obj, csv=(["t", "modulus"], zip(ts.tolist(), mods.tolist())))
     if require is not None and mods[i] < require:
         raise ToleranceError(
             f"peak transfer modulus {mods[i]:.12f} below required {require}"
@@ -213,11 +213,8 @@ def cmd_mirror(args):
             "ok": fit.ok,
         },
     }
-    rows = [
-        (r, int(rep.basis.masks[r]), float(rep.moduli[r]),
-         float(rep.phases[r].real), float(rep.phases[r].imag))
-        for r in range(rep.basis.dim)
-    ]
+    rows = zip(range(rep.basis.dim), rep.basis.masks.tolist(), rep.moduli.tolist(),
+               rep.phases.real.tolist(), rep.phases.imag.tolist())
     meta = {
         "backend": rep.backend,
         "dim": rep.basis.dim,
@@ -436,7 +433,7 @@ def cmd_scan(args):
             "peak_fidelity": float(vals[i]),
             "peak_time": float(ts[i]),
         }
-        _write_outputs(args, obj, csv=(["t", "fidelity"], zip(ts, vals)))
+        _write_outputs(args, obj, csv=(["t", "fidelity"], zip(ts.tolist(), vals.tolist())))
         return
     _read_flags(args, {"k": 1})
     sym = symmetry_map(pat.geometry, args.mirror or default_mirror)
@@ -453,9 +450,8 @@ def cmd_scan(args):
         "best_min_modulus": float(mins[i]),
         "best_time": float(ts[i]),
     }
-    _write_outputs(
-        args, obj, csv=(["t", "min_modulus", "mean_modulus"], zip(ts, mins, means))
-    )
+    rows = zip(ts.tolist(), mins.tolist(), means.tolist())
+    _write_outputs(args, obj, csv=(["t", "min_modulus", "mean_modulus"], rows))
 
 
 def build_parser():

@@ -41,6 +41,7 @@ from .sectors import (
     _live_edges,
     _orbit_map,
     _rank_structure,
+    _site_distances,
     _sublattice,
     _support_structure,
     build_sector_hamiltonian,
@@ -228,12 +229,7 @@ def _sector_radius(endpoints, psi: SparseState) -> float:
     hops away in d hops, so a mask that trades j sites for j others is at most
     their summed distances to any one site c away: the j farthest of each side."""
     m, mask = psi.site_count, int(psi.masks[0])
-    a, b = np.transpose(endpoints)
-    dist = np.full((m, m), np.inf)
-    np.fill_diagonal(dist, 0.0)
-    dist[a, b] = dist[b, a] = 1.0
-    for c in range(m):  # Floyd-Warshall
-        dist = np.minimum(dist, dist[:, c, None] + dist[c])
+    dist = _site_distances(m, endpoints)
     occupied = (mask >> np.arange(m)) & 1 == 1
     j = min(mask.bit_count(), m - mask.bit_count())
     # for each c, the j largest distances to an occupied and to an empty site
@@ -258,12 +254,19 @@ def transfer_fidelity(pattern, source, target, t):
     """|<target| exp(-iH t) |source>| in the single-excitation sector.
 
     A scalar t gives a float; an array of times gives moduli of its shape.
+    The sector's M x M H, H[p, q] = 2w on each live edge (p, q), is built
+    from the edges by flat site, with no bitmasks, so any site count works.
     """
     graph = _as_graph(pattern)
-    a = _flat_site(pattern, source, graph.site_count)
-    b = _flat_site(pattern, target, graph.site_count)
-    # k=1 masks are 1<<p in ascending p, so flat site == rank
-    evals, vecs = build_sector_hamiltonian(graph, 1).eig()
+    m = graph.site_count
+    a = _flat_site(pattern, source, m)
+    b = _flat_site(pattern, target, m)
+    endpoints, weights = _live_edges(graph)
+    _check_block_memory(m)
+    h = np.zeros((m, m))
+    for (p, q), w in zip(endpoints, weights):
+        h[p, q] = h[q, p] = 2 * w
+    evals, vecs = np.linalg.eigh(h)
     mods = np.abs(Propagator(evals, vecs[b, :] * vecs[a, :]).amplitudes(t))
     return float(mods) if mods.ndim == 0 else mods
 

@@ -4,8 +4,10 @@ Floats are written with Python's shortest round-trip repr, so parsing the
 emitted text recovers every value bit for bit. All writers sort keys and use
 fixed separators, which makes repeated runs byte-identical; timestamps live
 only in sidecar .meta.json files. Numpy values reach the encoder's default
-hook, which writes their tolist(). The readers want JSON integers for sizes
-and edge endpoints and raise a ValueError naming any key they refuse.
+hook, which writes their tolist(). CSV cells are Python scalars, usually from
+a column's tolist(), written by str: a float's shortest repr, an integer's
+digits, True or False. The readers want JSON integers for sizes and edge
+endpoints and raise a ValueError naming any key they refuse.
 """
 
 from __future__ import annotations
@@ -56,21 +58,12 @@ def sha256_hex(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _format_cell(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return str(bool(v))
-    if isinstance(v, (np.floating, float)):
-        return repr(float(v))
-    if isinstance(v, (np.integer, int)):
-        return str(int(v))
-    return str(v)
-
-
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """One line per row, each cell written by str: callers pass Python scalars."""
     with open(path, "w", newline="\n") as f:
         f.write(",".join(header) + "\n")
         for row in rows:
-            f.write(",".join(_format_cell(v) for v in row) + "\n")
+            f.write(",".join(map(str, row)) + "\n")
 
 
 def write_meta(path, argv: Sequence[str], extra: dict | None = None) -> None:

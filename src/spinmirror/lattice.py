@@ -135,6 +135,8 @@ class CouplingPattern:
 
     J[i-1, j-1] is the vertical edge (i,j)-(i+1,j); K[i-1, j-1] the horizontal
     edge (i,j)-(i,j+1). A chain stores its n-1 couplings as the single K row.
+    J and K are read-only copies, so later writes to the arrays a pattern was
+    built from leave it unchanged.
     """
 
     geometry: Geometry
@@ -143,8 +145,8 @@ class CouplingPattern:
 
     def __post_init__(self):
         g = self.geometry
-        J = np.asarray(self.J, dtype=float).reshape(max(g.rows - 1, 0), g.cols)
-        K = np.asarray(self.K, dtype=float).reshape(g.rows, max(g.cols - 1, 0))
+        J = np.array(self.J, dtype=float).reshape(max(g.rows - 1, 0), g.cols)
+        K = np.array(self.K, dtype=float).reshape(g.rows, max(g.cols - 1, 0))
         if not (np.all(np.isfinite(J)) and np.all(np.isfinite(K))):
             raise ValueError("coupling strengths must be finite")
         J.setflags(write=False)
@@ -316,30 +318,16 @@ def edge_orbits(geometry: Geometry, group: Iterable[SymmetryMap]) -> list[list[i
     Orbits are sorted by their smallest edge index; one free parameter per
     orbit fully determines a group-symmetric pattern.
     """
-    edges = geometry.edges()
     perms = group_closure(group)
-    index = {e: i for i, e in enumerate(edges)}
-    seen = set()
-    orbits = []
-    for start in range(len(edges)):
-        if start in seen:
-            continue
-        orbit = set()
-        stack = [edges[start]]
-        while stack:
-            a, b = stack.pop()
-            i = index.get((a, b))
-            if i is None:
-                raise ValueError(f"edge set not closed under the group at ({a},{b})")
-            if i in orbit:
-                continue
-            orbit.add(i)
-            for p in perms:
-                pa, pb = p[a], p[b]
-                stack.append((pa, pb) if pa < pb else (pb, pa))
-        seen |= orbit
-        orbits.append(sorted(orbit))
-    return orbits
+    index = {e: i for i, e in enumerate(geometry.edges())}
+    orbits = {}  # by smallest edge index, which each orbit meets first
+    for a, b in index:
+        images = {(min(p[a], p[b]), max(p[a], p[b])) for p in perms}
+        if missing := images - index.keys():
+            raise ValueError("edge set not closed under the group at ({},{})".format(*min(missing)))
+        orbit = sorted(map(index.get, images))
+        orbits[orbit[0]] = orbit
+    return list(orbits.values())
 
 
 def _orbit_pattern(geometry: Geometry, orbits, values: Iterable[float]) -> CouplingPattern:

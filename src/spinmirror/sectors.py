@@ -165,26 +165,28 @@ def _live_edges(graph: ExchangeGraph) -> tuple[tuple[tuple[int, int], ...], np.n
     return tuple((a, b) for a, b, _ in live), np.array([w for *_, w in live], dtype=float)
 
 
+def _site_distances(site_count: int, endpoints) -> np.ndarray:
+    """Hop counts between every two sites over the live edges, inf between pieces."""
+    dist = np.full((site_count, site_count), np.inf)
+    np.fill_diagonal(dist, 0.0)
+    a, b = np.array(endpoints, dtype=int).reshape(-1, 2).T
+    dist[a, b] = dist[b, a] = 1.0
+    for c in range(site_count):  # Floyd-Warshall
+        dist = np.minimum(dist, dist[:, c, None] + dist[c])
+    return dist
+
+
 def _sublattice(site_count: int, endpoints) -> int | None:
     """The mask of one side of a 2-colouring of the live edges, None on an odd
-    cycle; the lowest site of each connected piece is on the other side."""
-    neighbours = [[] for _ in range(site_count)]
-    for a, b in endpoints:
-        neighbours[a].append(b)
-        neighbours[b].append(a)
-    colour = [-1] * site_count
-    for root in range(site_count):
-        todo = [root] if colour[root] < 0 else []
-        colour[root] = max(colour[root], 0)
-        while todo:
-            p = todo.pop()
-            for q in neighbours[p]:
-                if colour[q] == colour[p]:
-                    return None
-                if colour[q] < 0:
-                    colour[q] = 1 - colour[p]
-                    todo.append(q)
-    return sum(1 << p for p in range(site_count) if colour[p] == 1)
+    cycle; a site's side is the parity of its distance from the lowest site of
+    its connected piece, which is on the other side."""
+    dist = _site_distances(site_count, endpoints)
+    sites = np.arange(site_count)
+    lowest = np.where(np.isfinite(dist), sites, site_count).min(axis=1, initial=site_count)
+    side = dist[sites, lowest] % 2 == 1
+    if any(side[a] == side[b] for a, b in endpoints):
+        return None
+    return sum(1 << p for p in np.flatnonzero(side).tolist())
 
 
 def _readonly(*arrays):

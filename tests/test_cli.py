@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import scipy
 
-from spinmirror import __version__, dynamics, jsonio, sectors
+from spinmirror import __version__, jsonio, sectors
 from spinmirror.cli import build_parser, main
 from spinmirror.chains import chain_pattern, christandl_chain
 from spinmirror.lattice import (
@@ -361,7 +361,9 @@ def test_incomplete_pattern_or_graph_document_exits_2_naming_the_key(tmp_path, c
 
 
 @pytest.mark.parametrize("flags, flag", [
-    (("--n", "0"), "--n"), (("--seeds", "1,,2"), "--seeds"),
+    (("--n", "0"), "--n"),
+    pytest.param(("--n", "2", "--pattern", "random-rx", "--seeds", "1,,2"),
+                 "--seeds must be a comma list of integers, got '1,,2'", id="seeds-double-comma"),
     # an empty list is refused, not read as the --seed default
     pytest.param(("--n", "2", "--pattern", "random-rx", "--seeds", ""),
                  "--seeds must be a comma list of integers, got ''", id="seeds-empty"),
@@ -500,6 +502,12 @@ def test_mirror_choices_are_the_symmetry_names():
         assert tuple(action.choices) == SYMMETRY_NAMES
 
 
+def test_scan_transfer_takes_a_lattice_past_63_sites(capsys):
+    assert run("scan", "--pattern", "uniform-lattice", "--n", "8", "--source", "1,1",
+               "--target", "8,8", "--tmax", "10") == 0
+    assert json.loads(capsys.readouterr().out)["mode"] == "transfer"
+
+
 def test_scan_transfer_needs_both_sites():
     assert run("scan", "--pattern", "christandl-chain", "--n", "3", "--source", "1") == 2
 
@@ -557,7 +565,7 @@ def test_time_inputs_are_validated(argv, code, message, capsys):
 
 def test_curves_diagonalize_once(monkeypatch):
     """A curve is one eigendecomposition, not one per time point."""
-    counts = {"eigh": 0, "build": 0}
+    counts = {"eigh": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -566,14 +574,12 @@ def test_curves_diagonalize_once(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
-    monkeypatch.setattr(dynamics, "build_sector_hamiltonian",
-                        counted("build", dynamics.build_sector_hamiltonian))
     assert run("chain", "--n", "6", "--chain", "uniform", "--tmax", "200",
                "--points", "20000") == 0
     assert counts["eigh"] == 1
     assert run("scan", "--pattern", "christandl-chain", "--n", "5",
                "--source", "1,1", "--target", "1,5") == 0
-    assert counts["build"] == 1
+    assert counts["eigh"] == 2
 
 
 def test_readme_cli_quickstart_parses():

@@ -43,6 +43,7 @@ from spinmirror.lattice import (
     uniform_pattern,
 )
 from spinmirror.sectors import (
+    Propagator,
     SectorHamiltonian,
     SectorState,
     SparseState,
@@ -104,6 +105,29 @@ def test_two_site_flip():
 def test_transfer_fidelity_quarter_swap():
     pat = chain_pattern(uniform_chain(2))
     assert transfer_fidelity(pat, 0, 1, math.pi / 8) == pytest.approx(math.sqrt(2) / 2, abs=1e-14)
+
+
+def test_transfer_fidelity_takes_a_lattice_past_63_sites():
+    # 8x8 couplings in [-1, 1) with a quarter of them zero, against expm of the
+    # one-excitation H built here; at 7x7 the moduli are the sector eigh's bytes
+    rng = np.random.default_rng(5)
+    for n in (8, 7):
+        g = build_square_lattice(n)
+        w = rng.uniform(-1.0, 1.0, len(g.edges()))
+        pat = pattern_from_weights(g, np.where(rng.random(len(w)) < 0.25, 0.0, w))
+        ts = np.linspace(0.4, 10.0, 6)
+        got = transfer_fidelity(pat, (1, 1), (n, n), ts)
+        if n == 8:
+            H = np.zeros((64, 64))
+            for a, b, x in pat.to_graph().edges:
+                H[a, b] = H[b, a] = 2 * x
+            want = [abs(scipy.linalg.expm(-1j * H * t)[63, 0]) for t in ts]
+            assert np.max(np.abs(got - want)) < 1e-12
+        else:
+            evals, vecs = build_sector_hamiltonian(pat, 1).eig()
+            want = np.abs(Propagator(evals, vecs[-1] * vecs[0]).amplitudes(ts))
+            assert got.tobytes() == want.tobytes()
+        assert transfer_fidelity(pat, 0, n * n - 1, ts[2]) == pytest.approx(got[2], abs=1e-14)
 
 
 def test_mirror_propagator_matches_pauli_expm():
@@ -550,6 +574,20 @@ def spy_support_keys(monkeypatch):
     monkeypatch.setattr(dynamics, "_support_structure", spy)
     monkeypatch.setattr(sectors, "_support_structure", spy)
     return keys
+
+
+@pytest.mark.parametrize("evolution", [evolve_sparse, evolve_state])
+def test_no_time_or_no_amplitude_returns_the_input_bytes_in_fresh_arrays(monkeypatch,
+                                                                           evolution):
+    keys = spy_support_keys(monkeypatch)
+    psi = SparseState.from_dict(16, {0b11: 0.6, 0b101: 0.8j})
+    zero = SparseState(16, np.zeros(0, np.int64), np.zeros(0))
+    for state, t in ((psi, 0.0), (zero, 0.9)):
+        out = evolution(PRODUCT_4X4, state, t)
+        assert out.site_count == 16 and same_bytes(out, state)
+        assert not np.shares_memory(out.masks, state.masks)
+        assert not np.shares_memory(out.amps, state.amps)
+    assert keys == []
 
 
 def test_a_stationary_witness_never_requests_its_sector(monkeypatch):
@@ -1038,7 +1076,7 @@ def test_classify_matches_the_oracle_on_drawn_symmetric_patterns(case):
     pat, sym = pattern_from_weights(geometry, w), symmetry_map(geometry, mirror)
     moved = next((i for i, (a, b) in enumerate(geometry.edges())
                   if {sym.perm[a], sym.perm[b]} != {a, b}), 0)
-    w = w.copy()  # pat's J and K are views of w
+    w = w.copy()
     w[moved] = np.nextafter(w[moved], np.inf)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics, "_GRADED_FLOOR", floor)

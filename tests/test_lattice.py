@@ -10,6 +10,7 @@ from spinmirror.chains import chain_pattern, christandl_chain, parallel_chain_pa
 from spinmirror.lattice import (
     CouplingPattern,
     ExchangeGraph,
+    SymmetryMap,
     build_chain,
     build_rect_lattice,
     build_square_lattice,
@@ -85,6 +86,18 @@ def test_pattern_round_trips():
         again = jsonio.pattern_from_obj(json.loads(text))
         assert again.geometry == g
         assert np.array_equal(again.J, pat.J) and np.array_equal(again.K, pat.K)
+
+
+def test_a_pattern_keeps_its_couplings_when_the_callers_arrays_change():
+    g = build_square_lattice(3)
+    w, J, K = np.arange(1.0, 13.0), np.ones((2, 3)), np.ones((3, 2))
+    for pat, arrays in ((pattern_from_weights(g, w), (w,)), (CouplingPattern(g, J, K), (J, K))):
+        J0, K0, digest = pat.J.copy(), pat.K.copy(), jsonio.pattern_digest(pat)
+        for a in arrays:
+            a[0] = 7.0
+        assert np.array_equal(pat.J, J0) and np.array_equal(pat.K, K0)
+        assert jsonio.pattern_digest(pat) == digest
+        assert not (pat.J.flags.writeable or pat.K.flags.writeable)
 
 
 def test_pattern_from_graph_rejects_long_edges():
@@ -164,6 +177,12 @@ def test_edge_orbits_2x2():
     assert edge_orbits(g, rot) == [[0, 1], [2, 3]]
     rx = (symmetry_map(g, "main_diagonal"), symmetry_map(g, "anti_diagonal"))
     assert edge_orbits(g, rx) == [[0, 1, 2, 3]]
+
+
+def test_edge_orbits_refuse_a_map_that_sends_an_edge_off_the_geometry():
+    # the swap of sites 0 and 1 sends the chain edge (1,2) to (0,2)
+    with pytest.raises(ValueError, match=r"edge set not closed under the group at \(0,2\)$"):
+        edge_orbits(build_chain(3), (SymmetryMap("swap", (1, 0, 2)),))
 
 
 @given(st.lists(st.floats(min_value=-5, max_value=5, allow_nan=False), min_size=12, max_size=12))

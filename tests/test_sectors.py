@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinmirror.chains import (
@@ -392,6 +392,34 @@ STRUCTURE_CACHES = {
                 lambda g: apply_hamiltonian(g, SparseState.unit(g.site_count, 1))),
     "ranks": (sectors._rank_structure, mirror_ranks),
 }
+
+
+@st.composite
+def drawn_graphs(draw):
+    """Site count and live edges: isolated sites, several pieces, odd cycles."""
+    m = draw(st.integers(min_value=1, max_value=12))
+    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
+    chosen = draw(st.sets(st.sampled_from(pairs), max_size=m)) if pairs else set()
+    return m, tuple(sorted(chosen))
+
+
+@given(drawn_graphs())
+@example((0, ()))
+@example((7, ((0, 1), (0, 2), (1, 2), (4, 5))))  # a triangle beside a path
+@example((9, ((1, 2), (2, 3), (3, 4), (1, 4), (5, 8), (6, 8))))  # a 4-cycle beside a path
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+def test_sublattice_sides_are_distance_parities_from_each_piece_s_lowest_site(graph):
+    from scipy.sparse.csgraph import shortest_path
+
+    m, endpoints = graph
+    adjacency = np.zeros((m, m))
+    for a, b in endpoints:
+        adjacency[a, b] = 1.0
+    dist = shortest_path(adjacency, directed=False, unweighted=True) if m else adjacency
+    side = [int(dist[min(q for q in range(m) if dist[p, q] < np.inf), p]) % 2 for p in range(m)]
+    two_sided = all(side[a] != side[b] for a, b in endpoints)
+    want = sum(s << p for p, s in enumerate(side)) if two_sided else None
+    assert sectors._sublattice(m, endpoints) == want
 
 
 def test_structure_cache_holds_at_most_its_bound():
