@@ -282,9 +282,9 @@ def permuted_ranks(basis: SectorBasis, sym: SymmetryMap) -> np.ndarray:
     return _rank_structure(basis.site_count, basis.k, tuple(sym.perm))
 
 
-def _mirror_spectrum(hops, weights, ranks: np.ndarray) -> Propagator:
+def _mirror_spectrum(dense: np.ndarray, ranks: np.ndarray) -> Propagator:
     """U[perm(x), x] over a closed index from one eigh of its dense H; ranks[x] is perm(x)."""
-    evals, vecs = np.linalg.eigh(hops.dense(weights))
+    evals, vecs = np.linalg.eigh(dense)
     return Propagator(evals, vecs[ranks, :] * vecs)
 
 
@@ -294,7 +294,7 @@ def mirror_propagator(pattern, k: int, sym: SymmetryMap) -> Propagator:
     endpoints, weights = _live_edges(graph)
     hops = _support_structure(endpoints, (graph.site_count, k))
     ranks = permuted_ranks(SectorBasis(graph.site_count, k, hops.grown), sym)
-    return _mirror_spectrum(hops, weights, ranks)
+    return _mirror_spectrum(hops.dense(weights), ranks)
 
 
 # -- the irrep split ------------------------------------------------------------

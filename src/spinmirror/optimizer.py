@@ -33,7 +33,15 @@ from .lattice import (
     pattern_from_weights,
     symmetry_map,
 )
-from .sectors import Propagator, SectorBasis, SparseState, _live_edges, _support_structure
+from .sectors import (
+    Propagator,
+    SectorBasis,
+    SparseState,
+    _check_block_memory,
+    _live_edges,
+    _readonly,
+    _support_structure,
+)
 from .dynamics import _breakdown, _mirror_spectrum, _stationary_energy, permuted_ranks
 from .witness import (
     WitnessSpec,
@@ -74,7 +82,7 @@ class Objective:
 
 def _time_horizon(weights) -> float:
     """End of the time window [0, 8 pi / mean |w|] over edge weights; 1 if all are zero."""
-    mean = float(np.mean(np.abs(weights))) if len(weights) else 0.0
+    mean = float(np.abs(weights).sum()) / len(weights) if len(weights) else 0.0
     t1 = 8 * math.pi / mean if mean > 0 else 1.0
     if not (np.isfinite(t1) and t1 > 0):
         raise ValueError("bad time window")
@@ -114,21 +122,26 @@ class PolishCounts:
     stationary_sectors: int = field(default=0, init=False, compare=False)
 
 
+def _moduli(evals: np.ndarray, amps: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """mean |a| over the rows of amps (the mirrored entries) at every time in ts."""
+    return np.add.reduce(np.abs(amps @ np.exp(-1j * (evals[:, None] * ts)))) / len(amps)
+
+
 def _mean_modulus(prop: Propagator, t: float) -> tuple[float, float, float] | None:
     """f = mean |a| over the mirrored entries at t, with f' and f''.
 
     |a|' = Re(conj(a) a') / |a| and |a|'' = (|a'|^2 + Re(conj(a) a'') - |a|'^2) / |a|.
     None where some |a| is 0: the modulus has no derivative there.
     """
-    a, da, d2a = (np.atleast_1d(x) for x in prop.derivatives(t))
+    a, da, d2a = prop.derivatives(t)
     m = np.abs(a)
-    if not m.all():
+    if not np.logical_and.reduce(m):
         return None
     ca = np.conj(a)
     slope = (ca * da).real / m
     curve = ((da * np.conj(da)).real + (ca * d2a).real - slope * slope) / m
-    n = len(m)
-    return float(m.sum() / n), float(slope.sum() / n), float(curve.sum() / n)
+    total, n = np.add.reduce, len(m)  # m.sum(), without the method's wrapper
+    return float(total(m) / n), float(total(slope) / n), float(total(curve) / n)
 
 
 def _newton_max(
@@ -189,6 +202,10 @@ class _BoundObjective:
             self.hops = _support_structure(endpoints, (m, objective.k))
             self.ranks = permuted_ranks(SectorBasis(m, objective.k, self.hops.grown),
                                         objective.mirror)
+            n = len(self.ranks)
+            _check_block_memory(n)
+            # where each hop lands in the flat dense block, as in _Hops.dense
+            self.scatter = self.hops.targets * np.int64(n) + self.hops.cols
             return
         state = objective.state
         if state.site_count != m:
@@ -211,7 +228,10 @@ class _BoundObjective:
         coupling scale; counts, if given, tallies such sectors."""
         live = weights if self.live is None else weights[self.live]
         if self.objective.kind == "sector_average":
-            return _mirror_spectrum(self.hops, live, self.ranks)
+            n = len(self.ranks)
+            dense = np.zeros(n * n)
+            dense[self.scatter] = np.take(2.0 * live, self.hops.edges)
+            return _mirror_spectrum(dense.reshape(n, n), self.ranks)
         tol = _breakdown(live)
         lams, ws = [], []
         for hops, psi, tau, u, overlap in self.pieces:
@@ -227,40 +247,50 @@ class _BoundObjective:
             lams.append(evals)
             ws.append(np.conj(vecs.T @ tau) * (vecs.T @ psi))
         return Propagator(np.concatenate(lams) if lams else np.zeros(1),
-                          np.concatenate(ws) if ws else np.zeros(1, np.complex128))
+                          np.concatenate(ws)[None] if ws else np.zeros((1, 1), np.complex128))
 
     def evaluate(self, weights: np.ndarray, counts: PolishCounts) -> tuple[float, float]:
-        """evaluate_objective at the weights of every edge, in graph order."""
+        """evaluate_objective at the weights of every edge, in graph order.
+
+        Times are read in units of 2^q, the power of two above the window's end:
+        energies times 2^q and times over 2^q give the same products, and so the
+        same bits, at every coupling scale where nothing under- or overflows.
+        """
         prop = self.propagator(weights, counts)
-
-        def moduli(ts):
-            # mean over the mirrored entries; a single-state objective has one
-            return np.abs(np.atleast_2d(prop.amplitudes(ts))).mean(axis=0)
-
-        if np.ptp(prop.evals) == 0:
+        evals, amps = prop.evals, prop.weights
+        if (evals == evals[0]).all():
             # one energy: every |a(t)| is |a(0)|, so the window's first time stands
             counts.kept_incumbent += 1
-            return float(moduli([0.0])[0]), 0.0
+            return float(_moduli(evals, amps, np.zeros(1))[0]), 0.0
         t1 = _time_horizon(weights)
-        ts = np.linspace(0.0, t1, TIME_GRID_POINTS)
-        vals = moduli(ts)
-        i = int(np.argmax(vals))
-        best_t, best_v = float(ts[i]), float(vals[i])
+        unit = math.ldexp(1.0, math.frexp(t1)[1])
+        evals, t1 = evals * unit, t1 / unit
+        # np.linspace(a, b, n) is arange(n) * ((b - a) / (n - 1)) + a, ending on b
         width = t1 / (TIME_GRID_POINTS - 1)
+        ts = self.grid * width
+        ts[-1] = t1
+        vals = _moduli(evals, amps, ts)
+        i = int(vals.argmax())
+        best_t, best_v = float(ts[i]), float(vals[i])
         for _ in range(3):
-            local = np.linspace(max(0.0, best_t - width), min(t1, best_t + width), 21)
-            lv = moduli(local)
-            j = int(np.argmax(lv))
+            a, b = max(0.0, best_t - width), min(t1, best_t + width)
+            local = self.refinement * ((b - a) / 20) + a
+            local[-1] = b
+            lv = _moduli(evals, amps, local)
+            j = int(lv.argmax())
             if lv[j] > best_v:
                 best_v, best_t = float(lv[j]), float(local[j])
             width /= 10
         lo, hi = max(0.0, best_t - 10 * width), min(t1, best_t + 10 * width)
-        polished = _newton_max(prop, lo, hi, best_t, 1e-12 * max(1.0, abs(t1)), counts)
+        polished = _newton_max(Propagator(evals, amps), lo, hi, best_t, 1e-12 * t1, counts)
         if polished is not None and polished[1] > best_v:
             best_t, best_v = polished
         else:
             counts.kept_incumbent += 1
-        return best_v, best_t
+        return best_v, best_t * unit
+
+    # the aranges of the time grid and of each refinement, read only
+    grid, refinement = _readonly(np.arange(float(TIME_GRID_POINTS)), np.arange(21.0))
 
 
 def _edge_weights(graph: ExchangeGraph) -> np.ndarray:

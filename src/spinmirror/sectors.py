@@ -142,14 +142,16 @@ class Propagator:
         amps = self.weights @ np.exp(-1j * np.outer(self.evals, ts))
         return amps.reshape(self.weights.shape[:-1] + ts.shape)
 
+    @functools.cached_property
+    def _rates(self) -> tuple[np.ndarray, np.ndarray]:
+        """-i evals and -evals^2, the factors d/dt and d^2/dt^2 put on exp(-i evals t)."""
+        return -1j * self.evals, -(self.evals**2)
+
     def derivatives(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """a(t), a'(t) and a''(t) for every entry at one time, from one exp(-i evals t)."""
-        e = np.exp(-1j * self.evals * t)
-        return (
-            self.weights @ e,
-            self.weights @ (-1j * self.evals * e),
-            self.weights @ (-(self.evals**2) * e),
-        )
+        rate, curve = self._rates
+        e = np.exp(rate * t)
+        return self.weights @ e, self.weights @ (rate * e), self.weights @ (curve * e)
 
 
 # entries each structure cache keeps, least recently used evicted first. A loop

@@ -151,7 +151,7 @@ def test_newton_polish_is_no_worse_than_golden_section(kind, seed):
 def test_newton_polish_bisects_when_a_step_leaves_the_bracket():
     # |a(t)| = |cos(t/2)|, maximal at t = 0; from t = -2.5 the Newton step
     # t - 2 tan(t/2) lands near 3.5, outside [-3, 1]
-    prop = Propagator(np.array([0.0, 1.0]), np.array([0.5, 0.5], dtype=complex))
+    prop = Propagator(np.array([0.0, 1.0]), np.array([[0.5, 0.5]], dtype=complex))
     counts = PolishCounts()
     t, f = _newton_max(prop, -3.0, 1.0, -2.5, 1e-12, counts)
     assert abs(t) < 1e-9
