@@ -385,6 +385,7 @@ def cmd_optimize(args):
     meta = {
         "wall_clock_s": sum(r.wall_clock for r in runs),
         "evaluations": sum(r.evaluations for r in runs),
+        "evaluation_seconds": sum(r.evaluation_seconds for r in runs),
         "stationary_sectors": sum(r.time_polish.stationary_sectors for r in runs),
         "time_polish": {
             key: sum(getattr(r.time_polish, key) for r in runs)

@@ -33,15 +33,8 @@ from .lattice import (
     pattern_from_weights,
     symmetry_map,
 )
-from .sectors import (
-    Propagator,
-    SectorBasis,
-    SparseState,
-    _check_block_memory,
-    _live_edges,
-    _readonly,
-    _support_structure,
-)
+from .sectors import (Propagator, SectorBasis, SparseState, _check_block_memory, _live_edges,
+                      _readonly, _support_structure)
 from .dynamics import _breakdown, _mirror_spectrum, _stationary_energy, permuted_ranks
 from .witness import (
     WitnessSpec,
@@ -122,11 +115,6 @@ class PolishCounts:
     stationary_sectors: int = field(default=0, init=False, compare=False)
 
 
-def _moduli(evals: np.ndarray, amps: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """mean |a| over the rows of amps (the mirrored entries) at every time in ts."""
-    return np.add.reduce(np.abs(amps @ np.exp(-1j * (evals[:, None] * ts)))) / len(amps)
-
-
 def _mean_modulus(prop: Propagator, t: float) -> tuple[float, float, float] | None:
     """f = mean |a| over the mirrored entries at t, with f' and f''.
 
@@ -190,8 +178,11 @@ def _newton_max(
 class _BoundObjective:
     """An Objective bound to one graph's live edges, those of nonzero weight:
     all that does not depend on their values, built once per search. That is
-    the sector hops and mirror ranks of a sector average, or for each sector of
-    a single state its hops, psi_k, tau_k, psi_k / ||psi_k|| and <tau_k|psi_k>.
+    the sector hops, mirror ranks and dense scatter index of a sector average
+    (its block passes the memory check here), or for each sector of a single
+    state its hops, psi_k, tau_k, psi_k / ||psi_k|| and <tau_k|psi_k>. evaluate
+    scales with the couplings: (cH, t / c) gives the value of (H, t) wherever
+    the spectrum neither under- nor overflows.
     """
 
     def __init__(self, graph: ExchangeGraph, objective: Objective):
@@ -222,7 +213,7 @@ class _BoundObjective:
 
     def propagator(self, weights: np.ndarray, counts: PolishCounts | None = None) -> Propagator:
         """The mirror amplitudes the objective reads at the weights of every
-        edge. A sector whose residual r = H_k u - <u|H_k u> u has
+        edge, one row each (a single state has one). A sector whose residual r = H_k u - <u|H_k u> u has
         ||r|| <= KRYLOV_BREAKDOWN mean nonzero |w| is one spectral point, off by
         at most 8 pi KRYLOV_BREAKDOWN ||psi_k|| ||tau_k|| over the time window at any
         coupling scale; counts, if given, tallies such sectors."""
@@ -252,37 +243,37 @@ class _BoundObjective:
     def evaluate(self, weights: np.ndarray, counts: PolishCounts) -> tuple[float, float]:
         """evaluate_objective at the weights of every edge, in graph order.
 
-        Times are read in units of 2^q, the power of two above the window's end:
-        energies times 2^q and times over 2^q give the same products, and so the
-        same bits, at every coupling scale where nothing under- or overflows.
+        Times are read in units of 2^q, the least power of two above the window's
+        end t1: energies times 2^q and times over 2^q give the same products, so
+        every modulus keeps its bits, and the polish stops at 1e-12 t1 at every
+        coupling scale, the tolerance t1 >= 1 (mean |w| <= 8 pi) always had.
         """
         prop = self.propagator(weights, counts)
-        evals, amps = prop.evals, prop.weights
-        if (evals == evals[0]).all():
+        if (prop.evals == prop.evals[0]).all():
             # one energy: every |a(t)| is |a(0)|, so the window's first time stands
             counts.kept_incumbent += 1
-            return float(_moduli(evals, amps, np.zeros(1))[0]), 0.0
+            return float(prop.mean_moduli(np.zeros(1))[0]), 0.0
         t1 = _time_horizon(weights)
         unit = math.ldexp(1.0, math.frexp(t1)[1])
-        evals, t1 = evals * unit, t1 / unit
+        prop, t1 = Propagator(prop.evals * unit, prop.weights), t1 / unit
         # np.linspace(a, b, n) is arange(n) * ((b - a) / (n - 1)) + a, ending on b
         width = t1 / (TIME_GRID_POINTS - 1)
         ts = self.grid * width
         ts[-1] = t1
-        vals = _moduli(evals, amps, ts)
+        vals = prop.mean_moduli(ts)
         i = int(vals.argmax())
         best_t, best_v = float(ts[i]), float(vals[i])
         for _ in range(3):
             a, b = max(0.0, best_t - width), min(t1, best_t + width)
             local = self.refinement * ((b - a) / 20) + a
             local[-1] = b
-            lv = _moduli(evals, amps, local)
+            lv = prop.mean_moduli(local)
             j = int(lv.argmax())
             if lv[j] > best_v:
                 best_v, best_t = float(lv[j]), float(local[j])
             width /= 10
         lo, hi = max(0.0, best_t - 10 * width), min(t1, best_t + 10 * width)
-        polished = _newton_max(Propagator(evals, amps), lo, hi, best_t, 1e-12 * t1, counts)
+        polished = _newton_max(prop, lo, hi, best_t, 1e-12 * t1, counts)
         if polished is not None and polished[1] > best_v:
             best_t, best_v = polished
         else:
@@ -319,7 +310,10 @@ def evaluate_objective(
     coupling, as one spectral point and diagonalizes no such sector. When all
     its points share one energy, every modulus is constant in time: the value
     is read at t = 0, the grid point t = 0 stands, and counts tallies it as
-    kept. Deterministic for fixed inputs.
+    kept. The maximization reads times in units of a power of two near the
+    window's end, so scaling every coupling by c returns the same value, to
+    rounding, at t / c with the same polish steps (a 4-chain sector average, for
+    c from 1e-200 to 1e200). Deterministic for fixed inputs.
     """
     graph = _as_graph(pattern)
     return _BoundObjective(graph, objective).evaluate(
@@ -341,6 +335,7 @@ class OptimizationRun:
     best_value: float = -1.0
     trace: list[tuple] = field(default_factory=list)
     evaluations: int = 0
+    evaluation_seconds: float = field(default=0.0, init=False)  # summed inside evaluations
     time_polish: PolishCounts = field(default_factory=PolishCounts)
     wall_clock: float = 0.0
     completed: bool = False
@@ -384,7 +379,9 @@ def optimize(run: OptimizationRun, objective: Objective) -> OptimizationRun:
 
     def measure(p) -> float:
         run.evaluations += 1
+        begun = time.perf_counter()
         value, times[tuple(p)] = bound.evaluate(np.take(p, edge_of), run.time_polish)
+        run.evaluation_seconds += time.perf_counter() - begun
         return value
 
     def accept(p, value: float) -> None:

@@ -142,16 +142,15 @@ class Propagator:
         amps = self.weights @ np.exp(-1j * np.outer(self.evals, ts))
         return amps.reshape(self.weights.shape[:-1] + ts.shape)
 
-    @functools.cached_property
-    def _rates(self) -> tuple[np.ndarray, np.ndarray]:
-        """-i evals and -evals^2, the factors d/dt and d^2/dt^2 put on exp(-i evals t)."""
-        return -1j * self.evals, -(self.evals**2)
+    def mean_moduli(self, ts: np.ndarray) -> np.ndarray:
+        """The mean |entry| over the rows of 2-d weights at every time of a 1-d ts."""
+        rows = self.weights @ np.exp(-1j * (self.evals[:, None] * ts))
+        return np.add.reduce(np.abs(rows)) / len(rows)
 
     def derivatives(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """a(t), a'(t) and a''(t) for every entry at one time, from one exp(-i evals t)."""
-        rate, curve = self._rates
-        e = np.exp(rate * t)
-        return self.weights @ e, self.weights @ (rate * e), self.weights @ (curve * e)
+        e, w = np.exp(-1j * self.evals * t), self.weights
+        return w @ e, w @ (-1j * self.evals * e), w @ (-(self.evals**2) * e)
 
 
 # entries each structure cache keeps, least recently used evicted first. A loop

@@ -369,6 +369,10 @@ def test_incomplete_pattern_or_graph_document_exits_2_naming_the_key(tmp_path, c
                  "--seeds must be a comma list of integers, got ''", id="seeds-empty"),
     pytest.param(("--n", "2", "--pattern", "random-rx", "--seeds", ","),
                  "--seeds must be a comma list of integers, got ','", id="seeds-comma"),
+    # the same refusal at the default n = 3
+    pytest.param(("--pattern", "random-rx", "--seeds", "1,,2"),
+                 "--seeds must be a comma list of integers, got '1,,2'",
+                 id="seeds-double-comma-n3"),
 ])
 def test_witness_bad_side_or_seed_list_exits_2_naming_the_flag(capsys, flags, flag):
     assert run("witness", *flags) == 2
@@ -382,12 +386,6 @@ def test_uniform_witness_refuses_seed_flags(capsys, flags, flag):
     assert run("witness", "--n", "2", *flags) == 2
     out, err = capsys.readouterr()
     assert f"{flag} does not apply to --pattern uniform" in err and out == ""
-
-
-def test_random_witness_refuses_a_bad_seed_list(capsys):
-    assert run("witness", "--pattern", "random-rx", "--seeds", "1,,2") == 2
-    out, err = capsys.readouterr()
-    assert "--seeds must be a comma list of integers" in err and out == ""
 
 
 def run_under_1gb_cap(*argv):
@@ -777,6 +775,7 @@ def test_optimize_sidecar_counts_the_time_polish(tmp_path, preset):
     polish = meta["time_polish"]
     assert sorted(polish) == ["bisections", "kept_incumbent", "newton_steps"]
     assert 0 <= polish["kept_incumbent"] <= meta["evaluations"]
+    assert 0 <= meta["evaluation_seconds"] <= meta["wall_clock_s"]
     if preset == "chain-4-pst":
         assert polish["newton_steps"] > 0
     else:

@@ -4,6 +4,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     permutation_operator,
@@ -105,27 +107,130 @@ def test_witness_objective_keeps_its_grid_incumbent(seed):
     assert counts.stationary_sectors == 1
 
 
-def _golden_polished(pattern, objective):
-    """evaluate_objective's grid and refinements, then a golden-section polish."""
-    prop = _objective_propagator(pattern.to_graph(), objective)
+def _reference_grid(prop, t1):
+    """evaluate_objective's grid and its three refinements as plain np.linspace
+    calls on Propagator.amplitudes: (best time, best value, last width, values)."""
 
     def values(ts):
         return np.abs(np.atleast_2d(prop.amplitudes(ts))).mean(axis=0)
 
-    t1 = 8 * math.pi / float(np.mean(np.abs(pattern.edge_weights())))
     ts = np.linspace(0.0, t1, TIME_GRID_POINTS)
     vals = values(ts)
-    best_t, best_v = float(ts[np.argmax(vals)]), float(vals.max())
+    i = int(np.argmax(vals))
+    best_t, best_v = float(ts[i]), float(vals[i])
     width = t1 / (TIME_GRID_POINTS - 1)
     for _ in range(3):
         local = np.linspace(max(0.0, best_t - width), min(t1, best_t + width), 21)
         lv = values(local)
-        if lv.max() > best_v:
-            best_v, best_t = float(lv.max()), float(local[np.argmax(lv)])
+        j = int(np.argmax(lv))
+        if lv[j] > best_v:
+            best_v, best_t = float(lv[j]), float(local[j])
         width /= 10
+    return best_t, best_v, width, values
+
+
+def _golden_polished(pattern, objective):
+    """evaluate_objective's grid and refinements, then a golden-section polish."""
+    prop = _objective_propagator(pattern.to_graph(), objective)
+    t1 = 8 * math.pi / float(np.mean(np.abs(pattern.edge_weights())))
+    best_t, best_v, width, values = _reference_grid(prop, t1)
     lo, hi = max(0.0, best_t - 10 * width), min(t1, best_t + 10 * width)
     gt, gv = _golden_max(lambda t: float(values([t])[0]), lo, hi, 1e-12 * max(1.0, t1))
     return max(gv, best_v)
+
+
+def _reference_evaluation(pattern, objective):
+    """evaluate_objective as it was written in the couplings' own time units:
+    ((value, time), counts). The kernel reads times in units of a power of two,
+    which moves no bit while the mean |w| is at most 8 pi (a window of >= 1)."""
+    counts = PolishCounts()
+    prop = _objective_propagator(pattern.to_graph(), objective, counts)
+    if np.ptp(prop.evals) == 0:
+        counts.kept_incumbent += 1
+        return (float(np.abs(np.atleast_2d(prop.amplitudes([0.0]))).mean(axis=0)[0]), 0.0), counts
+    w = pattern.edge_weights()
+    t1 = 8 * math.pi / float(np.mean(np.abs(w)))
+    best_t, best_v, width, _ = _reference_grid(prop, t1)
+    lo, hi = max(0.0, best_t - 10 * width), min(t1, best_t + 10 * width)
+    polished = _newton_max(prop, lo, hi, best_t, 1e-12 * max(1.0, t1), counts)
+    if polished is not None and polished[1] > best_v:
+        best_t, best_v = polished
+    else:
+        counts.kept_incumbent += 1
+    return (best_v, best_t), counts
+
+
+def mirror_of(g):
+    return symmetry_map(g, "vertical_axis" if g.kind == "chain" else "rotation_pi")
+
+
+def drawn_case(g, weights, k=None, masks=(), amps=()):
+    """The pattern and the objective of one differential case: a sector average
+    at k, or else the state of the masks and amplitudes."""
+    pattern, mirror = pattern_from_weights(g, weights), mirror_of(g)
+    if k is not None:
+        return pattern, Objective(kind="sector_average", mirror=mirror, k=k)
+    state = SparseState(g.site_count, list(masks), list(amps))
+    return pattern, Objective(kind="single_state", mirror=mirror, state=state)
+
+
+@st.composite
+def objective_cases(draw):
+    """Chains and the 2x2 and 3x3 lattices, couplings in [0.05, 25] or 0 (so
+    mean |w| < 8 pi), and a sector average at any k or a state on up to four
+    basis states, the empty and the full mask (each one stationary sector) among
+    those drawn."""
+    g = draw(st.sampled_from([build_chain(n) for n in range(2, 7)]
+                             + [build_square_lattice(2), build_square_lattice(3)]))
+    m, edges = g.site_count, len(g.edges())
+    weights = draw(st.lists(st.sampled_from([0.0]) | st.floats(0.05, 25.0),
+                            min_size=edges, max_size=edges))
+    if draw(st.booleans()):
+        return drawn_case(g, weights, k=draw(st.integers(0, m)))
+    masks = draw(st.lists(st.sampled_from([0, (1 << m) - 1]) | st.integers(0, (1 << m) - 1),
+                          min_size=1, max_size=4, unique=True))
+    parts = st.floats(-1.0, 1.0)
+    amps = [complex(draw(parts), draw(parts)) for _ in masks]
+    return drawn_case(g, weights, masks=masks, amps=amps)
+
+
+@given(objective_cases())
+# zero couplings: H = 0 and one energy
+@example(drawn_case(build_square_lattice(2), [0.0] * 4, k=2))
+# one basis state of a one-state sector, and one stationary and one moving sector
+@example(drawn_case(build_chain(4), [0.9, 1.3, 0.8], k=0))
+@example(drawn_case(build_chain(3), [1.0, 2.0], masks=[0b000, 0b001], amps=[0.6, 0.8]))
+# incumbents at t = 0 (a mirror-symmetric state), at the window's end, which
+# 399 (t1 / 399) misses by an ulp, and on a refinement grid
+@example(drawn_case(build_chain(3), [1.0, 1.0], masks=[0b010], amps=[1.0]))
+@example(drawn_case(build_chain(4), [0.7, 0.0, 1.7], k=2))
+@example(drawn_case(build_chain(3), [2.68, 0.71], k=1))
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+def test_the_evaluation_kernel_matches_the_reference_bit_for_bit(case):
+    pattern, objective = case
+    expected, reference_counts = _reference_evaluation(pattern, objective)
+    counts = PolishCounts()
+    assert evaluate_objective(pattern, objective, counts) == expected
+    assert counts == reference_counts
+    assert counts.stationary_sectors == reference_counts.stationary_sectors
+
+
+@pytest.mark.parametrize("c", [1e-200, 1e-160, 1e8, 1e100, 1e200, 2.0**600, 2.0**-600])
+def test_the_time_polish_does_not_depend_on_the_coupling_scale(c):
+    # (H, t) -> (cH, t / c) keeps every modulus: the polish must find the same
+    # maximum, with the same steps, far from unit coupling scale too
+    g = build_chain(4)
+    obj = Objective(kind="sector_average", mirror=symmetry_map(g, "vertical_axis"), k=1)
+    w = np.array([0.9, 1.3, 0.8])
+    unit = PolishCounts()
+    v1, t1 = evaluate_objective(pattern_from_weights(g, w), obj, unit)
+    counts = PolishCounts()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v, t = evaluate_objective(pattern_from_weights(g, c * w), obj, counts)
+    assert abs(v - v1) <= 1e-12
+    assert t * c == pytest.approx(t1, rel=1e-9)
+    assert counts == unit
 
 
 @pytest.mark.parametrize("kind", ["sector_average", "single_state"])
