@@ -212,11 +212,11 @@ class _BoundObjective:
             self.pieces.append((hops, psi, tau, psi / nrm if nrm > 0 else None, np.vdot(tau, psi)))
 
     def propagator(self, weights: np.ndarray, counts: PolishCounts | None = None) -> Propagator:
-        """The mirror amplitudes the objective reads at the weights of every
-        edge, one row each (a single state has one). A sector whose residual r = H_k u - <u|H_k u> u has
-        ||r|| <= KRYLOV_BREAKDOWN mean nonzero |w| is one spectral point, off by
-        at most 8 pi KRYLOV_BREAKDOWN ||psi_k|| ||tau_k|| over the time window at any
-        coupling scale; counts, if given, tallies such sectors."""
+        """The mirror amplitudes the objective reads at the weights of every edge,
+        one row each (a single state has one). A sector whose residual r = H_k u -
+        <u|H_k u> u has ||r|| <= KRYLOV_BREAKDOWN mean nonzero |w| is one spectral
+        point, off by at most 8 pi KRYLOV_BREAKDOWN ||psi_k|| ||tau_k|| over the time
+        window at any coupling scale; counts, if given, tallies such sectors."""
         live = weights if self.live is None else weights[self.live]
         if self.objective.kind == "sector_average":
             n = len(self.ranks)
@@ -245,8 +245,8 @@ class _BoundObjective:
 
         Times are read in units of 2^q, the least power of two above the window's
         end t1: energies times 2^q and times over 2^q give the same products, so
-        every modulus keeps its bits, and the polish stops at 1e-12 t1 at every
-        coupling scale, the tolerance t1 >= 1 (mean |w| <= 8 pi) always had.
+        every modulus keeps its bits at any coupling scale, and the polish stops
+        within 1e-12 t1.
         """
         prop = self.propagator(weights, counts)
         if (prop.evals == prop.evals[0]).all():
