@@ -140,7 +140,7 @@ def _golden_polished(pattern, objective):
 
 
 def _reference_evaluation(pattern, objective):
-    """evaluate_objective as it was written in the couplings' own time units:
+    """evaluate_objective written out plainly, in the couplings' own time units:
     ((value, time), counts). The kernel reads times in units of a power of two,
     which moves no bit while the mean |w| is at most 8 pi (a window of >= 1)."""
     counts = PolishCounts()
@@ -148,8 +148,7 @@ def _reference_evaluation(pattern, objective):
     if np.ptp(prop.evals) == 0:
         counts.kept_incumbent += 1
         return (float(np.abs(np.atleast_2d(prop.amplitudes([0.0]))).mean(axis=0)[0]), 0.0), counts
-    w = pattern.edge_weights()
-    t1 = 8 * math.pi / float(np.mean(np.abs(w)))
+    t1 = 8 * math.pi / float(np.mean(np.abs(pattern.edge_weights())))
     best_t, best_v, width, _ = _reference_grid(prop, t1)
     lo, hi = max(0.0, best_t - 10 * width), min(t1, best_t + 10 * width)
     polished = _newton_max(prop, lo, hi, best_t, 1e-12 * max(1.0, t1), counts)
@@ -160,14 +159,11 @@ def _reference_evaluation(pattern, objective):
     return (best_v, best_t), counts
 
 
-def mirror_of(g):
-    return symmetry_map(g, "vertical_axis" if g.kind == "chain" else "rotation_pi")
-
-
 def drawn_case(g, weights, k=None, masks=(), amps=()):
     """The pattern and the objective of one differential case: a sector average
     at k, or else the state of the masks and amplitudes."""
-    pattern, mirror = pattern_from_weights(g, weights), mirror_of(g)
+    pattern = pattern_from_weights(g, weights)
+    mirror = symmetry_map(g, "vertical_axis" if g.kind == "chain" else "rotation_pi")
     if k is not None:
         return pattern, Objective(kind="sector_average", mirror=mirror, k=k)
     state = SparseState(g.site_count, list(masks), list(amps))
