@@ -34,7 +34,6 @@ from .chains import (
     measured_transfer_modulus,
     parallel_chain_pattern,
     product_lattice_couplings,
-    single_excitation_hopping,
     uniform_chain,
 )
 from .sectors import (

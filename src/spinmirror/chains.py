@@ -3,6 +3,7 @@
 Convention, used everywhere in this package: the Hamiltonian is
 H = sum_edges c * (XX + YY), so a coupling c moves a single excitation with
 matrix element 2c. All transfer times below are stated under this convention.
+Transfer moduli are read by dynamics.transfer_fidelity on the chain's pattern.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .lattice import (
     build_rect_lattice,
     build_square_lattice,
 )
-from .sectors import Propagator
+from .dynamics import transfer_fidelity
 
 
 @dataclass(frozen=True)
@@ -27,7 +28,8 @@ class ChainCouplings:
 
     nominal_transfer_time is the first time at which a single excitation on
     site 1 arrives at site n with unit modulus, or None when no such time
-    exists (uniform chains of length >= 4).
+    exists (uniform chains of length >= 4). Each hopping element 2c, and the
+    time when given, is finite.
     """
 
     n: int
@@ -40,11 +42,14 @@ class ChainCouplings:
         if len(self.couplings) != self.n - 1:
             raise ValueError(f"need {self.n - 1} couplings, got {len(self.couplings)}")
         c = self.couplings
+        if not all(math.isfinite(2 * x) for x in c):
+            raise ValueError(f"hopping elements 2c must be finite, got couplings {c}")
         for m in range(len(c)):
             if abs(c[m] - c[len(c) - 1 - m]) > 1e-12 * max(1.0, abs(c[m])):
                 raise ValueError("couplings must be mirror-symmetric: c_m = c_{n-m}")
-        if self.nominal_transfer_time is not None and not self.nominal_transfer_time > 0:
-            raise ValueError("transfer time must be positive")
+        t = self.nominal_transfer_time
+        if t is not None and not (math.isfinite(t) and t > 0):
+            raise ValueError(f"transfer time must be finite and positive, got {t}")
 
 
 def christandl_chain(n: int, scale: float = 1.0) -> ChainCouplings:
@@ -52,13 +57,11 @@ def christandl_chain(n: int, scale: float = 1.0) -> ChainCouplings:
 
     The single-excitation hopping matrix then has elements scale*sqrt(m(n-m)),
     a linear spectrum with gap 2*scale, and perfect site reversal at
-    t = pi/(2*scale). The bundled tests re-derive that time by diagonalizing
-    the hopping block rather than trusting this docstring.
+    t = pi/(2*scale). The bundled tests re-derive that time from a hopping
+    block they build themselves rather than trusting this docstring.
     """
-    if n < 2:
-        raise ValueError("chain needs at least 2 sites")
-    if not scale > 0:
-        raise ValueError("scale must be positive")
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(f"scale must be finite and positive, got {scale}")
     couplings = tuple(scale * math.sqrt(m * (n - m)) / 2 for m in range(1, n))
     return ChainCouplings(n, couplings, math.pi / (2 * scale))
 
@@ -74,10 +77,8 @@ def uniform_chain(n: int, strength: float = 1.0) -> ChainCouplings:
     Kirkland, Severini & Smith 2012), so no fixed margin below 1 holds on
     every window.
     """
-    if n < 2:
-        raise ValueError("chain needs at least 2 sites")
-    if not strength > 0:
-        raise ValueError("strength must be positive")
+    if not (math.isfinite(strength) and strength > 0):
+        raise ValueError(f"strength must be finite and positive, got {strength}")
     if n == 2:
         t = math.pi / (4 * strength)
     elif n == 3:
@@ -87,23 +88,11 @@ def uniform_chain(n: int, strength: float = 1.0) -> ChainCouplings:
     return ChainCouplings(n, (strength,) * (n - 1), t)
 
 
-def single_excitation_hopping(chain: ChainCouplings) -> np.ndarray:
-    """Dense n x n single-excitation block: off-diagonals 2*c_m."""
-    h = np.zeros((chain.n, chain.n))
-    for m, c in enumerate(chain.couplings):
-        h[m, m + 1] = h[m + 1, m] = 2 * c
-    return h
-
-
 def measured_transfer_modulus(chain: ChainCouplings, t):
-    """|<n| exp(-iHt) |1>| from direct diagonalization of the hopping block.
-
-    This is the oracle the transfer times above are checked against. A
-    scalar t gives a float; an array of times gives moduli of its shape.
-    """
-    evals, vecs = np.linalg.eigh(single_excitation_hopping(chain))
-    mods = np.abs(Propagator(evals, vecs[-1, :] * vecs[0, :]).amplitudes(t))
-    return float(mods) if mods.ndim == 0 else mods
+    """|<n| exp(-iHt) |1>|: transfer_fidelity from the first site to the last
+    of chain_pattern(chain). A scalar t gives a float; an array of times gives
+    moduli of its shape."""
+    return transfer_fidelity(chain_pattern(chain), 0, chain.n - 1, t)
 
 
 def chain_pattern(chain: ChainCouplings) -> CouplingPattern:

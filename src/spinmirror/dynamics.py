@@ -14,6 +14,8 @@ apply_hamiltonian and the operator share _Hops.apply: H x as one CSR product
 over the hops in hop order by target. Every cached structure is in sectors.
 Curves of fixed propagator entries over a time grid diagonalize once and go
 through sectors.Propagator: one product per curve, not one eigh per point.
+transfer_fidelity is the one single-excitation propagator: the only code that
+builds the M x M block, for transfer scans and chains.measured_transfer_modulus.
 Mirroring reports and spectrum classification share one split of a sector over
 the irreps of G, the reflections that commute with H and hold the mirror, each
 block scattered from the cached hops; a report solves a large block by one SVD
@@ -83,11 +85,15 @@ def _breakdown(weights) -> float:
 
 def _stationary_energy(hops, weights, u, breakdown):
     """<u|H u> if ||H u - <u|H u> u|| <= breakdown, else None, from one
-    hops.apply of u, a vector over the hops' index."""
-    hu = hops.apply(u, weights)
+    hops.apply of u, a vector over the hops' index. The weights are divided
+    by 2^e, the power of two that brings breakdown into [1/2, 1), so the
+    residual's squares neither underflow nor overflow at any coupling scale;
+    a power of two keeps every bit."""
+    mantissa, e = math.frexp(breakdown)
+    hu = hops.apply(u, np.ldexp(weights, -e))
     energy = np.vdot(u, hu[hops.index_pos]).real
     hu[hops.index_pos] -= energy * u
-    return energy if np.linalg.norm(hu) <= breakdown else None
+    return np.ldexp(energy, e) if np.linalg.norm(hu) <= mantissa else None
 
 
 def _krylov_space(matvec, v, lift, breakdown):
@@ -257,6 +263,8 @@ def transfer_fidelity(pattern, source, target, t):
     The sector's M x M H, H[p, q] = 2w on each live edge (p, q), is built
     from the edges by flat site, with no bitmasks, so any site count works.
     """
+    if not np.isfinite(t).all():
+        raise ValueError("evolution time must be finite")
     graph = _as_graph(pattern)
     m = graph.site_count
     a = _flat_site(pattern, source, m)
@@ -264,8 +272,8 @@ def transfer_fidelity(pattern, source, target, t):
     endpoints, weights = _live_edges(graph)
     _check_block_memory(m)
     h = np.zeros((m, m))
-    for (p, q), w in zip(endpoints, weights):
-        h[p, q] = h[q, p] = 2 * w
+    p, q = np.array(endpoints, dtype=int).reshape(-1, 2).T
+    h[p, q] = h[q, p] = 2 * weights
     evals, vecs = np.linalg.eigh(h)
     mods = np.abs(Propagator(evals, vecs[b, :] * vecs[a, :]).amplitudes(t))
     return float(mods) if mods.ndim == 0 else mods

@@ -1,7 +1,8 @@
 """Independent constructions the tests cross-check against.
 
 The Pauli oracles work on the full 2^M-dimensional space with explicit tensor
-products; the uniform-chain amplitude is a closed form; the sector propagator
+products; the chain hopping block is built from its couplings alone; the
+uniform-chain amplitude is a closed form; the sector propagator
 enumerates its basis with itertools and exponentiates with scipy; the
 spectrum classifier projects a dense mirror permutation onto each degeneracy
 group of the full sector; the lattice mirrors map each (i, j) by its
@@ -78,6 +79,12 @@ def pair_vector(site_count, p, q, sign):
     v[1 << p] = 1 / np.sqrt(2)
     v[1 << q] = sign / np.sqrt(2)
     return v
+
+
+def chain_hopping(chain):
+    """The n x n single-excitation block of a chain: 2c on both off-diagonals."""
+    c = 2 * np.asarray(chain.couplings, dtype=float)
+    return np.diag(c, 1) + np.diag(c, -1)
 
 
 def uniform_chain_amplitude(n, ts):

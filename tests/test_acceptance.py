@@ -20,7 +20,6 @@ from spinmirror.chains import (
     measured_transfer_modulus,
     parallel_chain_pattern,
     product_lattice_couplings,
-    single_excitation_hopping,
     uniform_chain,
 )
 from spinmirror.dynamics import (
@@ -54,14 +53,14 @@ from spinmirror.witness import (
 )
 from spinmirror import jsonio
 
-from oracles import pauli_hamiltonian, restrict_to_sector, uniform_chain_amplitude
+from oracles import chain_hopping, pauli_hamiltonian, restrict_to_sector, uniform_chain_amplitude
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 
 
 def end_to_end_moduli(chain, ts):
-    """|U_{n,1}(t)| on the time grid, via one dense diagonalization."""
-    evals, vecs = np.linalg.eigh(single_excitation_hopping(chain))
+    """|U_{n,1}(t)| on the time grid, via one dense diagonalization of the oracle block."""
+    evals, vecs = np.linalg.eigh(chain_hopping(chain))
     weights = vecs[-1, :] * vecs[0, :]
     return np.abs(weights @ np.exp(-1j * np.outer(evals, ts)))
 
@@ -137,7 +136,7 @@ def test_criterion_01_uniform_chain_transfer_law():
 def test_criterion_02_engineered_chain_single_excitation():
     for n in range(2, 13):
         chain = christandl_chain(n)
-        evals, vecs = np.linalg.eigh(single_excitation_hopping(chain))
+        evals, vecs = np.linalg.eigh(chain_hopping(chain))
         U = (vecs * np.exp(-1j * evals * chain.nominal_transfer_time)) @ vecs.T
         antidiag = np.abs(U[::-1, :].diagonal())
         assert antidiag.min() >= 1 - 1e-10, f"n={n}: {antidiag.min():.15f}"

@@ -6,9 +6,13 @@ A change to a name below is a deliberate API change; CHANGES.md lists it.
 import importlib
 import inspect
 import json
+import sys
 from pathlib import Path
 
+import pytest
+
 import spinmirror
+from spinmirror import cli
 from spinmirror.sectors import SectorHamiltonian, SparseState
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -78,7 +82,6 @@ PUBLIC_PARAMETERS = {
     "probe_2x2": ("n_ratios", "n_times"),
     "product_lattice_couplings": ("row_chain", "col_chain"),
     "random_symmetric_pattern": ("geometry", "group", "seed", "coupling_range"),
-    "single_excitation_hopping": ("chain",),
     "symmetrize_pattern": ("pattern", "group"),
     "symmetry_map": ("geometry", "name"),
     "transfer_fidelity": ("pattern", "source", "target", "t"),
@@ -135,3 +138,34 @@ def test_benchmark_traced_names_are_distinct_public_functions():
         traced[name] = fn
     assert {"dynamics.evolve_sparse", "dynamics.evolve_state"} <= set(traced)
     assert len({id(fn) for fn in traced.values()}) == len(traced)
+
+
+@pytest.mark.parametrize(
+    "name,argv",
+    [
+        ("chains.measured_transfer_modulus", ["chain", "--n", "2", "--points", "1"]),
+        ("dynamics.transfer_fidelity", ["scan", "--pattern", "christandl-chain", "--n", "2",
+                                        "--source", "0", "--target", "1", "--points", "1"]),
+    ],
+    ids=["chain", "transfer-scan"],
+)
+def test_benchmark_cli_jobs_reach_their_traced_functions(name, argv, monkeypatch):
+    """The benchmark's chain and transfer-scan jobs call the function its metrics name.
+
+    The function is wrapped in every spinmirror namespace that binds it, as
+    perfbench's tracer wraps it; a job that no longer reaches it would end a
+    traced run with exit 4.
+    """
+    module, _, attr = name.partition(".")
+    original = getattr(importlib.import_module(f"spinmirror.{module}"), attr)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for modname, mod in list(sys.modules.items()):
+        if modname.partition(".")[0] == "spinmirror" and vars(mod).get(attr) is original:
+            monkeypatch.setattr(mod, attr, wrapper)
+    assert cli.main(argv) == 0
+    assert calls

@@ -1,4 +1,5 @@
 import math
+import warnings
 from functools import partial
 
 import numpy as np
@@ -11,11 +12,12 @@ from spinmirror.chains import (
     measured_transfer_modulus,
     parallel_chain_pattern,
     product_lattice_couplings,
-    single_excitation_hopping,
     uniform_chain,
 )
 from spinmirror.dynamics import transfer_fidelity
 from spinmirror.lattice import check_symmetry, symmetry_map
+
+from oracles import chain_hopping
 
 
 def test_christandl_values():
@@ -62,16 +64,20 @@ def test_uniform_chain_times():
 def test_uniform_4_never_reaches_unit_fidelity():
     c = uniform_chain(4)
     ts = np.arange(1, 50001) * 1e-3
-    h = single_excitation_hopping(c)
-    evals, vecs = np.linalg.eigh(h)
+    evals, vecs = np.linalg.eigh(chain_hopping(c))
     amps = (vecs[-1, :] * vecs[0, :]) @ np.exp(-1j * np.outer(evals, ts))
     assert np.abs(amps).max() < 1 - 1e-5
 
 
-def test_hopping_matrix_elements():
-    h = single_excitation_hopping(uniform_chain(3, 0.7))
-    expect = np.array([[0, 1.4, 0], [1.4, 0, 1.4], [0, 1.4, 0]])
-    assert np.array_equal(h, expect)
+@pytest.mark.parametrize("build", [christandl_chain, uniform_chain])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_transfer_fidelity_matches_the_oracle_block_to_the_bit(build, n):
+    c = build(n)
+    ts = np.linspace(0.0, 4.0, 41)
+    evals, vecs = np.linalg.eigh(chain_hopping(c))
+    expect = np.abs((vecs[-1, :] * vecs[0, :]) @ np.exp(-1j * np.outer(evals, ts)))
+    assert np.array_equal(transfer_fidelity(chain_pattern(c), 0, n - 1, ts), expect)
+    assert np.array_equal(measured_transfer_modulus(c, ts), expect)
 
 
 def test_chain_pattern_round_trip():
@@ -121,9 +127,7 @@ def test_parallel_chain_pattern():
 
 
 _CHAIN5 = christandl_chain(5)
-
-
-@pytest.mark.parametrize(
+_CURVES = pytest.mark.parametrize(
     "curve",
     [
         partial(measured_transfer_modulus, _CHAIN5),
@@ -131,6 +135,9 @@ _CHAIN5 = christandl_chain(5)
     ],
     ids=["measured_transfer_modulus", "transfer_fidelity"],
 )
+
+
+@_CURVES
 def test_curves_take_time_arrays(curve):
     ts = np.linspace(0.1, 3.0, 6).reshape(2, 3)
     moduli = curve(ts)
@@ -149,3 +156,35 @@ def test_transfer_fidelity_rejects_flat_sites_outside_the_chain():
         transfer_fidelity(pat, 0, 99, 1.0)
     with pytest.raises(ValueError, match="outside 0..4"):
         transfer_fidelity(pat, -1, 0, 1.0)
+
+
+@pytest.mark.parametrize("couplings", [(math.nan, math.nan), (math.inf, math.inf), (1e308, 1e308)],
+                         ids=["nan", "inf", "2c-overflows"])
+def test_chain_couplings_refuse_a_non_finite_hopping_element(couplings):
+    with pytest.raises(ValueError, match="2c must be finite"):
+        ChainCouplings(3, couplings, None)
+
+
+@pytest.mark.parametrize("build, value", [(christandl_chain, math.inf), (christandl_chain, math.nan),
+                                          (uniform_chain, math.inf), (uniform_chain, math.nan)])
+def test_chain_constructors_refuse_a_non_finite_scale(build, value):
+    with pytest.raises(ValueError, match=f"must be finite and positive, got {value}"):
+        build(4, value)
+
+
+def test_a_subnormal_scale_has_no_finite_transfer_time():
+    # pi / (2 * 1e-320) overflows
+    with pytest.raises(ValueError, match="transfer time must be finite and positive, got inf"):
+        christandl_chain(4, 1e-320)
+    with pytest.raises(ValueError, match="transfer time must be finite and positive, got inf"):
+        ChainCouplings(2, (1.0,), math.inf)
+
+
+@_CURVES
+@pytest.mark.parametrize("t", [math.inf, math.nan, np.array([0.5, math.inf]), np.array([[math.nan]])],
+                         ids=["inf", "nan", "array-inf", "array-nan"])
+def test_curves_refuse_a_non_finite_time(curve, t):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="evolution time must be finite"):
+            curve(t)

@@ -561,6 +561,23 @@ def test_time_inputs_are_validated(argv, code, message, capsys):
         assert message in err
 
 
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (("--scale", "inf"), "scale must be finite and positive, got inf"),
+        (("--scale", "nan"), "scale must be finite and positive, got nan"),
+        (("--chain", "uniform", "--strength", "inf"), "strength must be finite and positive, got inf"),
+        (("--chain", "uniform", "--strength", "1e308"), "hopping elements 2c must be finite"),
+        (("--scale", "1e-320"), "transfer time must be finite and positive, got inf"),
+    ],
+    ids=["scale-inf", "scale-nan", "strength-inf", "strength-2c-overflows", "scale-subnormal"],
+)
+def test_chain_refuses_a_chain_without_finite_couplings_and_time(flags, message, capsys):
+    assert run("chain", "--n", "6", *flags) == 2
+    out, err = capsys.readouterr()
+    assert message in err and out == ""
+
+
 def test_curves_diagonalize_once(monkeypatch):
     """A curve is one eigendecomposition, not one per time point."""
     counts = {"eigh": 0}

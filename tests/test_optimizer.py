@@ -587,6 +587,36 @@ def test_an_underflowing_sector_is_diagonalized_without_warnings():
     assert value == 0.0
 
 
+def test_the_stationary_switch_reads_moving_sectors_at_extreme_coupling_scales():
+    # the residual's squares would underflow below c ~ 1e-154 and overflow above
+    # c ~ 1e154, reading both sectors as one spectral point each
+    g = build_square_lattice(3)
+    rot = symmetry_map(g, "rotation_pi")
+    pat = random_symmetric_pattern(g, (rot,), seed=2)
+    amps = np.array([1, 0.5j, 0.3]) / np.linalg.norm([1, 0.5j, 0.3])
+    obj = single_state_objective(g, SparseState(9, np.array([0b11, 0b100000001, 0b1]), amps))
+    ref, ref_t = evaluate_objective(pat, obj)
+    assert ref > 0.65 and ref_t > 0
+    for c in (1e-170, 1e-250, 1e160, 1e250):
+        counts = PolishCounts()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, t = evaluate_objective(scaled(pat, c), obj, counts)
+        assert counts.stationary_sectors == 0, c
+        assert value == pytest.approx(ref, abs=1e-13), c
+        assert t * c == pytest.approx(ref_t, rel=1e-9), c
+    # the rx witness stays stationary, and unmirrored, at a tiny scale
+    group = (symmetry_map(g, "main_diagonal"), symmetry_map(g, "anti_diagonal"))
+    witness = single_state_objective(g, build_witness(WitnessSpec(3, diagonal_basis_state(3, "100"))))
+    counts = PolishCounts()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, t = evaluate_objective(scaled(random_symmetric_pattern(g, group, seed=0), 1e-170),
+                                      witness, counts)
+    assert counts.stationary_sectors == 1
+    assert (value, t) == (0.0, 0.0)
+
+
 def test_a_basis_state_is_diagonalized():
     g = build_square_lattice(3)
     pat = random_symmetric_pattern(g, (symmetry_map(g, "rotation_pi"),), seed=0)
