@@ -18,8 +18,8 @@ transfer_fidelity is the one single-excitation propagator: the only code that
 builds the M x M block, for transfer scans and chains.measured_transfer_modulus.
 Mirroring reports and spectrum classification share one split of a sector over
 the irreps of G, the reflections that commute with H and hold the mirror, each
-block scattered from the cached hops; a report solves a large block by one SVD
-of its coupling between sublattices and forms only G's representatives' columns.
+block scattered from the cached hops; a report solves a large block by one eigh
+of its sublattice coupling's Gram matrix and forms only G's representatives' columns.
 """
 
 from __future__ import annotations
@@ -142,14 +142,22 @@ def _krylov_expm(matvec, v, t, breakdown, lift=None):
     step length, so a tau whose error estimate beta |[exp(-i tau T)]_(m,1)| tau
     exceeds its share of the tolerance is halved on the same space: a rejected
     step length costs no matvec. A halved tau carries over to later substeps.
+    H and the breakdown are divided by the power of two that brings the breakdown
+    into [1/2, 1) and t is multiplied by it: exact, and no norm under- or overflows.
     """
     norm_v = np.linalg.norm(v)
     if norm_v == 0.0 or t == 0.0:
         return v.copy()
+    breakdown, e = math.frexp(breakdown)
+
+    def scaled(x):  # H x / 2^e, in place
+        w = matvec(x).view(np.float64)
+        return np.ldexp(w, -e, out=w).view(np.complex128)
+
     current = v / norm_v
-    remaining = tau = t
+    t = remaining = tau = math.ldexp(t, e)
     while abs(remaining) > 0:
-        V, evals, U, beta = _krylov_space(matvec, current, lift, breakdown)
+        V, evals, U, beta = _krylov_space(scaled, current, lift, breakdown)
         first_column = Propagator(evals, U * U[0].conj())
         if abs(tau) > abs(remaining):
             tau = remaining
@@ -386,12 +394,12 @@ class MirroringReport:
     basis: SectorBasis = field(repr=False)
     backend: str
     block_dims: tuple[int, ...]
-    block_solvers: tuple[str, ...]  # per block: "svd" of its sublattice coupling, or "eigh"
+    block_solvers: tuple[str, ...]  # per block: "gram" of its sublattice coupling, or "eigh"
     group: tuple[str, ...]
 
 
 _BLOCK_CHUNK = 256  # block columns of U formed per pair of real products
-_GRADED_FLOOR = 48  # graded blocks above this take one SVD, which beats eigh from here up
+_GRADED_FLOOR = 48  # graded blocks above this take the Gram solve, which beats eigh from 24 up
 
 
 def _eigh_solve(block, t):
@@ -403,21 +411,30 @@ def _eigh_solve(block, t):
 
 def _graded_solve(coupling, side, t):
     """columns(cols) of exp(-iBt) for a real symmetric block B that only couples
-    side 0 to side 1, from one SVD of that coupling C = U diag(s) W^T: cos(Bt) is
-    1 + U (cos st - 1) U^T and 1 + W (cos st - 1) W^T on the sides, so the kernels
-    keep cos = 1, and sin(Bt) is U sin(st) W^T between them."""
-    even, odd = np.flatnonzero(side == 0), np.flatnonzero(side == 1)
-    U, s, Wt = np.linalg.svd(coupling, full_matrices=False)
-    factor = np.concatenate([U, Wt.T])  # U and W held once, as views into it
-    U, W = factor[: len(even)], factor[len(even):]
-    row = np.argsort(np.argsort(side, kind="stable"))  # each block row's row of factor
-    cos, sin = (np.cos(s * t) - 1)[:, None], np.sin(s * t)[:, None]
+    side 0 to side 1, from one eigh of M M^T = V diag(s^2) V^T, M the coupling
+    from the smaller side. With X = M^T V, cos(Bt) is V cos(st) V^T there and
+    1 + X h X^T on the larger side, h = (cos st - 1) / s^2, and sin(Bt) is V g X^T
+    between them, g = sin(st) / s; all are entire in s^2, so a kernel needs no
+    case. M is scaled by the power of two that brings its largest entry into
+    [1/2, 1) and t by its inverse: exact, and M M^T cannot overflow or underflow."""
+    small = int(coupling.shape[0] > coupling.shape[1])  # the side with fewer rows
+    e = math.frexp(float(np.abs(coupling).max(initial=0.0)))[1]
+    t, M = math.ldexp(t, e), np.ldexp(coupling.T if small else coupling, -e)
+    lam, V = np.linalg.eigh(M @ M.T)
+    factor = np.empty((len(side), len(lam)))  # V and X held once, as views into it
+    factor[: len(lam)] = V
+    V, X = factor[: len(lam)], np.matmul(M.T, V, out=factor[len(lam):])
+    rows = np.flatnonzero(side == small), np.flatnonzero(side != small)
+    row = np.argsort(np.argsort(side != small, kind="stable"))  # each block row's row of factor
+    s = np.sqrt(np.maximum(lam, 0.0))[:, None]
+    g, h = t * np.sinc(s * t / np.pi), -0.5 * (t * np.sinc(s * t / (2 * np.pi))) ** 2
+    cos = h * s * s  # cos st - 1 = -2 sin^2(st / 2)
 
     def columns(cols):  # two real products, one per side
-        G, on_even = factor[row[cols]].T, side[cols] == 0
+        F, on_small = factor[row[cols]].T, side[cols] == small
         out = np.empty((len(side), len(cols)), np.complex128)
-        out[even] = (U @ (np.where(on_even, cos, sin) * G)) * np.where(on_even, 1, -1j)
-        out[odd] = (W @ (np.where(on_even, sin, cos) * G)) * np.where(on_even, -1j, 1)
+        out[rows[0]] = (V @ (np.where(on_small, cos, g) * F)) * np.where(on_small, 1, -1j)
+        out[rows[1]] = (X @ (np.where(on_small, g, h) * F)) * np.where(on_small, -1j, 1)
         out[cols, np.arange(len(cols))] += 1.0
         return out
 
@@ -448,17 +465,18 @@ def mirroring_report(pattern, k: int, sym: SymmetryMap, t: float) -> MirroringRe
     gives every target and off-target entry; no complex n x n U is built.
     A hop crosses an edge, so under a 2-colouring of the live edges whose sides
     (the parity of a state's excitations on colour 1) all of G keeps, each
-    block is [[0, C], [C^T, 0]]; above _GRADED_FLOOR one SVD of C solves it,
-    its kernel evolving trivially. Otherwise (an odd cycle, a P that flips some
-    state's side, a small block) one eigh does. A block whose estimated peak
-    memory exceeds what the OS reports as available raises ValueError first.
+    block is [[0, C], [C^T, 0]]; above _GRADED_FLOOR one eigh of the Gram matrix
+    of C on its smaller side solves it, as cos(Bt) and sin(Bt) / B are functions
+    of B^2. Otherwise (an odd cycle, a P that flips some state's side, a small
+    block) one eigh of the block does. A block whose estimated peak memory
+    exceeds what the OS reports as available raises ValueError first.
     """
     if not np.isfinite(t):
         raise ValueError("evolution time must be finite")
     split = _irrep_split(pattern, k, sym)
     o, basis = split.orbits, SectorBasis(sym.site_count, k, split.hops.grown)
     solves, solvers = zip(*[(_eigh_solve(block, t), "eigh") if side is None else
-                            (_graded_solve(block, side, t), "svd")
+                            (_graded_solve(block, side, t), "gram")
                             for block, side in _blocks(split, True)])
     pos, rows = np.cumsum(o.kept, axis=1) - 1, [np.flatnonzero(kept) for kept in o.kept]
     rows = [slice(len(r)) if len(r) and r[-1] == len(r) - 1 else r for r in rows]  # leading rows

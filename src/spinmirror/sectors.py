@@ -301,9 +301,10 @@ def _available_bytes() -> int | None:
 # Peak bytes of a dense d x d block over what was held before it, per 8 d^2: the
 # block, eigh's copy, workspace and output, and the column chunks. Single-block
 # reports measured 5.23 at d = 1820 and 5.08 at d = 4368 (OpenBLAS, one thread).
-# A graded block, charged 9.2 x 8 e o, holds its e x o coupling, the SVD's copy,
-# workspace (about 4 min(e, o)^2) and factors, their stacked copy and the column
-# chunks: single-block reports measured 9.13 at d = 1820 and 8.82 at d = 4368.
+# A graded block with an e x o coupling, n = min(e, o), is charged 8 (2 e o + 5 n^2
+# + 1024 d): the coupling, its scaled copy, the Gram matrix, eigh's copy, workspace
+# and output, and 8 KiB a row for a chunk of 256 columns. Single-block reports peaked
+# at 0.81-0.95 of it for d = 792-4368; the two blocks of 2184 at k = 5, 92 of 169 MB.
 _BLOCK_PEAK_FACTOR = 5.3
 # Estimates up to this many bytes skip the memory probe, which costs about as much
 # as the eigh of a dim-4 block; 64 KiB covers dense blocks up to dimension 39.
@@ -321,7 +322,9 @@ def _check_memory(need: int, what: str) -> None:
 def _check_block_memory(d: int, even: int | None = None) -> None:
     """Raise before forming a dense d x d block, or the even x (d - even) coupling
     of a graded one, whose estimated peak does not fit."""
-    need = _BLOCK_PEAK_FACTOR * 8 * d * d if even is None else 9.2 * 8 * even * (d - even)
+    odd = d - (even or 0)
+    need = (_BLOCK_PEAK_FACTOR * 8 * d * d if even is None
+            else 8 * (2 * even * odd + 5 * min(even, odd) ** 2 + 1024 * d))
     _check_memory(int(need), f"a {'dense' if even is None else 'graded'} block of dimension {d} needs")
 
 

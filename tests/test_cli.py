@@ -158,7 +158,7 @@ def test_mirror_sidecar_names_the_backend(tmp_path):
     assert meta["backend"] == "full-sector" and meta["block_dims"] == [36]
 
 
-@pytest.mark.parametrize("n, k, solvers", [("3", "2", ["eigh", "eigh"]), ("4", "3", ["svd", "svd"])])
+@pytest.mark.parametrize("n, k, solvers", [("3", "2", ["eigh", "eigh"]), ("4", "3", ["gram", "gram"])])
 def test_mirror_sidecar_names_the_block_solvers(tmp_path, n, k, solvers):
     # the 3x3 blocks sit below the size floor; the 4x4 k=3 blocks of 280 are
     # solved through the sublattice grading
@@ -194,11 +194,12 @@ def test_sidecars_name_the_reflection_group(tmp_path, argv, group):
 
 
 def test_a_graded_block_is_charged_for_its_coupling(monkeypatch, capsys):
-    # the 4x4 product lattice at k=3 has two graded blocks of 280 with 140 x 140
-    # couplings, charged 9.2 x 8 x 140^2 bytes (1.44 MB) each; as dense eigh
-    # blocks they would be charged 5.3 x 8 x 280^2 (3.32 MB), past the 2 MB here
-    monkeypatch.setattr(sectors, "_available_bytes", lambda: 2_000_000)
-    assert run("mirror", "--pattern", "christandl-product", "--n", "4", "--k", "3") == 0
+    # the 4x4 product lattice at k=4 has four graded blocks, the largest of 476
+    # with a 252 x 224 coupling, charged 8 (2 e o + 5 min(e, o)^2 + 1024 d) bytes
+    # (6.81 MB); as a dense eigh block it would be charged 5.3 x 8 x 476^2
+    # (9.61 MB), past the 7 MB here
+    monkeypatch.setattr(sectors, "_available_bytes", lambda: 7_000_000)
+    assert run("mirror", "--pattern", "christandl-product", "--n", "4", "--k", "4") == 0
     out, err = capsys.readouterr()
     assert json.loads(out)["min_modulus"] > 0 and err == ""
 
@@ -220,7 +221,8 @@ def test_mirror_refuses_a_block_past_available_memory(tmp_path, monkeypatch, cap
     # one byte short of the largest block's estimated peak refuses; exactly it
     # runs. Both blocks are graded: their couplings are 36 x 30 and 66 x 60
     even = {66: 36, 126: 66}[block]
-    need = int(9.2 * 8 * even * (block - even))
+    odd = block - even
+    need = 8 * (2 * even * odd + 5 * min(even, odd) ** 2 + 1024 * block)
     monkeypatch.setattr(sectors, "_available_bytes", lambda: need + shift)
     if source == "asymmetric":
         source = ("--pattern-file", asymmetric_3x3_file(tmp_path))
@@ -625,7 +627,7 @@ README_DIGESTS = {
         "stdout": "b8ca62a1aa3531a6c0a39b0d544c6871ee484b9761ebda94953942ba28934967",
     },
     "spinmirror mirror --pattern christandl-product --n 4 --k 5": {
-        "stdout": "9e62733553d64a2a4f7077a63ec0d750c0d048b29a14e602cb3af738ee20a6fa",
+        "stdout": "32465ab83e7f54340488b18a3f0416873238f98b45d94f0eba974f6d984817b8",
     },
     "spinmirror witness --n 3 --pattern random-rx --seeds 0,1,2,3,4 --out certs": {
         "stdout": "a5a964c87a272f18bd81af8b58c70068fa790aa7daa6547ee324840ddd954235",

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -740,6 +741,24 @@ def test_evolution_does_not_depend_on_the_coupling_scale():
     assert np.linalg.norm(evolve(H_tiny, start, t / s).amplitudes - ref) < 1e-12
 
 
+def test_the_krylov_route_does_not_depend_on_extreme_coupling_scales():
+    # a state on two sectors of a moving 3x3 pattern takes the growing index;
+    # without scaling H inside the Lanczos spaces, their norms' squares underflow
+    # below c ~ 1e-154 and overflow above c ~ 1e154
+    g = build_square_lattice(3)
+    pat = random_symmetric_pattern(g, (symmetry_map(g, "rotation_pi"),), seed=2)
+    amps = np.array([1, 0.5j, 0.3]) / np.linalg.norm([1, 0.5j, 0.3])
+    psi = SparseState(9, np.array([0b11, 0b100000001, 0b1]), amps)
+    ref = evolve_sparse(pat, psi, 0.7)
+    assert ref.norm() == pytest.approx(1.0, abs=1e-12) and len(ref.masks) > 3
+    for c in (1e-160, 1e-170, 1e-250, 1e160, 1e250):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = evolve_sparse(pattern_from_weights(g, c * pat.edge_weights()), psi, 0.7 / c)
+        assert np.array_equal(out.masks, ref.masks), c
+        assert np.linalg.norm(out.amps - ref.amps) < 1e-9, c
+
+
 def test_a_witness_at_a_tiny_coupling_scale_stops_after_one_product(monkeypatch):
     graph, w, t = scaled_graph(main_symmetric_graph(4, 3), 1e-14), random_witness(4, 5), 1.3e14
     products, spaces = [], []
@@ -846,9 +865,9 @@ def test_report_without_exact_symmetry_takes_dense_path(make, k):
 
 
 def test_parity_blocks_diagonalize_each_block_once(monkeypatch):
-    # a block whose sides the mirror keeps takes one SVD of its coupling between
-    # the sublattices; one whose sides it flips takes one eigh; no solve is of
-    # the whole sector
+    # a block whose sides the mirror keeps takes one eigh of the Gram matrix of
+    # its coupling between the sublattices, on the smaller side, and no SVD; one
+    # whose sides it flips takes one eigh; no solve is of the whole sector
     calls = []
 
     def counted(name, solve):
@@ -864,8 +883,8 @@ def test_parity_blocks_diagonalize_each_block_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
     monkeypatch.setattr(SectorHamiltonian, "eig", no_full_eig)
     rep = mirroring_report(ROT_3X3, 4, symmetry_map(ROT_3X3.geometry, "rotation_pi"), 1.3)
-    assert rep.block_dims == (66, 60) and rep.block_solvers == ("svd", "svd")
-    assert calls == [("svd", (36, 30)), ("svd", (30, 30))]
+    assert rep.block_dims == (66, 60) and rep.block_solvers == ("gram", "gram")
+    assert calls == [("eigh", (30, 30)), ("eigh", (30, 30))]  # couplings 36 x 30, 30 x 30
     calls.clear()
     pattern, sym = chain_10()
     rep = mirroring_report(pattern, 5, sym, 0.9)
@@ -879,7 +898,7 @@ def chain_10():
     return random_symmetric_pattern(chain, (sym,), seed=3), sym
 
 
-@pytest.mark.parametrize("k, solvers", [(4, ("svd", "svd")), (5, ("eigh", "eigh"))])
+@pytest.mark.parametrize("k, solvers", [(4, ("gram", "gram")), (5, ("eigh", "eigh"))])
 def test_a_mirror_that_flips_the_sides_takes_eigh(k, solvers):
     # the reversal of an even chain moves each excitation to the other
     # sublattice: at odd k every state changes side, at even k none does
@@ -906,10 +925,33 @@ def test_zero_couplings_leave_one_side_empty():
     pattern = CouplingPattern(ROT_3X3.geometry, np.zeros_like(ROT_3X3.J), np.zeros_like(ROT_3X3.K))
     sym = symmetry_map(pattern.geometry, "rotation_pi")
     rep = mirroring_report(pattern, 4, sym, 1.3)
-    assert rep.block_dims == (66, 60) and rep.block_solvers == ("svd", "svd")
+    assert rep.block_dims == (66, 60) and rep.block_solvers == ("gram", "gram")
     assert_report_matches_pauli(rep, pattern, sym, 1e-12)
     fixed = permuted_ranks(rep.basis, sym) == np.arange(rep.basis.dim)
     assert np.array_equal(rep.moduli, fixed.astype(float)) and rep.max_offtarget == 1.0
+
+
+@pytest.mark.parametrize("even, odd, t, case", [
+    (5, 9, 0.7, "full"), (9, 5, 1.3, "full"), (7, 7, 2.1, "full"),
+    (6, 8, 0.9, "rank-deficient"), (8, 6, -1.7, "rank-deficient"), (7, 7, 1.1, "rank-deficient"),
+    (6, 0, 0.9, "full"), (0, 6, 0.9, "full"),
+    (5, 9, 0.0, "full"), (7, 7, -0.4, "full"),
+])
+def test_the_graded_solve_matches_expm_of_its_block(even, odd, t, case):
+    # B couples the side-0 rows to the side-1 rows through C; the rows of each
+    # side come interleaved, as _blocks gives them
+    rng = np.random.default_rng(even * 31 + odd)
+    side = rng.permutation(np.repeat([0, 1], [even, odd]))
+    C = rng.uniform(-2, 2, (even, odd))
+    if case == "rank-deficient":  # rank 2, so both sides hold kernel directions
+        C = rng.uniform(-2, 2, (even, 2)) @ rng.uniform(-2, 2, (2, odd))
+    B = np.zeros((even + odd,) * 2)
+    B[np.ix_(side == 0, side == 1)] = C
+    B += B.T
+    want = scipy.linalg.expm(-1j * t * B)
+    columns = dynamics._graded_solve(C, side, t)
+    for cols in (np.arange(even + odd), np.array([odd % 3, even + odd - 1, 0])[: even + odd]):
+        assert np.abs(columns(cols) - want[:, cols]).max() < 1e-12
 
 
 def test_pieces_cut_apart_by_zero_couplings_are_coloured_one_by_one():
@@ -920,7 +962,7 @@ def test_pieces_cut_apart_by_zero_couplings_are_coloured_one_by_one():
     K[0, 4] = 0.0
     cut = CouplingPattern(pattern.geometry, pattern.J, K)
     rep = mirroring_report(cut, 5, sym, 0.9)
-    assert rep.block_dims == (126, 126) and rep.block_solvers == ("svd", "svd")
+    assert rep.block_dims == (126, 126) and rep.block_solvers == ("gram", "gram")
     assert_report_matches_pauli(rep, cut, sym, 1e-12)
 
 
@@ -937,16 +979,16 @@ FOUR = ("rotation_pi", "horizontal_axis")
 
 @pytest.mark.parametrize("pattern, mirror, k, floor, group, dims, solver", [
     # on 3x4, h keeps every site's side; rotation_pi and v flip each state's side at odd k
-    (V_H_3X4, "rotation_pi", 4, 48, FOUR, (139, 124, 116, 116), "svd"),
-    (V_H_3X4, "rotation_pi", 4, 116, ("rotation_pi",), (255, 240), "svd"),
+    (V_H_3X4, "rotation_pi", 4, 48, FOUR, (139, 124, 116, 116), "gram"),
+    (V_H_3X4, "rotation_pi", 4, 116, ("rotation_pi",), (255, 240), "gram"),
     (V_H_3X4, "rotation_pi", 3, 48, FOUR, (60, 60, 50, 50), "eigh"),
     (V_H_3X4, "rotation_pi", 3, 50, ("rotation_pi",), (110, 110), "eigh"),
     (V_H_3X4, "vertical_axis", 5, 48, ("vertical_axis", "horizontal_axis"),
      (208, 208, 188, 188), "eigh"),
-    (V_H_3X4.to_graph(), "rotation_pi", 4, 48, ("rotation_pi",), (255, 240), "svd"),
-    (ROT_3X3, "rotation_pi", 4, 0, ("rotation_pi",), (66, 60), "svd"),
+    (V_H_3X4.to_graph(), "rotation_pi", 4, 48, ("rotation_pi",), (255, 240), "gram"),
+    (ROT_3X3, "rotation_pi", 4, 0, ("rotation_pi",), (66, 60), "gram"),
     (ROT_3X3, "rotation_pi", 2, 48, ("rotation_pi",), (20, 16), "eigh"),
-    (asymmetric_3x3(), "rotation_pi", 4, 48, (), (126,), "svd"),
+    (asymmetric_3x3(), "rotation_pi", 4, 48, (), (126,), "gram"),
     (asymmetric_3x3(), "rotation_pi", 2, 48, (), (36,), "eigh"),
 ])
 def test_each_group_order_and_solver_matches_the_pauli_oracle(monkeypatch, pattern, mirror, k,
@@ -966,12 +1008,12 @@ def test_each_group_order_and_solver_matches_the_pauli_oracle(monkeypatch, patte
 @pytest.mark.parametrize("k", range(1, 9))
 def test_the_3x3_product_lattice_in_four_blocks_matches_the_pauli_oracle(monkeypatch, k):
     # h keeps every site's side on three rows, so with the floor at 0 every
-    # sector takes four blocks, each by one SVD
+    # sector takes four blocks, each by one Gram solve
     monkeypatch.setattr(dynamics, "_GRADED_FLOOR", 0)
     sym = symmetry_map(PRODUCT_3X3.geometry, "rotation_pi")
     rep = mirroring_report(PRODUCT_3X3, k, sym, christandl_chain(3).nominal_transfer_time)
     assert rep.group == FOUR and min(rep.block_dims) > 0 and sum(rep.block_dims) == math.comb(9, k)
-    assert rep.block_solvers == ("svd",) * 4
+    assert rep.block_solvers == ("gram",) * 4
     assert_report_matches_pauli(rep, PRODUCT_3X3, sym, 1e-12)
 
 
@@ -983,6 +1025,28 @@ def test_product_lattice_k4_report_in_four_blocks(monkeypatch):
     assert columns == []
     assert rep.group == FOUR and rep.block_dims == (476, 448, 448, 448)
     assert_columns_match_sector_oracle(rep, PRODUCT_4X4_PATTERN, sym, 1e-12)
+
+
+def test_reports_do_not_depend_on_the_coupling_scale():
+    # every block of the 4x4 product at k=4 is graded, and the Gram solve scales
+    # its coupling by a power of two first: M M^T would overflow at 1e160 and
+    # underflow at 1e-170. A power-of-two scale keeps every bit
+    sym = symmetry_map(PRODUCT_4X4_PATTERN.geometry, "rotation_pi")
+    t, w = christandl_chain(4).nominal_transfer_time, PRODUCT_4X4_PATTERN.edge_weights()
+    ref = mirroring_report(PRODUCT_4X4_PATTERN, 4, sym, t)
+    assert ref.block_solvers == ("gram",) * 4
+    for c in (1e160, 1e-170, 2.0**500, 2.0**-500):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = mirroring_report(pattern_from_weights(PRODUCT_4X4_PATTERN.geometry, c * w),
+                                   4, sym, t / c)
+        if math.frexp(c)[0] == 0.5:
+            assert np.array_equal(rep.moduli, ref.moduli), c
+            assert np.array_equal(rep.phases, ref.phases), c
+            assert rep.max_offtarget == ref.max_offtarget, c
+        assert np.abs(rep.moduli - ref.moduli).max() < 1e-12, c
+        assert np.abs(rep.phases - ref.phases).max() < 1e-12, c
+        assert abs(rep.max_offtarget - ref.max_offtarget) < 1e-12, c
 
 
 def test_product_lattice_k5_report_in_parity_blocks(monkeypatch):
