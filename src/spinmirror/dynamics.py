@@ -96,30 +96,32 @@ def _stationary_energy(hops, weights, u, breakdown):
     return np.ldexp(energy, e) if np.linalg.norm(hu) <= mantissa else None
 
 
-def _krylov_space(matvec, v, lift, breakdown):
-    """The Lanczos space of H and a unit vector v: (V, evals, U, beta).
+def _krylov_space(matvec, v, lift, breakdown, s):
+    """The Lanczos space of H s and a unit vector v, s a power of two: (V, evals, U, beta).
 
-    The rows of V are the Lanczos vectors, U diag(evals) U^T is the
-    tridiagonal T that H becomes on them, and beta is the norm of the residual
-    past the last vector, or 0 once it is <= breakdown. matvec may return a
-    vector over a grown index; lift then carries the stored vectors onto it.
+    The rows of V are the Lanczos vectors times s, so a product by H of a row is
+    one by H s of its vector, and s leaves every other step through a scalar or
+    a projection's coefficients: exact, and no pass over a vector. U diag(evals)
+    U^T is the tridiagonal T that H s becomes on them, and beta is the norm of
+    the residual past the last vector, or 0 once it is <= breakdown. matvec may
+    return a vector over a grown index; lift then carries the stored vectors onto it.
     """
     # np.zeros leaves untouched rows unmapped, so unused capacity costs no memory
     V = np.zeros((KRYLOV_DIM, len(v)), np.complex128)
-    V[0] = v
+    V[0] = v * s
     alphas, betas = [], []
     for j in range(KRYLOV_DIM):
         w = matvec(V[j])
         if len(w) != V.shape[1]:
             V = lift(V, j + 1)
-        alpha = np.vdot(V[j], w).real
-        w -= alpha * V[j]
+        alpha = np.vdot(V[j], w).real / s
+        w -= alpha / s * V[j]
         if j > 0:
-            w -= betas[j - 1] * V[j - 1]
+            w -= betas[j - 1] / s * V[j - 1]
         # full reorthogonalization keeps the small tridiagonal trustworthy;
         # V.conj() @ w is taken as conj(V @ conj(w)) to conjugate one row only
         basis = V[: j + 1]
-        w -= basis.T @ np.conj(basis @ np.conj(w))
+        w -= basis.T @ (np.conj(basis @ np.conj(w)) / s / s)
         alphas.append(alpha)
         beta = np.linalg.norm(w)
         if beta <= breakdown:
@@ -127,7 +129,7 @@ def _krylov_space(matvec, v, lift, breakdown):
             break
         betas.append(beta)
         if j + 1 < KRYLOV_DIM:
-            V[j + 1] = w / beta
+            V[j + 1] = w / (beta / s)
     j = len(alphas)
     off = betas[: j - 1]
     evals, U = np.linalg.eigh(np.diag(alphas) + np.diag(off, 1) + np.diag(off, -1))
@@ -142,22 +144,18 @@ def _krylov_expm(matvec, v, t, breakdown, lift=None):
     step length, so a tau whose error estimate beta |[exp(-i tau T)]_(m,1)| tau
     exceeds its share of the tolerance is halved on the same space: a rejected
     step length costs no matvec. A halved tau carries over to later substeps.
-    H and the breakdown are divided by the power of two that brings the breakdown
-    into [1/2, 1) and t is multiplied by it: exact, and no norm under- or overflows.
+    The spaces are of H s, s = 2^-e the power of two that brings the breakdown
+    into [1/2, 1), with t times 2^e: exact, and no norm under- or overflows.
     """
     norm_v = np.linalg.norm(v)
     if norm_v == 0.0 or t == 0.0:
         return v.copy()
-    breakdown, e = math.frexp(breakdown)
-
-    def scaled(x):  # H x / 2^e, in place
-        w = matvec(x).view(np.float64)
-        return np.ldexp(w, -e, out=w).view(np.complex128)
-
+    e = max(math.frexp(breakdown)[1], -1022)  # s stays finite at couplings below 1e-295
+    breakdown, s = math.ldexp(breakdown, -e), math.ldexp(1.0, -e)
     current = v / norm_v
     t = remaining = tau = math.ldexp(t, e)
     while abs(remaining) > 0:
-        V, evals, U, beta = _krylov_space(scaled, current, lift, breakdown)
+        V, evals, U, beta = _krylov_space(matvec, current, lift, breakdown, s)
         first_column = Propagator(evals, U * U[0].conj())
         if abs(tau) > abs(remaining):
             tau = remaining
@@ -166,7 +164,7 @@ def _krylov_expm(matvec, v, t, breakdown, lift=None):
             tau = tau / 2
             small = first_column.amplitudes(tau)
         remaining -= tau
-        current = small @ V
+        current = small / s @ V
         del V  # one space at a time: the next is built without this one held
         current /= np.linalg.norm(current)
     current *= norm_v
@@ -424,7 +422,7 @@ def _graded_solve(coupling, side, t):
     factor = np.empty((len(side), len(lam)))  # V and X held once, as views into it
     factor[: len(lam)] = V
     V, X = factor[: len(lam)], np.matmul(M.T, V, out=factor[len(lam):])
-    rows = np.flatnonzero(side == small), np.flatnonzero(side != small)
+    small_rows, large_rows = np.flatnonzero(side == small), np.flatnonzero(side != small)
     row = np.argsort(np.argsort(side != small, kind="stable"))  # each block row's row of factor
     s = np.sqrt(np.maximum(lam, 0.0))[:, None]
     g, h = t * np.sinc(s * t / np.pi), -0.5 * (t * np.sinc(s * t / (2 * np.pi))) ** 2
@@ -433,8 +431,8 @@ def _graded_solve(coupling, side, t):
     def columns(cols):  # two real products, one per side
         F, on_small = factor[row[cols]].T, side[cols] == small
         out = np.empty((len(side), len(cols)), np.complex128)
-        out[rows[0]] = (V @ (np.where(on_small, cos, g) * F)) * np.where(on_small, 1, -1j)
-        out[rows[1]] = (X @ (np.where(on_small, g, h) * F)) * np.where(on_small, -1j, 1)
+        out[small_rows] = (V @ (np.where(on_small, cos, g) * F)) * np.where(on_small, 1, -1j)
+        out[large_rows] = (X @ (np.where(on_small, g, h) * F)) * np.where(on_small, -1j, 1)
         out[cols, np.arange(len(cols))] += 1.0
         return out
 
