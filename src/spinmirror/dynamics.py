@@ -19,7 +19,8 @@ builds the M x M block, for transfer scans and chains.measured_transfer_modulus.
 Mirroring reports and spectrum classification share one split of a sector over
 the irreps of G, the reflections that commute with H and hold the mirror, each
 block scattered from the cached hops; a report solves a large block by one eigh
-of its sublattice coupling's Gram matrix and forms only G's representatives' columns.
+of its sublattice coupling's Gram matrix and forms only G's representatives' columns,
+each (row, column) pair of orbits once, in real arithmetic under the sublattice sides.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .sectors import (
     SparseState,
     _HopOperator,
     _check_block_memory,
+    _check_memory,
     _live_edges,
     _orbit_map,
     _rank_structure,
@@ -346,10 +348,10 @@ def _irrep_split(pattern, k: int, sym: SymmetryMap) -> _Split:
 
 
 def _blocks(split: _Split, graded: bool):
-    """(block, side) of each irrep in character order, scattered from the hops: a
-    graded block above _GRADED_FLOOR as its coupling from even to odd rows, with
-    the side of each row, and any other dense, with side None. Each entry comes
-    from the representative row of the larger orbit (the lower rank if of one
+    """(block, side, solver) of each irrep in character order, scattered from the hops:
+    a graded block above _GRADED_FLOOR as its coupling from even to odd rows, "gram",
+    any other dense, "eigh"; side is each row's side if the split has sides. Each entry
+    comes from the representative row of the larger orbit (the lower rank if of one
     size): B[r, s] = sqrt(|O_r| / |O_s|) sum over z in O_s of chi(h_z) H[r, z]."""
     o, t, c = split.orbits, split.hops.targets, split.hops.cols
     keep = (o.rep[t] == t) & ((o.size[t] > o.size[c]) | (o.size[t] == o.size[c]) & (t <= o.rep[c]))
@@ -359,18 +361,19 @@ def _blocks(split: _Split, graded: bool):
         pos, inside, d = np.cumsum(kept) - 1, kept[o.row[t]] & kept[o.row[c]], int(kept.sum())
         a, b = pos[o.row[t[inside]]], pos[o.row[c[inside]]]
         vals = chars[o.elem[c[inside]]] * fill[inside]
-        if graded and split.side is not None and d > _GRADED_FLOOR:
-            side = split.side[o.order[kept]]
+        side = None if split.side is None else split.side[o.order[kept]]
+        if graded and side is not None and d > _GRADED_FLOOR:
             e = d - int(side.sum())
             _check_block_memory(d, e)
             at = np.where(side == 0, np.cumsum(side == 0), np.cumsum(side == 1)) - 1
             a, b = np.where(side[a] == 0, a, b), np.where(side[a] == 0, b, a)  # even row, odd row
-            yield np.bincount(at[a] * (d - e) + at[b], vals, e * (d - e)).reshape(e, -1), side
+            coupling = np.bincount(at[a] * (d - e) + at[b], vals, e * (d - e)).reshape(e, -1)
+            yield coupling.astype(float, copy=False), side, "gram"  # no hops: bincount gives ints
         else:
             _check_block_memory(d)
             off = a != b  # mirrored below the diagonal: the same terms in the same order
             key = np.concatenate([a * d + b, (b * d + a)[off]])
-            yield np.bincount(key, np.concatenate([vals, vals[off]]), d * d).reshape(d, d), None
+            yield np.bincount(key, np.concatenate([vals, vals[off]]), d * d).reshape(d, d), side, "eigh"
 
 
 @dataclass(frozen=True)
@@ -396,28 +399,36 @@ class MirroringReport:
     group: tuple[str, ...]
 
 
-_BLOCK_CHUNK = 256  # block columns of U formed per pair of real products
+_BLOCK_CHUNK = 256  # block columns formed per pair of real products, on the rows from theirs on
 _GRADED_FLOOR = 48  # graded blocks above this take the Gram solve, which beats eigh from 24 up
 
 
-def _eigh_solve(block, t):
-    """columns(cols) of exp(-iBt) for a dense real symmetric block B, from one eigh."""
+def _eigh_solve(block, side, t):
+    """columns(cols, off) of exp(-iBt) on rows off and on, for a dense real symmetric
+    block B, from one eigh; given sides, the real W of _graded_solve."""
     evals, vecs = np.linalg.eigh(block)
     cos, sin = np.cos(evals * t)[:, None], np.sin(evals * t)[:, None]
-    return lambda cols: vecs @ (cos * vecs[cols].T) - 1j * (vecs @ (sin * vecs[cols].T))
+    if side is None:
+        return lambda cols, off: (vecs[off:] @ (cos * vecs[cols].T)
+                                  - 1j * (vecs[off:] @ (sin * vecs[cols].T)))
+    return lambda cols, off: np.where(side[off:, None] == side[cols], vecs[off:] @ (cos * vecs[cols].T),
+                                      vecs[off:] @ (sin * vecs[cols].T))
 
 
 def _graded_solve(coupling, side, t):
-    """columns(cols) of exp(-iBt) for a real symmetric block B that only couples
-    side 0 to side 1, from one eigh of M M^T = V diag(s^2) V^T, M the coupling
+    """columns(cols, off) on rows off and on of the real W, exp(-iBt) on a column's
+    side and i exp(-iBt) across: cos(Bt) and sin(Bt) for a real symmetric B that only
+    couples side 0 to side 1, from one eigh of M M^T = V diag(s^2) V^T, M the coupling
     from the smaller side. With X = M^T V, cos(Bt) is V cos(st) V^T there and
     1 + X h X^T on the larger side, h = (cos st - 1) / s^2, and sin(Bt) is V g X^T
-    between them, g = sin(st) / s; all are entire in s^2, so a kernel needs no
-    case. M is scaled by the power of two that brings its largest entry into
-    [1/2, 1) and t by its inverse: exact, and M M^T cannot overflow or underflow."""
+    between them, g = sin(st) / s; all are entire in s^2, so a kernel needs no case.
+    The coupling, fresh from _blocks, is scaled in place by the power of two that
+    brings its largest entry into [1/2, 1) and t by its inverse: exact, and M M^T
+    cannot overflow or underflow."""
     small = int(coupling.shape[0] > coupling.shape[1])  # the side with fewer rows
     e = math.frexp(float(np.abs(coupling).max(initial=0.0)))[1]
-    t, M = math.ldexp(t, e), np.ldexp(coupling.T if small else coupling, -e)
+    t, M = math.ldexp(t, e), np.ldexp(coupling, -e, out=coupling)
+    M = M.T if small else M
     lam, V = np.linalg.eigh(M @ M.T)
     factor = np.empty((len(side), len(lam)))  # V and X held once, as views into it
     factor[: len(lam)] = V
@@ -428,12 +439,13 @@ def _graded_solve(coupling, side, t):
     g, h = t * np.sinc(s * t / np.pi), -0.5 * (t * np.sinc(s * t / (2 * np.pi))) ** 2
     cos = h * s * s  # cos st - 1 = -2 sin^2(st / 2)
 
-    def columns(cols):  # two real products, one per side
+    def columns(cols, off):  # two real products, one per side; V and X from row off on
         F, on_small = factor[row[cols]].T, side[cols] == small
-        out = np.empty((len(side), len(cols)), np.complex128)
-        out[small_rows] = (V @ (np.where(on_small, cos, g) * F)) * np.where(on_small, 1, -1j)
-        out[large_rows] = (X @ (np.where(on_small, g, h) * F)) * np.where(on_small, -1j, 1)
-        out[cols, np.arange(len(cols))] += 1.0
+        a, b = np.searchsorted(small_rows, off), np.searchsorted(large_rows, off)
+        out = np.empty((len(side) - off, len(cols)))
+        out[small_rows[a:] - off] = V[a:] @ (np.where(on_small, cos, g) * F)
+        out[large_rows[b:] - off] = X[b:] @ (np.where(on_small, g, h) * F)
+        out[cols - off, np.arange(len(cols))] += 1.0
         return out
 
     return columns
@@ -456,28 +468,32 @@ def mirroring_report(pattern, k: int, sym: SymmetryMap, t: float) -> MirroringRe
     its four blocks are above _GRADED_FLOOR, else stays {1, P}, even where a
     later reflection would pass (the diagonals of the 4x4 product at odd k).
     An orbit O_r under G (r its least rank) spans sum over z in O_r of
-    chi(h_z)|z>/sqrt|O_r| (h_z maps r to z) in each irrep trivial on its
-    stabilizer. As U[hy, hx] = U[y, x] for h in G,
-    only the representatives' columns of the blocks are formed, a chunk at a
-    time: U[hs, r] = sum over chi of chi(h) U_chi[s, r] / sqrt(|O_s| |O_r|)
-    gives every target and off-target entry; no complex n x n U is built.
-    A hop crosses an edge, so under a 2-colouring of the live edges whose sides
-    (the parity of a state's excitations on colour 1) all of G keeps, each
-    block is [[0, C], [C^T, 0]]; above _GRADED_FLOOR one eigh of the Gram matrix
-    of C on its smaller side solves it, as cos(Bt) and sin(Bt) / B are functions
-    of B^2. Otherwise (an odd cycle, a P that flips some state's side, a small
-    block) one eigh of the block does. A block whose estimated peak memory
+    chi(h_z)|z>/sqrt|O_r| (h_z maps r to z) in each irrep trivial on its stabilizer. As
+    U[hy, hx] = U[y, x] for h in G, only the representatives' columns of the blocks are
+    formed, a chunk at a time: U[hs, r] = sum over chi of chi(h) U_chi[s, r] /
+    sqrt(|O_s| |O_r|) gives every target and off-target entry; no n x n U is built. As
+    U^T = U too, U[hs, r] = U[hr, s], so a chunk forms the rows of the orbits from its
+    first on, and a target U[Pr, r] whose row comes earlier is U[Ps, s], s = Pr. A hop
+    crosses an edge, so under a 2-colouring of the live edges whose sides (the parity of
+    a state's excitations on colour 1) all of G keeps, each block is [[0, C], [C^T, 0]];
+    above _GRADED_FLOOR one eigh of the Gram matrix of C on its smaller side solves it,
+    as cos(Bt) and sin(Bt) / B are functions of B^2. Otherwise (an odd cycle, a P that
+    flips some state's side, a small block) one eigh of the block does. Under the
+    colouring every column is real: U on its own side, i U across; a target across is
+    read back times -i. A block or a chunk of columns whose estimated peak memory
     exceeds what the OS reports as available raises ValueError first.
     """
     if not np.isfinite(t):
         raise ValueError("evolution time must be finite")
     split = _irrep_split(pattern, k, sym)
     o, basis = split.orbits, SectorBasis(sym.site_count, k, split.hops.grown)
-    solves, solvers = zip(*[(_eigh_solve(block, t), "eigh") if side is None else
-                            (_graded_solve(block, side, t), "gram")
-                            for block, side in _blocks(split, True)])
-    pos, rows = np.cumsum(o.kept, axis=1) - 1, [np.flatnonzero(kept) for kept in o.kept]
-    rows = [slice(len(r)) if len(r) and r[-1] == len(r) - 1 else r for r in rows]  # leading rows
+    solves, solvers = zip(*[((_graded_solve if solver == "gram" else _eigh_solve)(block, side, t), solver)
+                            for block, side, solver in _blocks(split, True)])
+    # a chunk holds all blocks' columns (dim rows), amp, and a block negated and gathered
+    _check_memory((8 if split.side is not None else 16) * min(_BLOCK_CHUNK, len(o.order))
+                  * (basis.dim + 3 * len(o.order)), f"the columns of a report of dimension {basis.dim} need")
+    # the rows of each block before every orbit; its kept orbits' rows
+    pos, rows = np.cumsum(o.kept, axis=1) - o.kept, [np.flatnonzero(kept) for kept in o.kept]
     image = permuted_ranks(basis, sym)[o.order]  # P r for each representative r
     mrow, melem = o.row[image], o.elem[image]  # its orbit's row; the element onto it
     hit = o.ranks[:, o.order[mrow]] == image  # the elements that map that row onto P r
@@ -488,17 +504,25 @@ def mirroring_report(pattern, k: int, sym: SymmetryMap, t: float) -> MirroringRe
         keep, norm = np.flatnonzero(o.kept[:, lo]), np.sqrt(sizes * sizes[lo])[:, None]
         for start in range(lo, hi, _BLOCK_CHUNK):
             cols = np.arange(start, min(start + _BLOCK_CHUNK, hi))
-            j, us = np.arange(len(cols)), [solves[c](pos[c][cols]) for c in keep]
+            j, us = np.arange(len(cols)), [solves[c](pos[c, cols], pos[c, start]) for c in keep]
+            at = [rows[c][pos[c, start]:] - start for c in keep]  # the rows of amp each fills
+            at = [slice(len(r)) if len(r) and r[-1] == len(r) - 1 else r for r in at]  # leading
+            early = mrow[cols] < start  # targets formed as their partners' in an earlier chunk
+            target[cols[early]] = target[mrow[cols[early]]]
             for h in range(len(o.ranks)):  # amp[s, j] = sum of chi(h) U_chi[s, r_j]
                 amp = us[0] if h == len(o.ranks) - 1 else us[0].copy()  # = U[hs, r_j] norm[s]
-                for c, u in zip(keep[1:], us[1:]):  # a + (-u) is a - u to the bit
-                    amp[rows[c]] += u if o.chars[c, h] > 0 else -u
-                own = melem[cols] == h
-                target[cols[own]] = amp[mrow[cols[own]], j[own]] / norm[mrow[cols[own]], 0]
-                mag = np.abs(amp) / norm
-                mag[mrow[cols[hit[h, cols]]], j[hit[h, cols]]] = 0.0
-                max_off = max(max_off, float(mag.max()))
-            del us, amp, mag  # freed before the next chunk's columns are formed
+                for c, r, u in zip(keep[1:], at[1:], us[1:]):  # a + (-u) is a - u to the bit
+                    amp[r] += u if o.chars[c, h] > 0 else -u
+                own = (melem[cols] == h) & ~early
+                target[cols[own]] = amp[mrow[cols[own]] - start, j[own]] / norm[mrow[cols[own]], 0]
+                mag, amp = np.abs(amp), None  # amp goes before the division, mag after its max
+                mag /= norm[start:]
+                on = hit[h, cols] & ~early
+                mag[mrow[cols[on]] - start, j[on]] = 0.0
+                max_off, mag = max(max_off, float(mag.max())), None
+            del us  # freed before the next chunk's columns are formed
+    if split.side is not None:  # a target across the sides was formed as i U[Pr, r]
+        target *= np.where(split.side[image] == split.side[o.order], 1, -1j)
     moduli = np.abs(target[o.row])
     return MirroringReport(
         k=k, t=t, sym_name=sym.name, min_modulus=float(moduli.min()), max_offtarget=max_off,
@@ -580,7 +604,7 @@ def classify_spectrum(
     split = _irrep_split(pattern, k, sym)
     if exact := bool(split.group):  # the block spectra labelled chi(P), -1 first
         spectra = sorted(zip(split.orbits.chars[:, 1], (np.linalg.eigvalsh(block)
-                                                        for block, _ in _blocks(split, False))),
+                                                        for block, *_ in _blocks(split, False))),
                          key=lambda s: s[0])
         merged = np.concatenate([e for _, e in spectra])
         order = np.argsort(merged, kind="stable")

@@ -301,10 +301,10 @@ def _available_bytes() -> int | None:
 # Peak bytes of a dense d x d block over what was held before it, per 8 d^2: the
 # block, eigh's copy, workspace and output, and the column chunks. Single-block
 # reports measured 5.23 at d = 1820 and 5.08 at d = 4368 (OpenBLAS, one thread).
-# A graded block with an e x o coupling, n = min(e, o), is charged 8 (2 e o + 5 n^2
-# + 1024 d): the coupling, its scaled copy, the Gram matrix, eigh's copy, workspace
-# and output, and 8 KiB a row for a chunk of 256 columns. Single-block reports peaked
-# at 0.81-0.95 of it for d = 792-4368; the two blocks of 2184 at k = 5, 92 of 169 MB.
+# A graded block with an e x o coupling, n = min(e, o), is charged 8 (e o + 5 n^2 + 1024 d):
+# the coupling, scaled in place, the Gram matrix, eigh's copy, workspace and output, and
+# 8 KiB a row for the d x n factor and freed workspace the heap keeps. Single-block solves
+# peaked at 0.70-0.94 of it for d = 792-8008; a report's columns are charged apart.
 _BLOCK_PEAK_FACTOR = 5.3
 # Estimates up to this many bytes skip the memory probe, which costs about as much
 # as the eigh of a dim-4 block; 64 KiB covers dense blocks up to dimension 39.
@@ -324,7 +324,7 @@ def _check_block_memory(d: int, even: int | None = None) -> None:
     of a graded one, whose estimated peak does not fit."""
     odd = d - (even or 0)
     need = (_BLOCK_PEAK_FACTOR * 8 * d * d if even is None
-            else 8 * (2 * even * odd + 5 * min(even, odd) ** 2 + 1024 * d))
+            else 8 * (even * odd + 5 * min(even, odd) ** 2 + 1024 * d))
     _check_memory(int(need), f"a {'dense' if even is None else 'graded'} block of dimension {d} needs")
 
 

@@ -195,9 +195,9 @@ def test_sidecars_name_the_reflection_group(tmp_path, argv, group):
 
 def test_a_graded_block_is_charged_for_its_coupling(monkeypatch, capsys):
     # the 4x4 product lattice at k=4 has four graded blocks, the largest of 476
-    # with a 252 x 224 coupling, charged 8 (2 e o + 5 min(e, o)^2 + 1024 d) bytes
-    # (6.81 MB); as a dense eigh block it would be charged 5.3 x 8 x 476^2
-    # (9.61 MB), past the 7 MB here
+    # with a 252 x 224 coupling, charged 8 (e o + 5 min(e, o)^2 + 1024 d) bytes
+    # (6.36 MB), and their columns 6.65 MB; as a dense eigh block it would be
+    # charged 5.3 x 8 x 476^2 (9.61 MB), past the 7 MB here
     monkeypatch.setattr(sectors, "_available_bytes", lambda: 7_000_000)
     assert run("mirror", "--pattern", "christandl-product", "--n", "4", "--k", "4") == 0
     out, err = capsys.readouterr()
@@ -222,7 +222,7 @@ def test_mirror_refuses_a_block_past_available_memory(tmp_path, monkeypatch, cap
     # runs. Both blocks are graded: their couplings are 36 x 30 and 66 x 60
     even = {66: 36, 126: 66}[block]
     odd = block - even
-    need = 8 * (2 * even * odd + 5 * min(even, odd) ** 2 + 1024 * block)
+    need = 8 * (even * odd + 5 * min(even, odd) ** 2 + 1024 * block)
     monkeypatch.setattr(sectors, "_available_bytes", lambda: need + shift)
     if source == "asymmetric":
         source = ("--pattern-file", asymmetric_3x3_file(tmp_path))
@@ -614,7 +614,7 @@ def test_readme_cli_quickstart_parses():
 
 # sha256 of the stdout and of each .json/.csv output of the README examples,
 # run in one process with one BLAS thread on the versions below. The k=5
-# mirror report, two graded blocks of 2184, takes about 2 s of it.
+# mirror report, two graded blocks of 2184, takes about 1 s of it.
 README_DIGEST_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1", "OpenBLAS": "0.3.31"}
 README_DIGESTS = {
     "spinmirror chain --n 8 --chain christandl": {
@@ -624,10 +624,10 @@ README_DIGESTS = {
         "stdout": "12d7b07bd648cb2a7dfe8b5c70ffc956d12665fd36059883f87915639cf2eba2",
     },
     "spinmirror mirror --pattern parallel-chains --n 4 --k 2": {
-        "stdout": "b8ca62a1aa3531a6c0a39b0d544c6871ee484b9761ebda94953942ba28934967",
+        "stdout": "6409ec101a33f346e70f1f0ad3f48f3ae1ef2aa85108e5020d83f7639bd6aebb",
     },
     "spinmirror mirror --pattern christandl-product --n 4 --k 5": {
-        "stdout": "32465ab83e7f54340488b18a3f0416873238f98b45d94f0eba974f6d984817b8",
+        "stdout": "4461b68f4922e30f351b7705d01f6fea3764aaa9784842ae202cf9cb4e3a3ff3",
     },
     "spinmirror witness --n 3 --pattern random-rx --seeds 0,1,2,3,4 --out certs": {
         "stdout": "a5a964c87a272f18bd81af8b58c70068fa790aa7daa6547ee324840ddd954235",
@@ -722,8 +722,8 @@ def test_fast_readme_examples_give_their_recorded_bytes(tmp_path):
 FILE_INPUT_DIGESTS = {
     "spinmirror mirror --pattern-file chain.json --k 2 --t 1.5707963267948966 --out chain": {
         "stdout": "42ef2f1a4c9abe9d5b64ba963d6dc5eedabb924e4905724ee3f47ea094fbd34e",
-        "chain.json": "dcc7dbfe2b969a347da78576457eb78c8d91c12fed4cd5cccd196f28d3fcf62b",
-        "chain.csv": "bc7890251b357a9074b08e3735d865649f78b2b78367307c59d2525d12c88ba3",
+        "chain.json": "b344be4048e7a51552f4d819ba2ec97cb53c19636a1dd200be9fbfad9264645a",
+        "chain.csv": "2ee931c8407e60850c583e08204062cb98527b2b0694ab44a6614c56dccbf458",
     },
     "spinmirror classify --pattern-file rect.json --k 2 --sym vertical_axis --out rect": {
         "stdout": "aa580a67d79d77afad62150101216224151d0bcf756d7f6550d42ff005233b21",

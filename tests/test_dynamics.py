@@ -939,7 +939,9 @@ def test_zero_couplings_leave_one_side_empty():
 ])
 def test_the_graded_solve_matches_expm_of_its_block(even, odd, t, case):
     # B couples the side-0 rows to the side-1 rows through C; the rows of each
-    # side come interleaved, as _blocks gives them
+    # side come interleaved, as _blocks gives them. Both solves return the real
+    # W, exp(-iBt) on the rows of a column's side and i exp(-iBt) on the others,
+    # on the rows from an offset on (a column never lies before it)
     rng = np.random.default_rng(even * 31 + odd)
     side = rng.permutation(np.repeat([0, 1], [even, odd]))
     C = rng.uniform(-2, 2, (even, odd))
@@ -948,10 +950,15 @@ def test_the_graded_solve_matches_expm_of_its_block(even, odd, t, case):
     B = np.zeros((even + odd,) * 2)
     B[np.ix_(side == 0, side == 1)] = C
     B += B.T
-    want = scipy.linalg.expm(-1j * t * B)
-    columns = dynamics._graded_solve(C, side, t)
-    for cols in (np.arange(even + odd), np.array([odd % 3, even + odd - 1, 0])[: even + odd]):
-        assert np.abs(columns(cols) - want[:, cols]).max() < 1e-12
+    W = np.where(side[:, None] == side, 1, 1j) * scipy.linalg.expm(-1j * t * B)
+    assert np.abs(W.imag).max() <= 1e-12  # what W discards
+    d, picks = even + odd, np.array([odd % 3, even + odd - 1, 0])[: even + odd]
+    for columns in (dynamics._graded_solve(C, side, t), dynamics._eigh_solve(B, side, t)):
+        for off in (0, d // 3):
+            for cols in (np.arange(off, d), off + picks % (d - off)):
+                got = columns(cols, off)
+                assert got.dtype == np.float64
+                assert np.abs(got - W.real[off:, cols]).max() < 1e-12
 
 
 def test_pieces_cut_apart_by_zero_couplings_are_coloured_one_by_one():
@@ -966,6 +973,37 @@ def test_pieces_cut_apart_by_zero_couplings_are_coloured_one_by_one():
     assert_report_matches_pauli(rep, cut, sym, 1e-12)
 
 
+def broken_chain_10():
+    # seeded factors on K break the reversal, so it no longer commutes: G = {1}
+    pattern, sym = chain_10()
+    K = pattern.K * np.random.default_rng(4).uniform(0.5, 1.5, pattern.K.shape)
+    return CouplingPattern(pattern.geometry, pattern.J, K), sym
+
+
+def broken_odd_cycle():
+    # the two diagonal edges of test_an_odd_cycle_takes_eigh at unequal strengths
+    graph = ExchangeGraph(9, ROT_3X3.to_graph().edges + ((0, 4, 0.7), (4, 8, 0.6)))
+    return graph, symmetry_map(ROT_3X3.geometry, "rotation_pi")
+
+
+@pytest.mark.parametrize("chunk", [dynamics._BLOCK_CHUNK, 7])
+@pytest.mark.parametrize("make, k, solver", [(broken_chain_10, 5, "gram"),
+                                             (broken_chain_10, 4, "gram"),
+                                             (broken_odd_cycle, 4, "eigh")])
+def test_full_sector_targets_match_the_pauli_oracle(monkeypatch, make, k, solver, chunk):
+    # a graded report forms i U on the rows across a column's side. With G = {1}
+    # the reversal is not in G and at odd k moves every state across, so each
+    # target is read back times -i; an odd cycle leaves no sides. In chunks of 7
+    # a target whose row lies before its chunk is copied from its partner's
+    monkeypatch.setattr(dynamics, "_BLOCK_CHUNK", chunk)
+    pattern, sym = make()
+    rep = mirroring_report(pattern, k, sym, 0.9)
+    assert rep.backend == "full-sector" and rep.block_solvers == (solver,)
+    if make is broken_chain_10:
+        assert (np.abs(rep.phases.imag).max() > 0.5) == (k % 2 == 1)
+    assert_report_matches_pauli(rep, pattern, sym, 1e-12)
+
+
 # -- the four irrep blocks of a second commuting reflection --------------------
 
 RECT_3X4 = build_rect_lattice(3, 4)
@@ -977,7 +1015,7 @@ PRODUCT_3X3 = product_lattice_couplings(christandl_chain(3), christandl_chain(3)
 FOUR = ("rotation_pi", "horizontal_axis")
 
 
-@pytest.mark.parametrize("pattern, mirror, k, floor, group, dims, solver", [
+EACH_GROUP_CASES = [
     # on 3x4, h keeps every site's side; rotation_pi and v flip each state's side at odd k
     (V_H_3X4, "rotation_pi", 4, 48, FOUR, (139, 124, 116, 116), "gram"),
     (V_H_3X4, "rotation_pi", 4, 116, ("rotation_pi",), (255, 240), "gram"),
@@ -990,7 +1028,10 @@ FOUR = ("rotation_pi", "horizontal_axis")
     (ROT_3X3, "rotation_pi", 2, 48, ("rotation_pi",), (20, 16), "eigh"),
     (asymmetric_3x3(), "rotation_pi", 4, 48, (), (126,), "gram"),
     (asymmetric_3x3(), "rotation_pi", 2, 48, (), (36,), "eigh"),
-])
+]
+
+
+@pytest.mark.parametrize("pattern, mirror, k, floor, group, dims, solver", EACH_GROUP_CASES)
 def test_each_group_order_and_solver_matches_the_pauli_oracle(monkeypatch, pattern, mirror, k,
                                                               floor, group, dims, solver):
     # G has order 4 only when every one of its blocks is above the floor; a bare
@@ -1017,6 +1058,21 @@ def test_the_3x3_product_lattice_in_four_blocks_matches_the_pauli_oracle(monkeyp
     assert_report_matches_pauli(rep, PRODUCT_3X3, sym, 1e-12)
 
 
+@pytest.mark.parametrize("case", EACH_GROUP_CASES)
+def test_each_group_order_and_solver_matches_the_pauli_oracle_in_chunks_of_7(monkeypatch, case):
+    # a chunk forms only the rows from its first orbit on, as U[hs, r] = U[hr, s];
+    # chunks of 7 split every stabilizer range at |G| = 1, 2 and 4
+    monkeypatch.setattr(dynamics, "_BLOCK_CHUNK", 7)
+    test_each_group_order_and_solver_matches_the_pauli_oracle(monkeypatch, *case)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_the_3x3_product_lattice_in_four_blocks_matches_the_pauli_oracle_in_chunks_of_7(
+        monkeypatch, k):
+    monkeypatch.setattr(dynamics, "_BLOCK_CHUNK", 7)
+    test_the_3x3_product_lattice_in_four_blocks_matches_the_pauli_oracle(monkeypatch, k)
+
+
 def test_product_lattice_k4_report_in_four_blocks(monkeypatch):
     columns = []
     monkeypatch.setattr(dynamics, "evolve", lambda *args: columns.append(args))
@@ -1025,6 +1081,20 @@ def test_product_lattice_k4_report_in_four_blocks(monkeypatch):
     assert columns == []
     assert rep.group == FOUR and rep.block_dims == (476, 448, 448, 448)
     assert_columns_match_sector_oracle(rep, PRODUCT_4X4_PATTERN, sym, 1e-12)
+
+
+@pytest.mark.parametrize("shift", [-1, 0])
+def test_the_columns_of_a_report_take_one_charge_for_all_blocks(monkeypatch, shift):
+    # each of the four graded blocks is charged about 6.4 MB; a chunk of 256 of
+    # their real columns holds all 1820 rows, amp (476 orbits) and two more of its size
+    need = 8 * 256 * (1820 + 3 * 476)
+    monkeypatch.setattr(sectors, "_available_bytes", lambda: need + shift)
+    sym = symmetry_map(PRODUCT_4X4_PATTERN.geometry, "rotation_pi")
+    if shift < 0:
+        with pytest.raises(ValueError, match=f"columns of a report of dimension 1820 need about {need} "):
+            mirroring_report(PRODUCT_4X4_PATTERN, 4, sym, 1.0)
+    else:
+        assert mirroring_report(PRODUCT_4X4_PATTERN, 4, sym, 1.0).block_dims == (476, 448, 448, 448)
 
 
 def test_reports_do_not_depend_on_the_coupling_scale():
