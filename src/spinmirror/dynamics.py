@@ -409,8 +409,7 @@ def _eigh_solve(block, side, t):
     evals, vecs = np.linalg.eigh(block)
     cos, sin = np.cos(evals * t)[:, None], np.sin(evals * t)[:, None]
     if side is None:
-        return lambda cols, off: (vecs[off:] @ (cos * vecs[cols].T)
-                                  - 1j * (vecs[off:] @ (sin * vecs[cols].T)))
+        return lambda cols, off: vecs[off:] @ (cos * vecs[cols].T) - 1j * (vecs[off:] @ (sin * vecs[cols].T))
     return lambda cols, off: np.where(side[off:, None] == side[cols], vecs[off:] @ (cos * vecs[cols].T),
                                       vecs[off:] @ (sin * vecs[cols].T))
 
@@ -467,20 +466,20 @@ def mirroring_report(pattern, k: int, sym: SymmetryMap, t: float) -> MirroringRe
     and H is tried: G takes g and gP if g keeps every state's side (below) and
     its four blocks are above _GRADED_FLOOR, else stays {1, P}, even where a
     later reflection would pass (the diagonals of the 4x4 product at odd k).
-    An orbit O_r under G (r its least rank) spans sum over z in O_r of
-    chi(h_z)|z>/sqrt|O_r| (h_z maps r to z) in each irrep trivial on its stabilizer. As
-    U[hy, hx] = U[y, x] for h in G, only the representatives' columns of the blocks are
-    formed, a chunk at a time: U[hs, r] = sum over chi of chi(h) U_chi[s, r] /
-    sqrt(|O_s| |O_r|) gives every target and off-target entry; no n x n U is built. As
-    U^T = U too, U[hs, r] = U[hr, s], so a chunk forms the rows of the orbits from its
-    first on, and a target U[Pr, r] whose row comes earlier is U[Ps, s], s = Pr. A hop
-    crosses an edge, so under a 2-colouring of the live edges whose sides (the parity of
-    a state's excitations on colour 1) all of G keeps, each block is [[0, C], [C^T, 0]];
-    above _GRADED_FLOOR one eigh of the Gram matrix of C on its smaller side solves it,
-    as cos(Bt) and sin(Bt) / B are functions of B^2. Otherwise (an odd cycle, a P that
-    flips some state's side, a small block) one eigh of the block does. Under the
-    colouring every column is real: U on its own side, i U across; a target across is
-    read back times -i. A block or a chunk of columns whose estimated peak memory
+    An orbit O_r under G (r its least rank) spans sum over z in O_r of chi(h_z)|z>/sqrt|O_r|
+    (h_z maps r to z) in each irrep trivial on its stabilizer. As U[hy, hx] = U[y, x] for h
+    in G, only the representatives' columns of the blocks are formed, a chunk at a time:
+    U[hs, r] = sum over chi of chi(h) U_chi[s, r] / sqrt(|O_s| |O_r|) gives every target and
+    off-target entry; no n x n U is built. A hop crosses an edge, so under a 2-colouring of
+    the live edges whose sides (the parity of a state's excitations on colour 1) all of G
+    keeps, each block is [[0, C], [C^T, 0]]; above _GRADED_FLOOR one eigh of the Gram matrix
+    of C on its smaller side solves it, as cos(Bt) and sin(Bt) / B are functions of B^2.
+    Otherwise (an odd cycle, a P that flips some state's side, a small block) one eigh of
+    the block does. Under the colouring every column is real: U on its own side, i U across;
+    a target across is read back times -i. As U^T = U too, U[hs, r] = U[hr, s], so there, if
+    P is an involution (as it is if |G| > 1), a chunk forms the rows of the orbits from its
+    first on, and a target U[Pr, r] whose row comes earlier is U[Ps, s], s = Pr; complex
+    columns are formed whole. A block or a chunk of columns whose estimated peak memory
     exceeds what the OS reports as available raises ValueError first.
     """
     if not np.isfinite(t):
@@ -495,6 +494,7 @@ def mirroring_report(pattern, k: int, sym: SymmetryMap, t: float) -> MirroringRe
     # the rows of each block before every orbit; its kept orbits' rows
     pos, rows = np.cumsum(o.kept, axis=1) - o.kept, [np.flatnonzero(kept) for kept in o.kept]
     image = permuted_ranks(basis, sym)[o.order]  # P r for each representative r
+    pairs = split.side is not None and all(sym.perm[p] == x for x, p in enumerate(sym.perm))
     mrow, melem = o.row[image], o.elem[image]  # its orbit's row; the element onto it
     hit = o.ranks[:, o.order[mrow]] == image  # the elements that map that row onto P r
     sizes, target, max_off = o.size[o.order].astype(float), np.empty(len(image), complex), 0.0
@@ -503,22 +503,22 @@ def mirroring_report(pattern, k: int, sym: SymmetryMap, t: float) -> MirroringRe
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         keep, norm = np.flatnonzero(o.kept[:, lo]), np.sqrt(sizes * sizes[lo])[:, None]
         for start in range(lo, hi, _BLOCK_CHUNK):
-            cols = np.arange(start, min(start + _BLOCK_CHUNK, hi))
-            j, us = np.arange(len(cols)), [solves[c](pos[c, cols], pos[c, start]) for c in keep]
-            at = [rows[c][pos[c, start]:] - start for c in keep]  # the rows of amp each fills
+            cols, first = np.arange(start, min(start + _BLOCK_CHUNK, hi)), start if pairs else 0
+            j, us = np.arange(len(cols)), [solves[c](pos[c, cols], pos[c, first]) for c in keep]
+            at = [rows[c][pos[c, first]:] - first for c in keep]  # the rows of amp each fills
             at = [slice(len(r)) if len(r) and r[-1] == len(r) - 1 else r for r in at]  # leading
-            early = mrow[cols] < start  # targets formed as their partners' in an earlier chunk
+            early = mrow[cols] < first  # targets formed as their partners' in an earlier chunk
             target[cols[early]] = target[mrow[cols[early]]]
             for h in range(len(o.ranks)):  # amp[s, j] = sum of chi(h) U_chi[s, r_j]
                 amp = us[0] if h == len(o.ranks) - 1 else us[0].copy()  # = U[hs, r_j] norm[s]
                 for c, r, u in zip(keep[1:], at[1:], us[1:]):  # a + (-u) is a - u to the bit
                     amp[r] += u if o.chars[c, h] > 0 else -u
                 own = (melem[cols] == h) & ~early
-                target[cols[own]] = amp[mrow[cols[own]] - start, j[own]] / norm[mrow[cols[own]], 0]
+                target[cols[own]] = amp[mrow[cols[own]] - first, j[own]] / norm[mrow[cols[own]], 0]
                 mag, amp = np.abs(amp), None  # amp goes before the division, mag after its max
-                mag /= norm[start:]
+                mag /= norm[first:]
                 on = hit[h, cols] & ~early
-                mag[mrow[cols[on]] - start, j[on]] = 0.0
+                mag[mrow[cols[on]] - first, j[on]] = 0.0
                 max_off, mag = max(max_off, float(mag.max())), None
             del us  # freed before the next chunk's columns are formed
     if split.side is not None:  # a target across the sides was formed as i U[Pr, r]

@@ -299,8 +299,9 @@ def _available_bytes() -> int | None:
 
 
 # Peak bytes of a dense d x d block over what was held before it, per 8 d^2: the
-# block, eigh's copy, workspace and output, and the column chunks. Single-block
-# reports measured 5.23 at d = 1820 and 5.08 at d = 4368 (OpenBLAS, one thread).
+# block, eigh's copy, workspace and output. Single-block reports measured 5.23 at d = 1820
+# and 5.08 at d = 4368 (OpenBLAS, one thread) with their column chunks, which a report
+# now also charges apart: counted twice, on the high side.
 # A graded block with an e x o coupling, n = min(e, o), is charged 8 (e o + 5 n^2 + 1024 d):
 # the coupling, scaled in place, the Gram matrix, eigh's copy, workspace and output, and
 # 8 KiB a row for the d x n factor and freed workspace the heap keeps. Single-block solves

@@ -986,15 +986,24 @@ def broken_odd_cycle():
     return graph, symmetry_map(ROT_3X3.geometry, "rotation_pi")
 
 
+def quarter_turn_3x3():
+    # the quarter turn main_diagonal after vertical_axis is no involution: G = {1}
+    geometry = ROT_3X3.geometry
+    return ROT_3X3, symmetry_map(geometry, "main_diagonal").compose(symmetry_map(geometry, "vertical_axis"))
+
+
 @pytest.mark.parametrize("chunk", [dynamics._BLOCK_CHUNK, 7])
 @pytest.mark.parametrize("make, k, solver", [(broken_chain_10, 5, "gram"),
                                              (broken_chain_10, 4, "gram"),
-                                             (broken_odd_cycle, 4, "eigh")])
+                                             (broken_odd_cycle, 4, "eigh"),
+                                             (quarter_turn_3x3, 4, "gram"),
+                                             (quarter_turn_3x3, 2, "eigh")])
 def test_full_sector_targets_match_the_pauli_oracle(monkeypatch, make, k, solver, chunk):
     # a graded report forms i U on the rows across a column's side. With G = {1}
     # the reversal is not in G and at odd k moves every state across, so each
     # target is read back times -i; an odd cycle leaves no sides. In chunks of 7
-    # a target whose row lies before its chunk is copied from its partner's
+    # a target whose row lies before its chunk is copied from its partner's, which
+    # holds only for an involution: a quarter turn's chunks form every row
     monkeypatch.setattr(dynamics, "_BLOCK_CHUNK", chunk)
     pattern, sym = make()
     rep = mirroring_report(pattern, k, sym, 0.9)
@@ -1015,7 +1024,7 @@ PRODUCT_3X3 = product_lattice_couplings(christandl_chain(3), christandl_chain(3)
 FOUR = ("rotation_pi", "horizontal_axis")
 
 
-EACH_GROUP_CASES = [
+@pytest.mark.parametrize("pattern, mirror, k, floor, group, dims, solver", [
     # on 3x4, h keeps every site's side; rotation_pi and v flip each state's side at odd k
     (V_H_3X4, "rotation_pi", 4, 48, FOUR, (139, 124, 116, 116), "gram"),
     (V_H_3X4, "rotation_pi", 4, 116, ("rotation_pi",), (255, 240), "gram"),
@@ -1028,22 +1037,22 @@ EACH_GROUP_CASES = [
     (ROT_3X3, "rotation_pi", 2, 48, ("rotation_pi",), (20, 16), "eigh"),
     (asymmetric_3x3(), "rotation_pi", 4, 48, (), (126,), "gram"),
     (asymmetric_3x3(), "rotation_pi", 2, 48, (), (36,), "eigh"),
-]
-
-
-@pytest.mark.parametrize("pattern, mirror, k, floor, group, dims, solver", EACH_GROUP_CASES)
+])
 def test_each_group_order_and_solver_matches_the_pauli_oracle(monkeypatch, pattern, mirror, k,
                                                               floor, group, dims, solver):
     # G has order 4 only when every one of its blocks is above the floor; a bare
     # graph has no geometry to take g from, ROT_3X3 commutes with no second
     # reflection even with the floor at 0, and a mirror that does not commute
-    # leaves G = {1}
+    # leaves G = {1}. A chunk forms only the rows from its first orbit on, as
+    # U[hs, r] = U[hr, s]; chunks of 7 split every stabilizer range
     monkeypatch.setattr(dynamics, "_GRADED_FLOOR", floor)
     sym = symmetry_map(getattr(pattern, "geometry", RECT_3X4), mirror)
-    rep = mirroring_report(pattern, k, sym, 0.9)
-    assert (rep.group, rep.block_dims, rep.block_solvers) == (group, dims, (solver,) * len(dims))
-    assert rep.backend == ("parity-blocks" if group else "full-sector")
-    assert_report_matches_pauli(rep, pattern, sym, 1e-12)
+    for chunk in (dynamics._BLOCK_CHUNK, 7):
+        monkeypatch.setattr(dynamics, "_BLOCK_CHUNK", chunk)
+        rep = mirroring_report(pattern, k, sym, 0.9)
+        assert (rep.group, rep.block_dims, rep.block_solvers) == (group, dims, (solver,) * len(dims))
+        assert rep.backend == ("parity-blocks" if group else "full-sector")
+        assert_report_matches_pauli(rep, pattern, sym, 1e-12)
 
 
 @pytest.mark.parametrize("k", range(1, 9))
@@ -1052,25 +1061,12 @@ def test_the_3x3_product_lattice_in_four_blocks_matches_the_pauli_oracle(monkeyp
     # sector takes four blocks, each by one Gram solve
     monkeypatch.setattr(dynamics, "_GRADED_FLOOR", 0)
     sym = symmetry_map(PRODUCT_3X3.geometry, "rotation_pi")
-    rep = mirroring_report(PRODUCT_3X3, k, sym, christandl_chain(3).nominal_transfer_time)
-    assert rep.group == FOUR and min(rep.block_dims) > 0 and sum(rep.block_dims) == math.comb(9, k)
-    assert rep.block_solvers == ("gram",) * 4
-    assert_report_matches_pauli(rep, PRODUCT_3X3, sym, 1e-12)
-
-
-@pytest.mark.parametrize("case", EACH_GROUP_CASES)
-def test_each_group_order_and_solver_matches_the_pauli_oracle_in_chunks_of_7(monkeypatch, case):
-    # a chunk forms only the rows from its first orbit on, as U[hs, r] = U[hr, s];
-    # chunks of 7 split every stabilizer range at |G| = 1, 2 and 4
-    monkeypatch.setattr(dynamics, "_BLOCK_CHUNK", 7)
-    test_each_group_order_and_solver_matches_the_pauli_oracle(monkeypatch, *case)
-
-
-@pytest.mark.parametrize("k", range(1, 9))
-def test_the_3x3_product_lattice_in_four_blocks_matches_the_pauli_oracle_in_chunks_of_7(
-        monkeypatch, k):
-    monkeypatch.setattr(dynamics, "_BLOCK_CHUNK", 7)
-    test_the_3x3_product_lattice_in_four_blocks_matches_the_pauli_oracle(monkeypatch, k)
+    for chunk in (dynamics._BLOCK_CHUNK, 7):  # in chunks of 7 too, as above
+        monkeypatch.setattr(dynamics, "_BLOCK_CHUNK", chunk)
+        rep = mirroring_report(PRODUCT_3X3, k, sym, christandl_chain(3).nominal_transfer_time)
+        assert rep.group == FOUR and min(rep.block_dims) > 0 and sum(rep.block_dims) == math.comb(9, k)
+        assert rep.block_solvers == ("gram",) * 4
+        assert_report_matches_pauli(rep, PRODUCT_3X3, sym, 1e-12)
 
 
 def test_product_lattice_k4_report_in_four_blocks(monkeypatch):
