@@ -18,9 +18,10 @@ transfer_fidelity is the one single-excitation propagator: the only code that
 builds the M x M block, for transfer scans and chains.measured_transfer_modulus.
 Mirroring reports and spectrum classification share one split of a sector over
 the irreps of G, the reflections that commute with H and hold the mirror, each
-block scattered from the cached hops; a report solves a large block by one eigh
-of its sublattice coupling's Gram matrix and forms only G's representatives' columns,
-each (row, column) pair of orbits once, in real arithmetic under the sublattice sides.
+block scattered from the cached hops; a report solves a graded block by one eigh of
+its sublattice coupling's Gram matrix, any other by one eigh of the block, and forms
+only G's representatives' columns, each (row, column) pair of orbits once under an
+involutive mirror, in real arithmetic under the sublattice sides.
 """
 
 from __future__ import annotations
@@ -339,8 +340,7 @@ def _irrep_split(pattern, k: int, sym: SymmetryMap) -> _Split:
                 or not check_symmetry(graph, SymmetryMap(name, g), tol=0.0)):
             continue
         four = _orbit_map(site_count, k, [P, g])
-        if ((side is None or np.array_equal(side[four.ranks[2]], side))
-                and four.kept.sum(axis=1).min() > _GRADED_FLOOR):
+        if side is None or np.array_equal(side[four.ranks[2]], side):
             orbits, group = four, (sym.name, name)
         break
     graded = side is not None and all(np.array_equal(side[r], side) for r in orbits.ranks)
@@ -348,11 +348,11 @@ def _irrep_split(pattern, k: int, sym: SymmetryMap) -> _Split:
 
 
 def _blocks(split: _Split, graded: bool):
-    """(block, side, solver) of each irrep in character order, scattered from the hops:
-    a graded block above _GRADED_FLOOR as its coupling from even to odd rows, "gram",
-    any other dense, "eigh"; side is each row's side if the split has sides. Each entry
-    comes from the representative row of the larger orbit (the lower rank if of one
-    size): B[r, s] = sqrt(|O_r| / |O_s|) sum over z in O_s of chi(h_z) H[r, z]."""
+    """(block, side) of each irrep in character order, scattered from the hops: if graded
+    and the split has sides, its coupling from even to odd rows and each row's side, else
+    the dense block and None. Each entry comes from the representative row of the larger
+    orbit (the lower rank if of one size):
+    B[r, s] = sqrt(|O_r| / |O_s|) sum over z in O_s of chi(h_z) H[r, z]."""
     o, t, c = split.orbits, split.hops.targets, split.hops.cols
     keep = (o.rep[t] == t) & ((o.size[t] > o.size[c]) | (o.size[t] == o.size[c]) & (t <= o.rep[c]))
     t, c = t[keep], c[keep]
@@ -361,19 +361,19 @@ def _blocks(split: _Split, graded: bool):
         pos, inside, d = np.cumsum(kept) - 1, kept[o.row[t]] & kept[o.row[c]], int(kept.sum())
         a, b = pos[o.row[t[inside]]], pos[o.row[c[inside]]]
         vals = chars[o.elem[c[inside]]] * fill[inside]
-        side = None if split.side is None else split.side[o.order[kept]]
-        if graded and side is not None and d > _GRADED_FLOOR:
+        if graded and split.side is not None:
+            side = split.side[o.order[kept]]
             e = d - int(side.sum())
             _check_block_memory(d, e)
             at = np.where(side == 0, np.cumsum(side == 0), np.cumsum(side == 1)) - 1
             a, b = np.where(side[a] == 0, a, b), np.where(side[a] == 0, b, a)  # even row, odd row
-            coupling = np.bincount(at[a] * (d - e) + at[b], vals, e * (d - e)).reshape(e, -1)
-            yield coupling.astype(float, copy=False), side, "gram"  # no hops: bincount gives ints
+            coupling = np.bincount(at[a] * (d - e) + at[b], vals, e * (d - e)).reshape(e, d - e)
+            yield coupling.astype(float, copy=False), side  # no hops: bincount gives ints
         else:
             _check_block_memory(d)
             off = a != b  # mirrored below the diagonal: the same terms in the same order
             key = np.concatenate([a * d + b, (b * d + a)[off]])
-            yield np.bincount(key, np.concatenate([vals, vals[off]]), d * d).reshape(d, d), side, "eigh"
+            yield np.bincount(key, np.concatenate([vals, vals[off]]), d * d).reshape(d, d), None
 
 
 @dataclass(frozen=True)
@@ -400,18 +400,14 @@ class MirroringReport:
 
 
 _BLOCK_CHUNK = 256  # block columns formed per pair of real products, on the rows from theirs on
-_GRADED_FLOOR = 48  # graded blocks above this take the Gram solve, which beats eigh from 24 up
 
 
-def _eigh_solve(block, side, t):
+def _eigh_solve(block, t):
     """columns(cols, off) of exp(-iBt) on rows off and on, for a dense real symmetric
-    block B, from one eigh; given sides, the real W of _graded_solve."""
+    block B, from one eigh."""
     evals, vecs = np.linalg.eigh(block)
     cos, sin = np.cos(evals * t)[:, None], np.sin(evals * t)[:, None]
-    if side is None:
-        return lambda cols, off: vecs[off:] @ (cos * vecs[cols].T) - 1j * (vecs[off:] @ (sin * vecs[cols].T))
-    return lambda cols, off: np.where(side[off:, None] == side[cols], vecs[off:] @ (cos * vecs[cols].T),
-                                      vecs[off:] @ (sin * vecs[cols].T))
+    return lambda cols, off: vecs[off:] @ (cos * vecs[cols].T) - 1j * (vecs[off:] @ (sin * vecs[cols].T))
 
 
 def _graded_solve(coupling, side, t):
@@ -463,38 +459,38 @@ def mirroring_report(pattern, k: int, sym: SymmetryMap, t: float) -> MirroringRe
     an involution that maps every live edge onto one of equal strength:
     G = {1, P} ("parity-blocks"), else G = {1} ("full-sector"). Only the first
     reflection g of a pattern's geometry (axis ones first) that commutes with P
-    and H is tried: G takes g and gP if g keeps every state's side (below) and
-    its four blocks are above _GRADED_FLOOR, else stays {1, P}, even where a
-    later reflection would pass (the diagonals of the 4x4 product at odd k).
+    and H is tried: G takes g and gP if g keeps every state's side (below), else
+    stays {1, P}, even where a later reflection would pass (the diagonals of the
+    4x4 product at odd k); a block may be empty.
     An orbit O_r under G (r its least rank) spans sum over z in O_r of chi(h_z)|z>/sqrt|O_r|
     (h_z maps r to z) in each irrep trivial on its stabilizer. As U[hy, hx] = U[y, x] for h
     in G, only the representatives' columns of the blocks are formed, a chunk at a time:
     U[hs, r] = sum over chi of chi(h) U_chi[s, r] / sqrt(|O_s| |O_r|) gives every target and
     off-target entry; no n x n U is built. A hop crosses an edge, so under a 2-colouring of
     the live edges whose sides (the parity of a state's excitations on colour 1) all of G
-    keeps, each block is [[0, C], [C^T, 0]]; above _GRADED_FLOOR one eigh of the Gram matrix
-    of C on its smaller side solves it, as cos(Bt) and sin(Bt) / B are functions of B^2.
-    Otherwise (an odd cycle, a P that flips some state's side, a small block) one eigh of
-    the block does. Under the colouring every column is real: U on its own side, i U across;
-    a target across is read back times -i. As U^T = U too, U[hs, r] = U[hr, s], so there, if
-    P is an involution (as it is if |G| > 1), a chunk forms the rows of the orbits from its
-    first on, and a target U[Pr, r] whose row comes earlier is U[Ps, s], s = Pr; complex
-    columns are formed whole. A block or a chunk of columns whose estimated peak memory
+    keeps, each block is [[0, C], [C^T, 0]], and one eigh of the Gram matrix of C on its
+    smaller side solves it, as cos(Bt) and sin(Bt) / B are functions of B^2. Otherwise (an
+    odd cycle, a P that flips some state's side) one eigh of the block does. Under the
+    colouring every column is real: U on its own side, i U across; a target across is read
+    back times -i. As U^T = U and G holds only involutions, U[hs, r] = U[hr, s], so if P is
+    an involution (as it is if |G| > 1), a chunk forms the rows of the orbits from its first
+    on, and a target U[Pr, r] whose row comes earlier is U[Ps, s], s = Pr; a quarter turn's
+    chunks form every row. A block or a chunk of columns whose estimated peak memory
     exceeds what the OS reports as available raises ValueError first.
     """
     if not np.isfinite(t):
         raise ValueError("evolution time must be finite")
     split = _irrep_split(pattern, k, sym)
     o, basis = split.orbits, SectorBasis(sym.site_count, k, split.hops.grown)
-    solves, solvers = zip(*[((_graded_solve if solver == "gram" else _eigh_solve)(block, side, t), solver)
-                            for block, side, solver in _blocks(split, True)])
+    solves = [_eigh_solve(block, t) if side is None else _graded_solve(block, side, t)
+              for block, side in _blocks(split, True)]
     # a chunk holds all blocks' columns (dim rows), amp, and a block negated and gathered
     _check_memory((8 if split.side is not None else 16) * min(_BLOCK_CHUNK, len(o.order))
                   * (basis.dim + 3 * len(o.order)), f"the columns of a report of dimension {basis.dim} need")
     # the rows of each block before every orbit; its kept orbits' rows
     pos, rows = np.cumsum(o.kept, axis=1) - o.kept, [np.flatnonzero(kept) for kept in o.kept]
     image = permuted_ranks(basis, sym)[o.order]  # P r for each representative r
-    pairs = split.side is not None and all(sym.perm[p] == x for x, p in enumerate(sym.perm))
+    pairs = all(sym.perm[p] == x for x, p in enumerate(sym.perm))  # P is an involution
     mrow, melem = o.row[image], o.elem[image]  # its orbit's row; the element onto it
     hit = o.ranks[:, o.order[mrow]] == image  # the elements that map that row onto P r
     sizes, target, max_off = o.size[o.order].astype(float), np.empty(len(image), complex), 0.0
@@ -511,8 +507,8 @@ def mirroring_report(pattern, k: int, sym: SymmetryMap, t: float) -> MirroringRe
             target[cols[early]] = target[mrow[cols[early]]]
             for h in range(len(o.ranks)):  # amp[s, j] = sum of chi(h) U_chi[s, r_j]
                 amp = us[0] if h == len(o.ranks) - 1 else us[0].copy()  # = U[hs, r_j] norm[s]
-                for c, r, u in zip(keep[1:], at[1:], us[1:]):  # a + (-u) is a - u to the bit
-                    amp[r] += u if o.chars[c, h] > 0 else -u
+                for i in range(1, len(keep)):  # by index: no name outlives del us
+                    amp[at[i]] += us[i] if o.chars[keep[i], h] > 0 else -us[i]  # a + (-u) is a - u
                 own = (melem[cols] == h) & ~early
                 target[cols[own]] = amp[mrow[cols[own]] - first, j[own]] / norm[mrow[cols[own]], 0]
                 mag, amp = np.abs(amp), None  # amp goes before the division, mag after its max
@@ -528,7 +524,8 @@ def mirroring_report(pattern, k: int, sym: SymmetryMap, t: float) -> MirroringRe
         k=k, t=t, sym_name=sym.name, min_modulus=float(moduli.min()), max_offtarget=max_off,
         moduli=moduli, phases=target[o.row] / np.where(moduli > 0, moduli, 1.0), basis=basis,
         backend="parity-blocks" if split.group else "full-sector", group=split.group,
-        block_dims=tuple(int(d) for d in o.kept.sum(axis=1)), block_solvers=solvers,
+        block_dims=tuple(int(d) for d in o.kept.sum(axis=1)),
+        block_solvers=("eigh" if split.side is None else "gram",) * len(solves),
     )
 
 

@@ -121,7 +121,7 @@ MIRROR_KEYS = {"schema_version", "pattern_hash", "k", "t", "mirror", "min_modulu
 
 @pytest.mark.parametrize("k, t", [("0", None), ("9", None), ("0", "0"), ("9", "0")])
 def test_mirror_edge_sectors_on_parity_blocks(tmp_path, k, t):
-    # k=0 and k=M are one fixed basis state with an empty - block
+    # k=0 and k=M are one fixed basis state, with three empty blocks
     prefix = tmp_path / "edge"
     argv = ["mirror", "--pattern", "christandl-product", "--n", "3", "--k", k]
     assert run(*argv, *(["--t", t] if t else []), "--out", str(prefix)) == 0
@@ -130,7 +130,7 @@ def test_mirror_edge_sectors_on_parity_blocks(tmp_path, k, t):
     assert doc["min_modulus"] == 1.0 and doc["max_offtarget"] == 0.0
     meta = json.loads((tmp_path / "edge.meta.json").read_text())
     assert meta["backend"] == "parity-blocks"
-    assert meta["dim"] == 1 and meta["block_dims"] == [1, 0]
+    assert meta["dim"] == 1 and meta["block_dims"] == [1, 0, 0, 0]
 
 
 def test_mirror_at_time_zero_reads_the_identity(capsys):
@@ -158,13 +158,15 @@ def test_mirror_sidecar_names_the_backend(tmp_path):
     assert meta["backend"] == "full-sector" and meta["block_dims"] == [36]
 
 
-@pytest.mark.parametrize("n, k, solvers", [("3", "2", ["eigh", "eigh"]), ("4", "3", ["gram", "gram"])])
-def test_mirror_sidecar_names_the_block_solvers(tmp_path, n, k, solvers):
-    # the 3x3 blocks sit below the size floor; the 4x4 k=3 blocks of 280 are
-    # solved through the sublattice grading
+@pytest.mark.parametrize("mirror, solvers", [("vertical_axis", ["eigh", "eigh"]),
+                                             ("rotation_pi", ["gram", "gram"])])
+def test_mirror_sidecar_names_the_block_solvers(tmp_path, mirror, solvers):
+    # at k=3 on 4x4 the vertical axis moves every state to the other side, so
+    # its blocks of 280 take eigh; the rotation keeps every side, so its blocks
+    # of 280 are solved through the sublattice grading
     prefix = tmp_path / "solvers"
-    assert run("mirror", "--pattern", "christandl-product", "--n", n, "--k", k,
-               "--out", str(prefix)) == 0
+    assert run("mirror", "--pattern", "christandl-product", "--n", "4", "--k", "3",
+               "--mirror", mirror, "--out", str(prefix)) == 0
     meta = json.loads((tmp_path / "solvers.meta.json").read_text())
     assert meta["block_solvers"] == solvers and len(meta["block_dims"]) == 2
 
@@ -176,10 +178,12 @@ def test_mirror_sidecar_names_the_block_solvers(tmp_path, n, k, solvers):
     (("mirror", "--pattern-file", "asymmetric", "--k", "2", "--t", "0.7"), []),
     (("classify", "--pattern-file", "rect", "--k", "4", "--sym", "rotation_pi"),
      ["rotation_pi", "horizontal_axis"]),
-    (("classify", "--parallel-chains", "4", "--k", "2", "--sym", "vertical_axis"), ["vertical_axis"]),
+    (("classify", "--parallel-chains", "4", "--k", "2", "--sym", "vertical_axis"),
+     ["vertical_axis", "horizontal_axis"]),
 ])
 def test_sidecars_name_the_reflection_group(tmp_path, argv, group):
-    # the product lattice at odd k, where h flips each state's side, keeps {1, P}
+    # the product lattice at odd k, where h flips each state's side, keeps {1, P};
+    # h keeps every side of the two parallel chains at even k, however small the blocks
     files = {"asymmetric": asymmetric_3x3_file(tmp_path), "rect": str(tmp_path / "rect.json")}
     rect = build_rect_lattice(3, 4)
     reflections = (symmetry_map(rect, "vertical_axis"), symmetry_map(rect, "horizontal_axis"))
@@ -213,14 +217,14 @@ def asymmetric_3x3_file(tmp_path):
 
 @pytest.mark.parametrize("shift", [-1, 0])
 @pytest.mark.parametrize("source, block", [
-    (("--pattern", "christandl-product", "--n", "3"), 66),  # blocks 66 + 60 at k=4
+    (("--pattern", "christandl-product", "--n", "3"), 39),  # blocks 39 + 30 + 27 + 30 at k=4
     ("asymmetric", 126),  # one block of 126
 ])
 def test_mirror_refuses_a_block_past_available_memory(tmp_path, monkeypatch, capsys,
                                                       source, block, shift):
     # one byte short of the largest block's estimated peak refuses; exactly it
-    # runs. Both blocks are graded: their couplings are 36 x 30 and 66 x 60
-    even = {66: 36, 126: 66}[block]
+    # runs. Both largest blocks are graded: their couplings are 21 x 18 and 66 x 60
+    even = {39: 21, 126: 66}[block]
     odd = block - even
     need = 8 * (even * odd + 5 * min(even, odd) ** 2 + 1024 * block)
     monkeypatch.setattr(sectors, "_available_bytes", lambda: need + shift)
@@ -624,7 +628,7 @@ README_DIGESTS = {
         "stdout": "12d7b07bd648cb2a7dfe8b5c70ffc956d12665fd36059883f87915639cf2eba2",
     },
     "spinmirror mirror --pattern parallel-chains --n 4 --k 2": {
-        "stdout": "6409ec101a33f346e70f1f0ad3f48f3ae1ef2aa85108e5020d83f7639bd6aebb",
+        "stdout": "34abd37c7fe5d7e48c098c5e5abb31b3bb108b7fef56899651ae45378c624ced",
     },
     "spinmirror mirror --pattern christandl-product --n 4 --k 5": {
         "stdout": "4461b68f4922e30f351b7705d01f6fea3764aaa9784842ae202cf9cb4e3a3ff3",
@@ -635,7 +639,7 @@ README_DIGESTS = {
         "certs.csv": "e764c91727bd9359044bfd4129ad71a70108a4704561623d88d0e2000b305ac5",
     },
     "spinmirror classify --parallel-chains 4 --k 2 --sym vertical_axis": {
-        "stdout": "e17f99766b8e2fb52113edd72078562473756f7694149800ae166613f30581c9",
+        "stdout": "a200a8f049c456b548940192c5cb34b0189b52c5476eeb78c82904daf0ffe79b",
     },
     "spinmirror optimize --preset rx-3x3-witness --out rx3": {
         "stdout": "49844242411459b700fb0e7fdbd6287dff926b6835dc38a5895f2d045176993c",
@@ -712,8 +716,7 @@ def test_fast_readme_examples_give_their_recorded_bytes(tmp_path):
     assert set(README_DIGESTS) <= {line.split("#")[0].strip()
                                    for block in blocks for line in block.splitlines()}
     found = run_child(tmp_path, README_DIGESTS)
-    for line, digests in README_DIGESTS.items():
-        assert found[line] == {"exit": 0, **digests}, line
+    assert found == {line: {"exit": 0, **digests} for line, digests in README_DIGESTS.items()}
 
 
 # the same digests for commands that read a document (a chain and a rect
@@ -722,8 +725,8 @@ def test_fast_readme_examples_give_their_recorded_bytes(tmp_path):
 FILE_INPUT_DIGESTS = {
     "spinmirror mirror --pattern-file chain.json --k 2 --t 1.5707963267948966 --out chain": {
         "stdout": "42ef2f1a4c9abe9d5b64ba963d6dc5eedabb924e4905724ee3f47ea094fbd34e",
-        "chain.json": "b344be4048e7a51552f4d819ba2ec97cb53c19636a1dd200be9fbfad9264645a",
-        "chain.csv": "2ee931c8407e60850c583e08204062cb98527b2b0694ab44a6614c56dccbf458",
+        "chain.json": "98b51bf278b24d9cd4a8ae77bb5778552d1dc53053def96b2a0afeb825ebda3b",
+        "chain.csv": "d7aae37e2edd1795567a76f4b6874cd8a5df9cc1cd908369ca596cc05101d6b8",
     },
     "spinmirror classify --pattern-file rect.json --k 2 --sym vertical_axis --out rect": {
         "stdout": "aa580a67d79d77afad62150101216224151d0bcf756d7f6550d42ff005233b21",
@@ -767,8 +770,7 @@ def write_file_inputs(directory):
 def test_file_inputs_give_their_recorded_bytes(tmp_path):
     write_file_inputs(tmp_path)
     found = run_child(tmp_path, FILE_INPUT_DIGESTS)
-    for line, digests in FILE_INPUT_DIGESTS.items():
-        assert found[line] == {"exit": 0, **digests}, line
+    assert found == {line: {"exit": 0, **digests} for line, digests in FILE_INPUT_DIGESTS.items()}
 
 
 def test_optimize_probe_grid(tmp_path):

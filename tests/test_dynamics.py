@@ -899,13 +899,23 @@ def chain_10():
 
 
 @pytest.mark.parametrize("k, solvers", [(4, ("gram", "gram")), (5, ("eigh", "eigh"))])
-def test_a_mirror_that_flips_the_sides_takes_eigh(k, solvers):
+def test_a_mirror_that_flips_the_sides_takes_eigh(monkeypatch, k, solvers):
     # the reversal of an even chain moves each excitation to the other
-    # sublattice: at odd k every state changes side, at even k none does
+    # sublattice: at odd k every state changes side, at even k none does. In
+    # chunks of 7 the columns, complex ones too, form only the rows from their chunk on
     pattern, sym = chain_10()
-    rep = mirroring_report(pattern, k, sym, 0.9)
-    assert min(rep.block_dims) > dynamics._GRADED_FLOOR and rep.block_solvers == solvers
-    assert_report_matches_pauli(rep, pattern, sym, 1e-12)
+    offsets = []
+    for name in ("_eigh_solve", "_graded_solve"):
+        def recorded(*args, solve=getattr(dynamics, name)):
+            columns = solve(*args)
+            return lambda cols, off: offsets.append(off) or columns(cols, off)
+        monkeypatch.setattr(dynamics, name, recorded)
+    for chunk in (dynamics._BLOCK_CHUNK, 7):
+        monkeypatch.setattr(dynamics, "_BLOCK_CHUNK", chunk)
+        rep = mirroring_report(pattern, k, sym, 0.9)
+        assert rep.block_dims == {4: (110, 100), 5: (126, 126)}[k] and rep.block_solvers == solvers
+        assert_report_matches_pauli(rep, pattern, sym, 1e-12)
+    assert max(offsets) > 0
 
 
 def test_an_odd_cycle_takes_eigh():
@@ -921,11 +931,13 @@ def test_an_odd_cycle_takes_eigh():
 
 def test_zero_couplings_leave_one_side_empty():
     # with no live edge every state sits on side 0: the coupling has no
-    # columns, every direction is kernel, and U = 1
+    # columns, every direction is kernel, and U = 1. Every reflection
+    # commutes, so the sector splits in four
     pattern = CouplingPattern(ROT_3X3.geometry, np.zeros_like(ROT_3X3.J), np.zeros_like(ROT_3X3.K))
     sym = symmetry_map(pattern.geometry, "rotation_pi")
     rep = mirroring_report(pattern, 4, sym, 1.3)
-    assert rep.block_dims == (66, 60) and rep.block_solvers == ("gram", "gram")
+    assert rep.group == FOUR and rep.block_dims == (39, 30, 27, 30)
+    assert rep.block_solvers == ("gram",) * 4
     assert_report_matches_pauli(rep, pattern, sym, 1e-12)
     fixed = permuted_ranks(rep.basis, sym) == np.arange(rep.basis.dim)
     assert np.array_equal(rep.moduli, fixed.astype(float)) and rep.max_offtarget == 1.0
@@ -936,12 +948,14 @@ def test_zero_couplings_leave_one_side_empty():
     (6, 8, 0.9, "rank-deficient"), (8, 6, -1.7, "rank-deficient"), (7, 7, 1.1, "rank-deficient"),
     (6, 0, 0.9, "full"), (0, 6, 0.9, "full"),
     (5, 9, 0.0, "full"), (7, 7, -0.4, "full"),
+    (1, 0, 0.9, "full"), (0, 1, 0.9, "full"), (1, 1, 0.9, "full"), (2, 1, -1.3, "full"),
 ])
 def test_the_graded_solve_matches_expm_of_its_block(even, odd, t, case):
     # B couples the side-0 rows to the side-1 rows through C; the rows of each
-    # side come interleaved, as _blocks gives them. Both solves return the real
-    # W, exp(-iBt) on the rows of a column's side and i exp(-iBt) on the others,
-    # on the rows from an offset on (a column never lies before it)
+    # side come interleaved, as _blocks gives them. The Gram solve returns the
+    # real W, exp(-iBt) on the rows of a column's side and i exp(-iBt) on the
+    # others, the eigh solve exp(-iBt) itself, both on the rows from an offset
+    # on (a column never lies before it)
     rng = np.random.default_rng(even * 31 + odd)
     side = rng.permutation(np.repeat([0, 1], [even, odd]))
     C = rng.uniform(-2, 2, (even, odd))
@@ -950,15 +964,16 @@ def test_the_graded_solve_matches_expm_of_its_block(even, odd, t, case):
     B = np.zeros((even + odd,) * 2)
     B[np.ix_(side == 0, side == 1)] = C
     B += B.T
-    W = np.where(side[:, None] == side, 1, 1j) * scipy.linalg.expm(-1j * t * B)
+    U = scipy.linalg.expm(-1j * t * B)
+    W = np.where(side[:, None] == side, 1, 1j) * U
     assert np.abs(W.imag).max() <= 1e-12  # what W discards
     d, picks = even + odd, np.array([odd % 3, even + odd - 1, 0])[: even + odd]
-    for columns in (dynamics._graded_solve(C, side, t), dynamics._eigh_solve(B, side, t)):
+    for columns, want in ((dynamics._graded_solve(C, side, t), W.real), (dynamics._eigh_solve(B, t), U)):
         for off in (0, d // 3):
             for cols in (np.arange(off, d), off + picks % (d - off)):
                 got = columns(cols, off)
-                assert got.dtype == np.float64
-                assert np.abs(got - W.real[off:, cols]).max() < 1e-12
+                assert got.dtype == want.dtype
+                assert np.abs(got - want[off:, cols]).max() < 1e-12
 
 
 def test_pieces_cut_apart_by_zero_couplings_are_coloured_one_by_one():
@@ -997,7 +1012,7 @@ def quarter_turn_3x3():
                                              (broken_chain_10, 4, "gram"),
                                              (broken_odd_cycle, 4, "eigh"),
                                              (quarter_turn_3x3, 4, "gram"),
-                                             (quarter_turn_3x3, 2, "eigh")])
+                                             (quarter_turn_3x3, 2, "gram")])
 def test_full_sector_targets_match_the_pauli_oracle(monkeypatch, make, k, solver, chunk):
     # a graded report forms i U on the rows across a column's side. With G = {1}
     # the reversal is not in G and at odd k moves every state across, so each
@@ -1024,28 +1039,26 @@ PRODUCT_3X3 = product_lattice_couplings(christandl_chain(3), christandl_chain(3)
 FOUR = ("rotation_pi", "horizontal_axis")
 
 
-@pytest.mark.parametrize("pattern, mirror, k, floor, group, dims, solver", [
+@pytest.mark.parametrize("pattern, mirror, k, group, dims, solver", [
     # on 3x4, h keeps every site's side; rotation_pi and v flip each state's side at odd k
-    (V_H_3X4, "rotation_pi", 4, 48, FOUR, (139, 124, 116, 116), "gram"),
-    (V_H_3X4, "rotation_pi", 4, 116, ("rotation_pi",), (255, 240), "gram"),
-    (V_H_3X4, "rotation_pi", 3, 48, FOUR, (60, 60, 50, 50), "eigh"),
-    (V_H_3X4, "rotation_pi", 3, 50, ("rotation_pi",), (110, 110), "eigh"),
-    (V_H_3X4, "vertical_axis", 5, 48, ("vertical_axis", "horizontal_axis"),
-     (208, 208, 188, 188), "eigh"),
-    (V_H_3X4.to_graph(), "rotation_pi", 4, 48, ("rotation_pi",), (255, 240), "gram"),
-    (ROT_3X3, "rotation_pi", 4, 0, ("rotation_pi",), (66, 60), "gram"),
-    (ROT_3X3, "rotation_pi", 2, 48, ("rotation_pi",), (20, 16), "eigh"),
-    (asymmetric_3x3(), "rotation_pi", 4, 48, (), (126,), "gram"),
-    (asymmetric_3x3(), "rotation_pi", 2, 48, (), (36,), "eigh"),
+    (V_H_3X4, "rotation_pi", 4, FOUR, (139, 124, 116, 116), "gram"),
+    (V_H_3X4, "rotation_pi", 0, FOUR, (1, 0, 0, 0), "gram"),
+    (V_H_3X4, "rotation_pi", 3, FOUR, (60, 60, 50, 50), "eigh"),
+    (V_H_3X4, "rotation_pi", 12, FOUR, (1, 0, 0, 0), "gram"),
+    (V_H_3X4, "vertical_axis", 5, ("vertical_axis", "horizontal_axis"), (208, 208, 188, 188), "eigh"),
+    (V_H_3X4.to_graph(), "rotation_pi", 4, ("rotation_pi",), (255, 240), "gram"),
+    (ROT_3X3, "rotation_pi", 4, ("rotation_pi",), (66, 60), "gram"),
+    (ROT_3X3, "rotation_pi", 2, ("rotation_pi",), (20, 16), "gram"),
+    (asymmetric_3x3(), "rotation_pi", 4, (), (126,), "gram"),
+    (asymmetric_3x3(), "rotation_pi", 2, (), (36,), "gram"),
 ])
 def test_each_group_order_and_solver_matches_the_pauli_oracle(monkeypatch, pattern, mirror, k,
-                                                              floor, group, dims, solver):
-    # G has order 4 only when every one of its blocks is above the floor; a bare
-    # graph has no geometry to take g from, ROT_3X3 commutes with no second
-    # reflection even with the floor at 0, and a mirror that does not commute
-    # leaves G = {1}. A chunk forms only the rows from its first orbit on, as
-    # U[hs, r] = U[hr, s]; chunks of 7 split every stabilizer range
-    monkeypatch.setattr(dynamics, "_GRADED_FLOOR", floor)
+                                                              group, dims, solver):
+    # a bare graph has no geometry to take g from, ROT_3X3 commutes with no
+    # second reflection, and a mirror that does not commute leaves G = {1}; the
+    # empty and the full sector leave three blocks empty. A chunk forms only the
+    # rows from its first orbit on, as U[hs, r] = U[hr, s]; chunks of 7 split
+    # every stabilizer range
     sym = symmetry_map(getattr(pattern, "geometry", RECT_3X4), mirror)
     for chunk in (dynamics._BLOCK_CHUNK, 7):
         monkeypatch.setattr(dynamics, "_BLOCK_CHUNK", chunk)
@@ -1055,16 +1068,16 @@ def test_each_group_order_and_solver_matches_the_pauli_oracle(monkeypatch, patte
         assert_report_matches_pauli(rep, pattern, sym, 1e-12)
 
 
-@pytest.mark.parametrize("k", range(1, 9))
+@pytest.mark.parametrize("k", range(10))
 def test_the_3x3_product_lattice_in_four_blocks_matches_the_pauli_oracle(monkeypatch, k):
-    # h keeps every site's side on three rows, so with the floor at 0 every
-    # sector takes four blocks, each by one Gram solve
-    monkeypatch.setattr(dynamics, "_GRADED_FLOOR", 0)
+    # h keeps every site's side on three rows, so every sector takes four
+    # blocks, each by one Gram solve; at k = 0 and 9 three of them are empty
     sym = symmetry_map(PRODUCT_3X3.geometry, "rotation_pi")
     for chunk in (dynamics._BLOCK_CHUNK, 7):  # in chunks of 7 too, as above
         monkeypatch.setattr(dynamics, "_BLOCK_CHUNK", chunk)
         rep = mirroring_report(PRODUCT_3X3, k, sym, christandl_chain(3).nominal_transfer_time)
-        assert rep.group == FOUR and min(rep.block_dims) > 0 and sum(rep.block_dims) == math.comb(9, k)
+        assert rep.group == FOUR and sum(rep.block_dims) == math.comb(9, k)
+        assert min(rep.block_dims) > 0 or rep.block_dims == (1, 0, 0, 0)
         assert rep.block_solvers == ("gram",) * 4
         assert_report_matches_pauli(rep, PRODUCT_3X3, sym, 1e-12)
 
@@ -1173,7 +1186,7 @@ def reflections(geometry):
 
 @st.composite
 def classify_cases(draw):
-    """(geometry, generator names, seed, zero-below threshold, mirror name, k, floor)."""
+    """(geometry, generator names, seed, zero-below threshold, mirror name, k)."""
     geometry = draw(st.sampled_from(DRAWN_GEOMETRIES))
     maps = reflections(geometry)
     gens = draw(st.lists(st.sampled_from(maps), min_size=1, max_size=2, unique=True))
@@ -1181,25 +1194,24 @@ def classify_cases(draw):
     mirror = draw(st.sampled_from([m for m in maps if m.perm in closure]))
     return (geometry, tuple(m.name for m in gens), draw(st.integers(0, 2**16)),
             draw(st.sampled_from([0.0, 1.0, 2.0])), mirror.name,
-            draw(st.integers(0, geometry.site_count)),
-            draw(st.sampled_from([0, dynamics._GRADED_FLOOR])))
+            draw(st.integers(0, geometry.site_count)))
 
 
 @given(classify_cases())
 @example((build_rect_lattice(2, 4), ("vertical_axis", "horizontal_axis"), 3, 0.0,
-          "rotation_pi", 0, 0))
+          "rotation_pi", 0))
 @example((build_rect_lattice(2, 5), ("vertical_axis", "horizontal_axis"), 3, 0.0,
-          "rotation_pi", 4, 0))
+          "rotation_pi", 4))
 @example((build_square_lattice(3), ("main_diagonal", "anti_diagonal"), 5, 1.0,
-          "rotation_pi", 9, 0))
-@example((build_chain(6), ("vertical_axis",), 0, 2.0, "vertical_axis", 3, 48))
+          "rotation_pi", 9))
+@example((build_chain(6), ("vertical_axis",), 0, 2.0, "vertical_axis", 3))
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 def test_classify_matches_the_oracle_on_drawn_symmetric_patterns(case):
-    # the pattern (up to four blocks; a floor of 0 lets small sectors split in
-    # four), its bare graph ({1, P}), and a copy with one coupling moved by an
+    # the pattern (up to four blocks, some of them empty), its bare graph
+    # ({1, P}), and a copy with one coupling moved by an
     # ulp, which P commutes with only within 1e-12; couplings below the
     # threshold are zero (all of them at 2.0)
-    geometry, names, seed, zero_below, mirror, k, floor = case
+    geometry, names, seed, zero_below, mirror, k = case
     pat = random_symmetric_pattern(geometry, [symmetry_map(geometry, n) for n in names], seed)
     w = pat.edge_weights()
     w = np.where(w < zero_below, 0.0, w)
@@ -1208,10 +1220,8 @@ def test_classify_matches_the_oracle_on_drawn_symmetric_patterns(case):
                   if {sym.perm[a], sym.perm[b]} != {a, b}), 0)
     w = w.copy()
     w[moved] = np.nextafter(w[moved], np.inf)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dynamics, "_GRADED_FLOOR", floor)
-        for form in (pat, pat.to_graph(), pattern_from_weights(geometry, w)):
-            assert_classify_matches_oracle(form, k, sym)
+    for form in (pat, pat.to_graph(), pattern_from_weights(geometry, w)):
+        assert_classify_matches_oracle(form, k, sym)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -1242,15 +1252,14 @@ def test_classify_tolerant_path_matches_oracle(monkeypatch, k):
     assert 0.0 < max(g.max_symmetry_defect for g in groups) <= 1e-8
 
 
-@pytest.mark.parametrize("k, floor, shapes", [
-    (4, 48, [(139, 139), (124, 124), (116, 116), (116, 116)]),
-    (4, 116, [(255, 255), (240, 240)]),
-    (3, 48, [(60, 60), (60, 60), (50, 50), (50, 50)]),
+@pytest.mark.parametrize("k, shapes", [
+    (4, [(139, 139), (124, 124), (116, 116), (116, 116)]),
+    (3, [(60, 60), (60, 60), (50, 50), (50, 50)]),
+    (0, [(1, 1), (0, 0), (0, 0), (0, 0)]),
 ])
-def test_classify_labels_each_irrep_block_by_its_mirror_character(monkeypatch, k, floor, shapes):
+def test_classify_labels_each_irrep_block_by_its_mirror_character(monkeypatch, k, shapes):
     calls, sym = [], symmetry_map(RECT_3X4, "rotation_pi")
     eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(dynamics, "_GRADED_FLOOR", floor)
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
     classify_spectrum(V_H_3X4, k, sym)
     assert calls == shapes
